@@ -13,18 +13,14 @@ twist        scalar of the central full twist
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed,
 2 = usage or validation error.  Output is deterministic: fixed orderings
-everywhere and randomness only through an explicit --seed.  The worker pool
-for independent check items is capped by the BRAIDREP_THREADS environment
-variable (default 1, purely sequential).
+everywhere and randomness only through an explicit --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import braid as braid_mod
@@ -37,16 +33,6 @@ from .verma import TensorVec
 
 class UsageError(Exception):
     pass
-
-
-def _pool_map(fn, items):
-    """Run independent check items, merging results in input order."""
-    workers = int(os.environ.get("BRAIDREP_THREADS", "1") or "1")
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(args, payload, text_renderer):
@@ -158,10 +144,7 @@ def cmd_check(args):
              "unknown suite %r (choose from %s)" % (args.suite, ", ".join(_SUITES)))
     _require(args.n >= 2, "check requires --n >= 2")
     _require(args.l >= 0, "check requires --l >= 0")
-    items = [(args.suite, args.n, args.l, args.perturb)]
-    reports = []
-    for chunk in _pool_map(lambda it: _run_suite(*it), items):
-        reports.extend(chunk)
+    reports = _run_suite(args.suite, args.n, args.l, args.perturb)
     payload = [r.to_json() for r in reports]
 
     def text():

@@ -25,10 +25,15 @@ psi(alpha_k w) = lambda_k F^(k-1) w with
     lambda_k = s^{-2n-k} q^{4l-k-3} - s^{-k} q^{k-1}.
 
 Irreducibility at an exact rational point (q0, s0) is certified by a
-commutant of dimension 1: the kernel of X -> (X rho(sigma_i) - rho(sigma_i) X)
-always contains the identity, so a mod-p rank bound that caps the kernel at
-one dimension is an exact certificate; anything larger falls back to exact
-rational elimination.
+commutant of dimension 1.  The commutant always contains the identity, so an
+upper bound of 1 is exact.  The bound comes from a cyclic vector mod a large
+prime p (Parker's MeatAxe; Holt and Rees 1994): if the Krylov vectors
+u, b u, ..., b^(d-1) u of a random algebra element b have rank d, the
+centraliser of b is F_p[b], and the commutant lies inside it.  The equations
+[sum_k c_k b^k, rho(sigma_i)] u = 0 are a subset of the commutant's, so d
+minus their rank bounds the mod-p commutant dimension, and with it the
+rational one, from above.  A larger bound, or no cyclic vector, falls back to
+exact elimination over Fraction of X rho(sigma_i) = rho(sigma_i) X.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 from .braid import BraidWord, apply_word
 from .hwspace import hw_basis, rho_matrix
@@ -381,12 +387,14 @@ def _integerize(mat):
 def matrix_commutant_dimension(mats, seed=0):
     """Exact dimension of the joint commutant of square rational matrices.
 
-    Fast path: find an algebra element that is nonderogatory mod a large
-    prime; its centralizer there is spanned by its powers, so the commutant
-    dimension mod p comes from a small elimination.  Since the rational
-    kernel dimension is at most the mod-p one and at least 1 (the identity
-    commutes), a mod-p answer of 1 is exact.  Otherwise fall back to exact
-    rational elimination on the full Sylvester system.
+    Fast path: a random algebra element b with a cyclic vector u mod a large
+    prime p (Krylov vectors u, b u, ..., b^(d-1) u of rank d) has centraliser
+    F_p[b], which holds the commutant.  The conditions that sum_k c_k b^k
+    commute with each matrix on u are a subset of the commutant's, so d minus
+    their rank bounds the commutant dimension from above, mod p and hence
+    over Q.  It is at least 1 (the identity commutes), so a bound of 1 is
+    exact.  Otherwise fall back to exact Fraction elimination on the full
+    Sylvester system.
     """
     d = len(mats[0])
     if d == 1:
@@ -409,130 +417,54 @@ def matrix_commutant_dimension(mats, seed=0):
 
 
 def _commutant_dim_modp(imats, seed):
+    """Upper bound mod p on the commutant dimension, or None.
+
+    Draws an algebra element b and a vector u until the Krylov vectors
+    u, b u, ..., b^(d-1) u have rank d (at most 8 draws, else None).  Then
+    u is cyclic for b, the centraliser of b is F_p[b], and every X in the
+    commutant is some sum_k c_k b^k.  The returned value is d minus the rank
+    of the constraints sum_k c_k (b^k a_i u - a_i b^k u) = 0, one block per
+    generator a_i; they are a subset of [X, a_i] = 0, so the bound holds.
+    Blocks are added only until the rank reaches d - 1, its maximum, since
+    c = (1, 0, ..., 0), the identity, always solves them.
+    """
     p = _CERT_PRIME
     d = len(imats[0])
     pm = [[[x % p for x in row] for row in m] for m in imats]
-    b = _nonderogatory_element(pm, p, seed)
-    if b is None:
+    rng = random.Random(seed)
+    for _ in range(8):
+        b = _random_element(pm, rng, p)
+        krylov = [[rng.randrange(p) for _ in range(d)]]
+        for _ in range(d - 1):
+            krylov.append(_matvec(b, krylov[-1], p))
+        if modp_rank(krylov, d, p) == d:
+            break
+    else:
         return None
-    powers = [_id_modp(d)]
-    for _ in range(d - 1):
-        powers.append(_mat_mul_modp(powers[-1], b, p))
-    rows = []
+    rows = [[] for _ in range(d)]
     for a in pm:
-        comms = [_mat_sub_modp(_mat_mul_modp(bk, a, p), _mat_mul_modp(a, bk, p), p)
-                 for bk in powers]
-        for r in range(d):
-            for c in range(d):
-                rows.append([comms[k][r][c] for k in range(d)])
-    rank = modp_rank(rows, d, p)
+        bau = _matvec(a, krylov[0], p)                    # b^k a u
+        for row, bku in zip(rows, krylov):
+            row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
+            bau = _matvec(b, bau, p)
+        rank = modp_rank(rows, len(rows[0]), p)
+        if rank == d - 1:
+            break
     return d - rank
 
 
-def _id_modp(d):
-    return [[1 if r == c else 0 for c in range(d)] for r in range(d)]
+def _matvec(m, v, p):
+    return [sum(map(mul, row, v)) % p for row in m]
 
 
-def _mat_mul_modp(a, b, p):
-    d = len(a)
-    out = []
-    for r in range(d):
-        row = []
-        ar = a[r]
-        for c in range(d):
-            acc = 0
-            for k in range(d):
-                acc += ar[k] * b[k][c]
-            row.append(acc % p)
-        out.append(row)
-    return out
-
-
-def _mat_sub_modp(a, b, p):
-    return [[(x - y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _charpoly_modp(a, p):
-    """Faddeev-LeVerrier characteristic polynomial coefficients mod p."""
-    d = len(a)
-    coeffs = [1]
-    m = _id_modp(d)
-    for k in range(1, d + 1):
-        am = _mat_mul_modp(a, m, p)
-        tr = sum(am[i][i] for i in range(d)) % p
-        ck = (-tr * pow(k, p - 2, p)) % p
-        coeffs.append(ck)
-        m = [[(am[r][c] + (ck if r == c else 0)) % p for c in range(d)]
-             for r in range(d)]
-    return coeffs  # x^d + c1 x^{d-1} + ... + cd
-
-
-def _poly_rem_modp(f, g, p):
-    """Remainder of coefficient lists (descending powers) mod p; g nonzero."""
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[0], p - 2, p)
-    while len(f) - 1 >= dg:
-        if f[0]:
-            factor = (f[0] * inv) % p
-            for i in range(1, len(g)):
-                f[i] = (f[i] - factor * g[i]) % p
-        f.pop(0)
-    i = 0
-    while i < len(f) and f[i] == 0:
-        i += 1
-    return f[i:]
-
-
-def _poly_gcd_degree_modp(f, g, p):
-    """Degree of gcd of two coefficient lists (descending powers) mod p."""
-    def norm(h):
-        i = 0
-        while i < len(h) and h[i] == 0:
-            i += 1
-        return h[i:]
-
-    f, g = norm(f), norm(g)
-    while g:
-        f, g = g, _poly_rem_modp(f, g, p)
-    return len(f) - 1 if f else -1
-
-
-def _nonderogatory_element(pm, p, seed):
-    """An algebra element with squarefree characteristic polynomial mod p."""
-    d = len(pm[0])
-    rng = random.Random(seed)
-    candidates = [pm[0]]
-    if len(pm) > 1:
-        combo = _id_modp(d)
-        combo = [[sum((k + 1) * pm[k][r][c] for k in range(len(pm))) % p
-                  for c in range(d)] for r in range(d)]
-        candidates.append(combo)
-        prod = pm[0]
-        for m in pm[1:]:
-            prod = _mat_mul_modp(prod, m, p)
-        candidates.append(prod)
-
-    def random_candidate():
-        acc = [[0] * d for _ in range(d)]
-        for m in pm:
-            r1 = rng.randrange(1, 1 << 20)
-            acc = [[(acc[r][c] + r1 * m[r][c]) % p for c in range(d)]
-                   for r in range(d)]
-        a, b = rng.randrange(len(pm)), rng.randrange(len(pm))
-        prod = _mat_mul_modp(pm[a], pm[b], p)
-        r2 = rng.randrange(1, 1 << 20)
-        return [[(acc[r][c] + r2 * prod[r][c]) % p for c in range(d)]
-                for r in range(d)]
-
-    for _ in range(8):
-        for cand in candidates:
-            f = _charpoly_modp(cand, p)
-            deriv = [(c * (d - i)) % p for i, c in enumerate(f[:-1])]
-            if _poly_gcd_degree_modp(f, deriv, p) <= 0:
-                return cand
-        candidates = [random_candidate()]
-    return None
+def _random_element(pm, rng, p):
+    """A random combination of the generators and one product of two of them."""
+    i, j = rng.randrange(len(pm)), rng.randrange(len(pm))
+    product = list(zip(*[_matvec(pm[i], col, p) for col in zip(*pm[j])]))
+    terms = pm + [product]
+    coeffs = [rng.randrange(1, p) for _ in terms]
+    return [[sum(map(mul, coeffs, entries)) % p for entries in zip(*rows)]
+            for rows in zip(*terms)]
 
 
 def commutant_dimension(n, l, q0, s0, seed=0):

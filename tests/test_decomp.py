@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from braidrep.decomp import (GuardedSpecializationError, alpha_map, c_coeff,
+from braidrep.decomp import (GuardedSpecializationError, _commutant_dim_modp,
+                             _integerize, alpha_map, c_coeff,
                              check_splitting, commutant_dimension, decompose,
                              ef1_eigencheck, full_twist_scalar,
                              lambda_const, matrix_commutant_dimension, mu,
@@ -256,6 +257,32 @@ def rref_kernel_dim(rows, ncols):
     return ncols - pivots
 
 
+def sylvester_rows(mats):
+    """Rows of X A - A X = 0 for every A, in the d*d entries of X."""
+    d = len(mats[0])
+    rows = []
+    for a in mats:
+        for r in range(d):
+            for c in range(d):
+                row = [Fraction(0)] * (d * d)
+                for k in range(d):
+                    row[r * d + k] += a[k][c]
+                    row[k * d + c] -= a[r][k]
+                rows.append(row)
+    return rows
+
+
+def w32_generators():
+    """The two rho_{3,2} generators at (q0, s0) = (2, 3); W_{3,2} has dimension 3."""
+    return [[[specialize(x, 2, 3) for x in row]
+             for row in rho_matrix(3, 2, [i]).entries] for i in (1, 2)]
+
+
+def block_diag(a, b):
+    return ([list(row) + [0] * len(b) for row in a]
+            + [[0] * len(a) + list(row) for row in b])
+
+
 class TestCommutant:
     def test_one_dimensional_rep(self):
         assert commutant_dimension(2, 3, 2, 3) == 1
@@ -263,22 +290,7 @@ class TestCommutant:
 
     def test_3_2_against_oracle(self):
         # independent 9-unknown exact solve
-        mats = []
-        for i in (1, 2):
-            rep = rho_matrix(3, 2, [i])
-            mats.append([[specialize(x, 2, 3) for x in row]
-                         for row in rep.entries])
-        d = 3
-        rows = []
-        for a in mats:
-            for r in range(d):
-                for c in range(d):
-                    row = [Fraction(0)] * 9
-                    for k in range(d):
-                        row[r * d + k] += a[k][c]
-                        row[k * d + c] -= a[r][k]
-                    rows.append(row)
-        assert rref_kernel_dim(rows, 9) == 1
+        assert rref_kernel_dim(sylvester_rows(w32_generators()), 9) == 1
         assert commutant_dimension(3, 2, 2, 3) == 1
 
     def test_unreduced_burau_control(self):
@@ -288,17 +300,7 @@ class TestCommutant:
         dim = matrix_commutant_dimension(smats)
         assert dim >= 2
         # oracle agrees
-        d = 3
-        rows = []
-        for a in smats:
-            for r in range(d):
-                for c in range(d):
-                    row = [Fraction(0)] * 9
-                    for k in range(d):
-                        row[r * d + k] += a[k][c]
-                        row[k * d + c] -= a[r][k]
-                    rows.append(row)
-        assert rref_kernel_dim(rows, 9) == dim
+        assert rref_kernel_dim(sylvester_rows(smats), 9) == dim
 
     def test_guard_rejections(self):
         with pytest.raises(GuardedSpecializationError) as exc:
@@ -316,3 +318,31 @@ class TestCommutant:
     def test_certification_deterministic(self):
         assert commutant_dimension(3, 2, 2, 3, seed=1) == 1
         assert commutant_dimension(4, 2, 2, 3) == 1
+
+    def test_derogatory_control(self):
+        # every element of the algebra of W + W repeats its spectrum, so no
+        # draw finds a cyclic vector; the exact fallback finds End(C^2)
+        mats = [block_diag(g, g) for g in w32_generators()]
+        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) is None
+        assert matrix_commutant_dimension(mats) == 4
+        assert rref_kernel_dim(sylvester_rows(mats), 36) == 4
+
+    def test_nonderogatory_reducible_control(self):
+        # W + [7]: a cyclic vector exists, and the bound is the true dimension
+        mats = [block_diag(g, [[7]]) for g in w32_generators()]
+        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) == 2
+        assert matrix_commutant_dimension(mats) == 2
+        assert rref_kernel_dim(sylvester_rows(mats), 16) == 2
+
+    def test_bound_uses_every_generator(self):
+        # a scalar first matrix adds no constraint; the later ones certify
+        mats = [[[2 if r == c else 0 for c in range(3)] for r in range(3)]]
+        mats += w32_generators()
+        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) == 1
+
+    def test_krylov_certificate_5_4(self):
+        assert commutant_dimension(5, 4, 2, 3) == 1
+
+    def test_krylov_certificate_any_seed(self):
+        for seed in range(5):
+            assert commutant_dimension(4, 3, 2, 3, seed=seed) == 1

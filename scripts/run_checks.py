@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep every structural check over a small grid and print a summary table.
+"""Run every ``braidrep check`` suite over a small grid and print a summary table.
+
+Each row is one suite at one (n, l), or the irreducibility certificate at
+the rational point (q, s) = (2, 3), and names the checks that failed.
 
 Usage: python scripts/run_checks.py [--nmax 5] [--lmax 3]
 """
@@ -11,13 +14,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from braidrep.braid import (check_braid_relations, check_equivariance,
-                            check_yang_baxter)
-from braidrep.decomp import (check_splitting, commutant_dimension,
-                             ef1_eigencheck, full_twist_scalar)
-from braidrep.hwspace import check_phi, check_sigma_w, check_wmax
-from braidrep.lkb import check_burau, check_lkb_braid_relations, fork_iso_check
-from braidrep.report import all_passed
+from braidrep.cli import SUITES
+from braidrep.decomp import commutant_dimension
 
 
 def main():
@@ -27,55 +25,28 @@ def main():
     args = parser.parse_args()
 
     rows = []
-
-    def run(name, fn):
-        start = time.time()
-        ok = fn()
-        rows.append((name, "pass" if ok else "FAIL", time.time() - start))
-
     for n in range(2, args.nmax + 1):
         for l in range(args.lmax + 1):
-            run("braid relations        n=%d l=%d" % (n, l),
-                lambda n=n, l=l: all_passed(check_braid_relations(n, l)))
-            run("equivariance           n=%d l=%d" % (n, l),
-                lambda n=n, l=l: all_passed(check_equivariance(n, l)))
-            run("phi structure          n=%d l=%d" % (n, l),
-                lambda n=n, l=l: all_passed(check_phi(n, l)))
-            run("eigen separation       n=%d l=%d" % (n, l),
-                lambda n=n, l=l: all_passed(ef1_eigencheck(n, l)))
-            run("wmax scalar            n=%d l=%d" % (n, l),
-                lambda n=n, l=l: all_passed(check_wmax(n, l)))
-        run("yang-baxter            l<=%d" % args.lmax,
-            lambda: all(all_passed(check_yang_baxter(l))
-                        for l in range(args.lmax + 1)))
-        run("degree-2 closed forms  n=%d" % n,
-            lambda n=n: all_passed(check_sigma_w(n)))
-        run("lkb fork isomorphism   n=%d" % n,
-            lambda n=n: all_passed(fork_iso_check(n)))
-        run("lkb braid relations    n=%d" % n,
-            lambda n=n: all_passed(check_lkb_braid_relations(n)))
-        run("burau identification   n=%d" % n,
-            lambda n=n: all_passed(check_burau(n)))
-        for l in range(1, args.lmax + 1):
-            run("splitting              n=%d l=%d" % (n, l),
-                lambda n=n, l=l: all_passed(check_splitting(n, l)))
-        for l in range(args.lmax + 1):
-            run("irreducible at (2,3)   n=%d l=%d" % (n, l),
-                lambda n=n, l=l: commutant_dimension(n, l, 2, 3) == 1)
-        if n <= 4:
-            for l in range(args.lmax + 1):
-                run("full twist scalar      n=%d l=%d" % (n, l),
-                    lambda n=n, l=l: bool(full_twist_scalar(n, l)) or True)
+            for name, suite in SUITES.items():
+                if l < suite.min_l:
+                    continue
+                start = time.perf_counter()
+                failed = [r.check for r in suite.run(n, l, False) if not r.passed]
+                rows.append((name, n, l, failed, time.perf_counter() - start))
+            start = time.perf_counter()
+            failed = [] if commutant_dimension(n, l, 2, 3) == 1 else ["irreducible"]
+            rows.append(("irreducible", n, l, failed, time.perf_counter() - start))
 
-    width = max(len(r[0]) for r in rows)
     failures = 0
-    for name, verdict, dt in rows:
-        print("%s  %-4s  %6.2fs" % (name.ljust(width), verdict, dt))
-        failures += verdict == "FAIL"
-    print("\n%d checks, %d failures" % (len(rows), failures))
-    print("(the wmax scalar check fails at l=1 for n>=3 by design: that")
-    print(" boundary case of the scalar claim is a documented erratum;")
-    print(" see the decision notes and test_acceptance.py)")
+    for name, n, l, failed, dt in rows:
+        print(("%-12s n=%d l=%d  %-4s  %6.2fs  %s" % (
+            name, n, l, "FAIL" if failed else "pass", dt,
+            " ".join(dict.fromkeys(failed)))).rstrip())
+        failures += bool(failed)
+    print("\n%d rows, %d failures" % (len(rows), failures))
+    print("(phi fails at l=1 for n>=3 by design: its wmax-eigenvalue check")
+    print(" tests the scalar claim where it is false, a documented erratum;")
+    print(" see README \"Acceptance status\" and test_acceptance.py)")
     return 1 if failures else 0
 
 

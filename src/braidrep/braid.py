@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_diff_witness, mat_mul, poly_matrix_inverse
-from .report import CheckReport
+from .linalg import mat_mul, poly_matrix_inverse
+from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, qbinom
 from .verma import E, F, K, TensorVec, act_tensor, weight_basis
 
@@ -78,7 +78,6 @@ def rmatrix_pair_perturbed(i, j):
 def _rblock(d, perturb=False):
     """Matrix of R on the degree-d block of V (x) V, columns = images."""
     basis = weight_basis(2, d)
-    pos = {idx: c for c, idx in enumerate(basis)}
     pair = rmatrix_pair_perturbed if perturb else rmatrix_pair
     cols = [pair(i, j) for (i, j) in basis]
     return [[cols[c].coeff(basis[r]) for c in range(len(basis))]
@@ -166,22 +165,13 @@ def check_braid_relations(n, l, perturb=False):
     for i in range(1, n - 1):
         lhs = mat_mul(mat_mul(mats[i], mats[i + 1]), mats[i])
         rhs = mat_mul(mat_mul(mats[i + 1], mats[i]), mats[i + 1])
-        witness = mat_diff_witness(lhs, rhs)
-        reports.append(CheckReport(
-            check="braid-adjacent",
-            params={"n": n, "l": l, "i": i},
-            passed=witness is None,
-            witness=_format_witness(witness)))
+        reports.append(matrix_report(
+            "braid-adjacent", {"n": n, "l": l, "i": i}, lhs, rhs))
     for i in range(1, n):
         for j in range(i + 2, n):
-            lhs = mat_mul(mats[i], mats[j])
-            rhs = mat_mul(mats[j], mats[i])
-            witness = mat_diff_witness(lhs, rhs)
-            reports.append(CheckReport(
-                check="braid-commute",
-                params={"n": n, "l": l, "i": i, "j": j},
-                passed=witness is None,
-                witness=_format_witness(witness)))
+            reports.append(matrix_report(
+                "braid-commute", {"n": n, "l": l, "i": i, "j": j},
+                mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])))
     return reports
 
 
@@ -191,10 +181,7 @@ def check_yang_baxter(l, perturb=False):
     r2 = sigma_matrix(3, l, 2, perturb=perturb)
     lhs = mat_mul(mat_mul(r1, r2), r1)
     rhs = mat_mul(mat_mul(r2, r1), r2)
-    witness = mat_diff_witness(lhs, rhs)
-    return [CheckReport(check="yang-baxter", params={"l": l},
-                        passed=witness is None,
-                        witness=_format_witness(witness))]
+    return [matrix_report("yang-baxter", {"l": l}, lhs, rhs)]
 
 
 def check_equivariance(n, l):
@@ -204,30 +191,17 @@ def check_equivariance(n, l):
     for name, gen in gens.items():
         op, _ = operator_matrix(gen, n, l)
         for i in range(1, n):
+            params = {"n": n, "l": l, "i": i, "x": name}
             sig_src = sigma_matrix(n, l, i)
             if name == "K":
                 sig_tgt = sig_src
             elif name == "E":
                 if l == 0:
-                    reports.append(CheckReport(
-                        check="equivariance", params={"n": n, "l": l, "i": i, "x": name}))
+                    reports.append(CheckReport("equivariance", params))
                     continue
                 sig_tgt = sigma_matrix(n, l - 1, i)
             else:
                 sig_tgt = sigma_matrix(n, l + 1, i)
-            lhs = mat_mul(sig_tgt, op)
-            rhs = mat_mul(op, sig_src)
-            witness = mat_diff_witness(lhs, rhs)
-            reports.append(CheckReport(
-                check="equivariance",
-                params={"n": n, "l": l, "i": i, "x": name},
-                passed=witness is None,
-                witness=_format_witness(witness)))
+            reports.append(matrix_report("equivariance", params,
+                                         mat_mul(sig_tgt, op), mat_mul(op, sig_src)))
     return reports
-
-
-def _format_witness(witness):
-    if witness is None:
-        return None
-    r, c, diff = witness
-    return [r, c, str(diff)]

@@ -22,12 +22,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import braid as braid_mod
 from . import decomp as decomp_mod
 from . import hwspace as hw_mod
 from . import lkb as lkb_mod
-from .report import all_passed
+from .report import CheckReport, all_passed
 from .verma import TensorVec
 
 
@@ -104,47 +105,45 @@ def cmd_matrix(args):
     return 0
 
 
-_SUITES = ("braid", "yangbaxter", "equivariance", "phi", "lkb", "burau",
-           "splitting", "eigen", "twist")
+class Suite(NamedTuple):
+    run: Callable          # (n, l, perturb) -> [CheckReport]
+    perturb: bool = False  # whether --perturb damages what the suite checks
+    min_l: int = 0
 
 
-def _run_suite(suite, n, l, perturb):
-    if suite == "braid":
-        return braid_mod.check_braid_relations(n, l, perturb=perturb)
-    if suite == "yangbaxter":
-        return braid_mod.check_yang_baxter(l, perturb=perturb)
-    if suite == "equivariance":
-        return braid_mod.check_equivariance(n, l)
-    if suite == "phi":
-        reports = hw_mod.check_phi(n, l)
-        reports += hw_mod.check_wmax(n, l)
-        if l == 2:
-            reports += hw_mod.check_sigma_w(n)
-        return reports
-    if suite == "lkb":
-        reports = lkb_mod.fork_iso_check(n)
-        reports += lkb_mod.check_lkb_braid_relations(n)
-        return reports
-    if suite == "burau":
-        return lkb_mod.check_burau(n)
-    if suite == "splitting":
-        return decomp_mod.check_splitting(n, l)
-    if suite == "eigen":
-        return decomp_mod.ef1_eigencheck(n, l)
-    if suite == "twist":
-        scalar = decomp_mod.full_twist_scalar(n, l)
-        from .report import CheckReport
-        return [CheckReport("full-twist-scalar", {"n": n, "l": l},
-                            True, str(scalar))]
-    raise UsageError("unknown suite %r" % suite)
+# The runners look each check up on its module when called, so that a
+# rebound module attribute (a profiler's wrapper, say) is the one that runs.
+SUITES = {
+    "braid": Suite(lambda n, l, p: braid_mod.check_braid_relations(n, l, perturb=p),
+                   perturb=True),
+    "yangbaxter": Suite(lambda n, l, p: braid_mod.check_yang_baxter(l, perturb=p),
+                        perturb=True),
+    "equivariance": Suite(lambda n, l, p: braid_mod.check_equivariance(n, l)),
+    "phi": Suite(lambda n, l, p: hw_mod.check_phi(n, l) + hw_mod.check_wmax(n, l)
+                 + (hw_mod.check_sigma_w(n) if l == 2 else [])),
+    "lkb": Suite(lambda n, l, p: lkb_mod.fork_iso_check(n)
+                 + lkb_mod.check_lkb_braid_relations(n)),
+    "burau": Suite(lambda n, l, p: lkb_mod.check_burau(n)),
+    "splitting": Suite(lambda n, l, p: decomp_mod.check_splitting(n, l), min_l=1),
+    "eigen": Suite(lambda n, l, p: decomp_mod.ef1_eigencheck(n, l)),
+    "twist": Suite(lambda n, l, p: [CheckReport(
+        "full-twist-scalar", {"n": n, "l": l}, True,
+        str(decomp_mod.full_twist_scalar(n, l)))]),
+}
+_PERTURB_SUITES = " and ".join(name for name, s in SUITES.items() if s.perturb)
 
 
 def cmd_check(args):
-    _require(args.suite in _SUITES,
-             "unknown suite %r (choose from %s)" % (args.suite, ", ".join(_SUITES)))
+    _require(args.suite in SUITES,
+             "unknown suite %r (choose from %s)" % (args.suite, ", ".join(SUITES)))
+    suite = SUITES[args.suite]
     _require(args.n >= 2, "check requires --n >= 2")
     _require(args.l >= 0, "check requires --l >= 0")
-    reports = _run_suite(args.suite, args.n, args.l, args.perturb)
+    _require(args.l >= suite.min_l,
+             "%s requires --l >= %d" % (args.suite, suite.min_l))
+    _require(suite.perturb or not args.perturb,
+             "--perturb applies only to the %s suites" % _PERTURB_SUITES)
+    reports = suite.run(args.n, args.l, args.perturb)
     payload = [r.to_json() for r in reports]
 
     def text():
@@ -293,10 +292,11 @@ def build_parser():
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("--suite", required=True, help=", ".join(_SUITES))
+    p.add_argument("--suite", required=True, help=", ".join(SUITES))
     common(p, l_default=2)
     p.add_argument("--perturb", action="store_true",
-                   help="negative control: damage the braiding operator")
+                   help="negative control: damage the braiding operator "
+                        "(%s suites only)" % _PERTURB_SUITES)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("irreducible", help="commutant dimension at a point")
@@ -331,18 +331,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems already
-        raise exc
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

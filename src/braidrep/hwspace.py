@@ -32,6 +32,8 @@ from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord, apply_word
+from .linalg import mat_identity, mat_mul
+from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .verma import E, TensorVec, act_e_power, act_tensor, weight_basis
 
@@ -297,17 +299,12 @@ def rho_matrix(n, l, word, validate=True):
     return RepMatrix(n, l, tuple(el.label for el in basis), entries)
 
 
-def rho_generator_matrices(n, l, validate=True):
-    return [rho_matrix(n, l, [i], validate=validate) for i in range(1, n)]
-
-
 # -- structural checks ---------------------------------------------------------
 
 
 def phi_matrix(n, l):
     """Matrix of Phi on the full weight space, columns = images."""
     basis = weight_basis(n, l)
-    pos = {idx: r for r, idx in enumerate(basis)}
     cols = []
     for idx in basis:
         if classify_index(idx) == "A":
@@ -320,19 +317,15 @@ def phi_matrix(n, l):
 
 def check_phi(n, l):
     """(Phi - id)^2 = 0, Phi^{-1} = 2 - Phi, and E Phi kills exactly the A-part."""
-    from .linalg import mat_eq, mat_identity, mat_mul
-    from .report import CheckReport
-
     mat, basis = phi_matrix(n, l)
     d = len(basis)
     ident = mat_identity(d, LaurentPoly.one())
+    zero = [[LaurentPoly.zero()] * d for _ in range(d)]
     nil = [[mat[r][c] - ident[r][c] for c in range(d)] for r in range(d)]
-    sq_zero = all(x.is_zero() for row in mat_mul(nil, nil) for x in row)
     two_minus = [[ident[r][c] * 2 - mat[r][c] for c in range(d)] for r in range(d)]
-    inv_ok = mat_eq(mat_mul(mat, two_minus), ident)
     reports = [
-        CheckReport("phi-nilpotent", {"n": n, "l": l}, sq_zero),
-        CheckReport("phi-inverse", {"n": n, "l": l}, inv_ok),
+        matrix_report("phi-nilpotent", {"n": n, "l": l}, mat_mul(nil, nil), zero),
+        matrix_report("phi-inverse", {"n": n, "l": l}, mat_mul(mat, two_minus), ident),
     ]
     e_ok = True
     for r, idx in enumerate(basis):
@@ -350,11 +343,6 @@ def check_phi(n, l):
     return reports
 
 
-def wmax_label(n, l):
-    """Label of the maximal basis element of W_{n,l} in the basis order."""
-    return hw_basis(n, l)[-1].label
-
-
 def wmax_eigenvalue(l):
     """Scalar by which the first braid generator acts on the maximal vector."""
     return LaurentPoly.monomial(l * (l - 1), -2 * l, -1 if l % 2 else 1)
@@ -369,8 +357,6 @@ def check_wmax(n, l):
     (1 - s^{-2}) w_1.  The check stays faithful and reports the failure,
     with the computed image in the witness.
     """
-    from .report import CheckReport
-
     el = hw_basis(n, l)[-1]
     image = apply_word(BraidWord(n, (1,)), el.vector)
     ok = image == wmax_eigenvalue(l) * el.vector
@@ -437,8 +423,6 @@ def check_sigma_w(n):
     accepted.  The returned report is decisive either way, with the mismatch
     list in the witness.
     """
-    from .report import CheckReport
-
     basis = hw_basis(n, 2)
     pos = {el.label: r for r, el in enumerate(basis)}
     mismatches = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import InexactDivisionError, RatFunc
+from .ring import RatFunc
 
 
 class SingularMatrixError(ArithmeticError):
@@ -37,14 +37,13 @@ def mat_mul(a, b):
     return out
 
 
-def mat_eq(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_diff_witness(a, b):
-    """First (row, col, difference) where two matrices disagree, else None."""
+    """First (row, col, difference) where two matrices disagree, else None.
+
+    Matrices of different shapes raise ValueError instead of comparing.
+    """
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise ValueError("cannot compare matrices of different shapes")
     for r, (ra, rb) in enumerate(zip(a, b)):
         for c, (x, y) in enumerate(zip(ra, rb)):
             if x != y:
@@ -81,7 +80,7 @@ def poly_matrix_inverse(mat):
             work[r] = [x - f * y for x, y in zip(work[r], work[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     out = [[entry.to_poly() for entry in row] for row in inv]
-    if not mat_eq(mat_mul(mat, out), mat_identity(d, ring.one())):
+    if mat_diff_witness(mat_mul(mat, out), mat_identity(d, ring.one())) is not None:
         raise SingularMatrixError("inverse verification failed")
     return out
 

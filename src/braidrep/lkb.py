@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_diff_witness, mat_mul, mat_identity, poly_matrix_inverse
-from .report import CheckReport
+from .linalg import mat_mul, mat_identity, poly_matrix_inverse
+from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .hwspace import hw_basis, pair_label, rho_matrix
 
@@ -171,12 +171,8 @@ def fork_iso_check(n, theta_map=theta):
                 transported[r][c] = coeff * LaurentPoly.monomial(0, dr - dc)
         aligned = [[rho.entries[perm[r]][perm[c]] for c in range(d)]
                    for r in range(d)]
-        witness = mat_diff_witness(transported, aligned)
-        reports.append(CheckReport(
-            check="fork-isomorphism", params={"n": n, "i": i},
-            passed=witness is None,
-            witness=None if witness is None else
-            [witness[0], witness[1], str(witness[2])]))
+        reports.append(matrix_report("fork-isomorphism", {"n": n, "i": i},
+                                     transported, aligned))
     return reports
 
 
@@ -187,19 +183,17 @@ def check_lkb_braid_relations(n):
     for i in range(1, n - 1):
         lhs = mat_mul(mat_mul(mats[i], mats[i + 1]), mats[i])
         rhs = mat_mul(mat_mul(mats[i + 1], mats[i]), mats[i + 1])
-        witness = mat_diff_witness(lhs, rhs)
-        reports.append(CheckReport("lkb-braid-adjacent", {"n": n, "i": i},
-                                   witness is None))
+        reports.append(matrix_report("lkb-braid-adjacent", {"n": n, "i": i},
+                                     lhs, rhs))
     for i in range(1, n):
         for j in range(i + 2, n):
-            witness = mat_diff_witness(mat_mul(mats[i], mats[j]),
-                                       mat_mul(mats[j], mats[i]))
-            reports.append(CheckReport("lkb-braid-commute",
-                                       {"n": n, "i": i, "j": j}, witness is None))
+            reports.append(matrix_report(
+                "lkb-braid-commute", {"n": n, "i": i, "j": j},
+                mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])))
     for i in range(1, n):
         prod = mat_mul(lkb_sigma(n, i).row_lists(), mats[i])
-        ok = mat_diff_witness(prod, mat_identity(len(prod), LKBPoly.one())) is None
-        reports.append(CheckReport("lkb-inverse-pair", {"n": n, "i": i}, ok))
+        reports.append(matrix_report("lkb-inverse-pair", {"n": n, "i": i}, prod,
+                                     mat_identity(len(prod), LKBPoly.one())))
     return reports
 
 
@@ -269,22 +263,14 @@ def check_burau(n):
     """
     reports = []
     reduced = burau_matrices(n, reduced=True)
-    hw = hw_basis(n, 1)
     # hw element r corresponds to w_{n-1-r}; invert that placement
     pos = {n - 1 - r: r for r in range(n - 1)}
     for i in range(1, n):
         rho = rho_matrix(n, 1, [i])
-        ok = True
-        witness = None
-        for a in range(1, n):
-            for b in range(1, n):
-                lhs = reduced[i - 1][a - 1][b - 1]
-                rhs = rho.entries[pos[a]][pos[b]] * LaurentPoly.monomial(0, b - a)
-                if lhs != rhs:
-                    ok = False
-                    witness = [a, b, str(lhs - rhs)]
-        reports.append(CheckReport("burau-degree-one", {"n": n, "i": i},
-                                   ok, witness))
+        rescaled = [[rho.entries[pos[a]][pos[b]] * LaurentPoly.monomial(0, b - a)
+                     for b in range(1, n)] for a in range(1, n)]
+        reports.append(matrix_report("burau-degree-one", {"n": n, "i": i},
+                                     reduced[i - 1], rescaled))
     unred = burau_matrices(n, reduced=False)
     t_powers = [LaurentPoly.monomial(0, -2 * j) for j in range(1, n + 1)]
     quot_ok = True

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .linalg import mat_diff_witness
+
 
 @dataclass
 class CheckReport:
     """Outcome of one exact check.
 
-    ``witness`` carries whatever pinpoints a failure (typically a
-    (row, column, difference-string) triple); it stays None on success.
+    ``witness`` carries whatever pinpoints a failure (for a matrix identity
+    the [row, column, difference-string] of ``matrix_report``); it stays
+    None on success.
     """
 
     check: str
@@ -29,3 +32,15 @@ class CheckReport:
 
 def all_passed(reports):
     return all(r.passed for r in reports)
+
+
+def matrix_report(check, params, lhs, rhs):
+    """Report on the exact identity lhs == rhs of two matrices.
+
+    The witness is [row, col, str(lhs - rhs)] at the first mismatch.
+    """
+    witness = mat_diff_witness(lhs, rhs)
+    if witness is not None:
+        r, c, diff = witness
+        witness = [r, c, str(diff)]
+    return CheckReport(check, params, witness is None, witness)

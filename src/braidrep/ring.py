@@ -495,19 +495,6 @@ class RatFunc:
 
 # -- q-combinatorics --------------------------------------------------------
 
-_Q = LaurentPoly.monomial(1, 0)
-_QINV = LaurentPoly.monomial(-1, 0)
-_S = LaurentPoly.monomial(0, 1)
-_SINV = LaurentPoly.monomial(0, -1)
-
-
-def q_power(e):
-    return LaurentPoly.monomial(e, 0)
-
-
-def s_power(e):
-    return LaurentPoly.monomial(0, e)
-
 
 @lru_cache(maxsize=None)
 def qint(n):

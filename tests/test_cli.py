@@ -10,6 +10,8 @@ import pytest
 from braidrep.cli import main
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+RUN_CHECKS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "run_checks.py")
 
 
 def run_cli(args, capsys):
@@ -96,15 +98,33 @@ class TestCheckCommand:
         assert any(not r["pass"] for r in json.loads(out))
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run_cli(
-            ["check", "--suite", "nonsense", "--n", "3"], capsys)
-        assert code == 2
+        for args, message in [(["nonsense", "--n", "3"], "unknown suite"),
+                              (["splitting", "--n", "3", "--l", "0"],
+                               "splitting requires --l >= 1")]:
+            code, out, err = run_cli(["check", "--suite"] + args, capsys)
+            assert code == 2
+            assert out == ""
+            assert message in err
 
     def test_thread_pool_env(self, capsys, monkeypatch):
+        # BRAIDREP_THREADS once sized a thread pool; suites now run in
+        # order and a stale setting must change nothing.
+        args = ["check", "--suite", "braid", "--n", "3", "--l", "1"]
+        code, plain, _ = run_cli(args, capsys)
         monkeypatch.setenv("BRAIDREP_THREADS", "4")
-        code, out, _ = run_cli(
-            ["check", "--suite", "braid", "--n", "3", "--l", "1"], capsys)
-        assert code == 0
+        code_env, out, _ = run_cli(args, capsys)
+        assert code == code_env == 0
+        assert out == plain
+
+    def test_perturb_only_where_it_damages_something(self, capsys):
+        for suite in ("equivariance", "phi", "lkb", "burau", "splitting",
+                      "eigen", "twist"):
+            code, out, err = run_cli(
+                ["check", "--suite", suite, "--n", "4", "--l", "2",
+                 "--perturb"], capsys)
+            assert code == 2, suite
+            assert out == ""
+            assert "braid and yangbaxter" in err
 
 
 class TestIrreducibleCommand:
@@ -198,6 +218,21 @@ class TestSubprocessEntry:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["scalar"]["terms"] == [[0, -4, "1"]]
+
+    def test_run_checks_script(self):
+        proc = subprocess.run(
+            [sys.executable, RUN_CHECKS, "--nmax", "2", "--lmax", "2"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout
+        assert "0 failures" in proc.stdout
+        proc = subprocess.run(
+            [sys.executable, RUN_CHECKS, "--nmax", "3", "--lmax", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        failed = [line for line in proc.stdout.splitlines() if "FAIL" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("phi          n=3 l=1")
+        assert failed[0].endswith("wmax-eigenvalue")
 
     def test_argparse_usage_exit_code(self):
         env = dict(os.environ)

@@ -39,16 +39,18 @@ exact elimination over Fraction of X rho(sigma_i) = rho(sigma_i) X.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import comb, gcd
-from operator import mul
+from operator import mul, or_
 
 from .braid import BraidWord, apply_word
 from .hwspace import hw_basis, rho_matrix
 from .linalg import fraction_kernel_dimension, modp_rank
 from .report import CheckReport
-from .ring import LaurentPoly, RatFunc, qint, specialize
+from .ring import InexactDivisionError, LaurentPoly, RatFunc, qint, specialize
 from .verma import E, F, TensorVec, act_tensor, weight_basis
 
 
@@ -62,48 +64,86 @@ class GuardedSpecializationError(ValueError):
         self.value = value
 
 
-def mu(t, k, n, l):
-    """The eigenvalue product mu_{t,k} for n strands at ambient degree l."""
+def mu_factors(t, k, l):
+    """The a of the factors beta_a = s^n q^{-a} - s^{-n} q^a of mu_{t,k}(n, l)."""
     if t < 0:
         raise ValueError("mu needs t >= 0")
+    return Counter(2 * l - k + t - j for j in range(1, t + 1))
+
+
+def mu(t, k, n, l):
+    """The eigenvalue product mu_{t,k} for n strands at ambient degree l."""
+    return _beta_product(mu_factors(t, k, l), n)
+
+
+def _beta_product(factors, n):
     acc = LaurentPoly.one()
-    for j in range(1, t + 1):
-        acc = acc * LaurentPoly({(-2 * l + k - t + j, n): 1,
-                                 (2 * l - k + t - j, -n): -1})
+    for a in factors.elements():
+        acc = acc * LaurentPoly({(-a, n): 1, (a, -n): -1})
     return acc
+
+
+def _divide_all(coeffs, a, n):
+    """Divide every (idx, coeff) pair's coeff by beta_a; raises if one is inexact."""
+    return [(idx, c.divexact_binomial((-a, n), (a, -n))) for idx, c in coeffs]
+
+
+def _cancel(num, factors, n):
+    """Reduce num / prod beta_a by each factor that divides every coefficient.
+
+    The smallest coefficient is tried first, so a factor that does not
+    divide is usually rejected after one cheap division.
+    """
+    coeffs = sorted(num.coeffs.items(), key=lambda item: len(item[1].terms))
+    kept = Counter()
+    for a in sorted(factors.elements()):
+        try:
+            coeffs = _divide_all(coeffs, a, n)
+        except InexactDivisionError:
+            kept[a] += 1
+    return TensorVec(n, dict(coeffs)), kept
 
 
 @dataclass(frozen=True)
 class HWDecomposition:
     """Components (w_0, ..., w_l) with v = sum_t F^(t) w_t.
 
-    ``cleared`` holds the same data with denominators pulled out, as pairs
-    (numerator TensorVec over the polynomial ring, denominator polynomial);
-    when present, reconstruction runs entirely inside the ring with a single
-    division at the end.
+    Component t is held factored: w_t = numerators[t] / (prod_{a in
+    factors[t]} beta_a * denom), with numerators over the Laurent ring,
+    factors[t] a Counter of binomial indices and denom the polynomial that
+    cleared the input's own denominators (1 for integral input).
     """
 
     n: int
     l: int
-    components: tuple
-    cleared: tuple = field(default=None, repr=False, compare=False)
+    numerators: tuple
+    factors: tuple
+    denom: LaurentPoly
+
+    @cached_property
+    def components(self):
+        """The components as TensorVecs over RatFunc, built on first use."""
+        out = []
+        for num, factors in zip(self.numerators, self.factors):
+            den = _beta_product(factors, self.n) * self.denom
+            out.append(num.map_coeffs(lambda c, d=den: RatFunc(c, d)))
+        return tuple(out)
 
     def reconstruct(self):
-        if self.cleared is None:
-            total = TensorVec.zero(self.n)
-            for t, w in enumerate(self.components):
-                if not w.is_zero():
-                    total = total + (act_tensor(F(t), w) if t else w)
-            return total
-        # every denominator D_t divides D_0 = prod of all pivots
-        common = self.cleared[0][1]
-        total = TensorVec.zero(self.n)
-        for t, (num_vec, den) in enumerate(self.cleared):
-            if num_vec.is_zero():
-                continue
-            scale = common.divexact(den)
-            total = total + scale * (act_tensor(F(t), num_vec) if t else num_vec)
-        return total.map_coeffs(lambda c: RatFunc(c, common))
+        """sum_t F^(t) w_t over one common multiset of binomials, divided out exactly."""
+        n = self.n
+        common = reduce(or_, self.factors, Counter())
+        total = TensorVec.zero(n)
+        for t, (num, factors) in enumerate(zip(self.numerators, self.factors)):
+            if not num.is_zero():
+                image = act_tensor(F(t), num) if t else num
+                total = total + _beta_product(common - factors, n) * image
+        coeffs = list(total.coeffs.items())
+        for a in common.elements():
+            coeffs = _divide_all(coeffs, a, n)
+        if self.denom.is_one():
+            return TensorVec(n, dict(coeffs))
+        return TensorVec(n, {idx: RatFunc(c, self.denom) for idx, c in coeffs})
 
     def to_json(self):
         return {"n": self.n, "l": self.l,
@@ -113,70 +153,39 @@ class HWDecomposition:
 def decompose(vec):
     """Split a homogeneous vector into its highest-weight components.
 
-    The triangular system is solved top-down with denominators kept
-    symbolic: the t-th cleared numerator is
+    The triangular system is solved top-down, with every pivot
+    mu_{t,0}(n, l-t) and every mu_{t,i}(n, l-t) a product of binomials
+    beta_a.  The numerator of w_t is formed over the union L (largest
+    multiplicities) of the lower components' binomial multisets,
 
-        u_t = P_t E^t v - sum_{i >= 1} mu_{t,i}(n, l-t) g_{t,i} F^(i) u_{t+i},
+        u_t = beta(L) E^t v - sum_{i >= 1} mu_{t,i}(n, l-t) beta(L - L_{t+i}) F^(i) u_{t+i},
 
-    with P_t the product of the pivots mu_{r,0}(n, l-r) for r > t and
-    g_{t,i} the partial pivot product between t and t+i, so everything
-    stays in the polynomial ring until the final division by
-    D_t = mu_{t,0}(n, l-t) P_t.
+    and each factor of L + mu_{t,0}(n, l-t) that divides every coefficient of
+    u_t is cancelled at once.  Fraction-field input is first cleared by one
+    common polynomial, which every component then carries as a denominator.
     """
     n = vec.n
     l = vec.weight()
     if l is None:
         raise ValueError("cannot decompose the zero vector (degree unknown)")
-    integral = vec.domain == "poly"
-    if not integral:
-        return _decompose_ratfunc(vec)
+    dens = [c.den for c in vec.coeffs.values() if isinstance(c, RatFunc)]
+    denom = reduce(mul, [d for i, d in enumerate(dens) if d not in dens[:i]],
+                   LaurentPoly.one())
+    vec = vec.map_coeffs(lambda c: c.num * denom.divexact(c.den)
+                         if isinstance(c, RatFunc) else c * denom)
     e_powers = [vec]
     for _ in range(l):
         e_powers.append(act_tensor(E, e_powers[-1]))
-    pivots = [mu(t, 0, n, l - t) for t in range(l + 1)]
-    for t, p in enumerate(pivots):
-        if p.is_zero():
-            raise ZeroDivisionError("degenerate eigenvalue pivot at t=%d" % t)
-    suffix = [LaurentPoly.one()] * (l + 2)   # suffix[t] = prod_{r > t} pivots[r]
-    for t in range(l - 1, -1, -1):
-        suffix[t] = suffix[t + 1] * pivots[t + 1]
-    nums = [None] * (l + 1)
+    nums, facs = [None] * (l + 1), [None] * (l + 1)
     for t in range(l, -1, -1):
-        acc = suffix[t] * e_powers[t]
-        gap = LaurentPoly.one()              # prod of pivots strictly between
-        for i in range(1, l - t + 1):
-            if i > 1:
-                gap = gap * pivots[t + i - 1]
-            if not nums[t + i].is_zero():
-                coeff = mu(t, i, n, l - t) * gap
-                acc = acc - coeff * act_tensor(F(i), nums[t + i])
-        nums[t] = acc
-    cleared = tuple((nums[t], pivots[t] * suffix[t]) for t in range(l + 1))
-    components = tuple(
-        num.map_coeffs(lambda c, d=den: RatFunc(c, d))
-        for num, den in cleared)
-    return HWDecomposition(n, l, components, cleared)
-
-
-def _decompose_ratfunc(vec):
-    """Fallback for vectors that already carry fraction-field coefficients."""
-    n = vec.n
-    l = vec.weight()
-    e_powers = [vec]
-    for _ in range(l):
-        e_powers.append(act_tensor(E, e_powers[-1]))
-    components = [None] * (l + 1)
-    for t in range(l, -1, -1):
-        acc = e_powers[t]
-        for i in range(1, l - t + 1):
-            if not components[t + i].is_zero():
-                acc = acc - mu(t, i, n, l - t) * act_tensor(F(i), components[t + i])
-        pivot = mu(t, 0, n, l - t)
-        if pivot.is_zero():
-            raise ZeroDivisionError("degenerate eigenvalue pivot at t=%d" % t)
-        components[t] = acc.map_coeffs(
-            lambda c: c / pivot if isinstance(c, RatFunc) else RatFunc(c, pivot))
-    return HWDecomposition(n, l, tuple(components))
+        lower = [r for r in range(t + 1, l + 1) if not nums[r].is_zero()]
+        common = reduce(or_, (facs[r] for r in lower), Counter())
+        acc = _beta_product(common, n) * e_powers[t]
+        for r in lower:
+            scale = mu(t, r - t, n, l - t) * _beta_product(common - facs[r], n)
+            acc = acc + (-scale) * act_tensor(F(r - t), nums[r])
+        nums[t], facs[t] = _cancel(acc, common + mu_factors(t, 0, l - t), n)
+    return HWDecomposition(n, l, tuple(nums), tuple(facs), denom)
 
 
 def ef1_eigencheck(n, l):
@@ -284,20 +293,15 @@ def check_splitting(n, l):
     through the strand-inclusion index shift.
     """
     reports = []
-    basis = weight_basis(n, l - 1)
-    ok = True
-    for idx in basis:
-        v = TensorVec.pure(idx)
-        if psi_map(alpha_full(v)) != v:
-            ok = False
+    pures = [TensorVec.pure(idx) for idx in weight_basis(n, l - 1)]
+    alphas = [alpha_full(v) for v in pures]
+    ok = all(psi_map(a) == v for v, a in zip(pures, alphas))
     reports.append(CheckReport("splitting-section", {"n": n, "l": l}, ok))
     for i in range(1, n):
         ok = True
-        for idx in basis:
-            v = TensorVec.pure(idx)
+        for v, alpha in zip(pures, alphas):
             lhs = alpha_full(apply_word(BraidWord(n, (i,)), v))
-            rhs = apply_word(BraidWord(n + 1, (shifted_generator(i),)),
-                             alpha_full(v))
+            rhs = apply_word(BraidWord(n + 1, (shifted_generator(i),)), alpha)
             if lhs != rhs:
                 ok = False
         reports.append(CheckReport("splitting-equivariance",

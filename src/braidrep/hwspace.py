@@ -321,11 +321,13 @@ def check_phi(n, l):
     d = len(basis)
     ident = mat_identity(d, LaurentPoly.one())
     zero = [[LaurentPoly.zero()] * d for _ in range(d)]
-    nil = [[mat[r][c] - ident[r][c] for c in range(d)] for r in range(d)]
-    two_minus = [[ident[r][c] * 2 - mat[r][c] for c in range(d)] for r in range(d)]
+    sq = mat_mul(mat, mat)
+    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1 and Phi (2 - Phi) = 2 Phi - Phi^2
+    nil = [[sq[r][c] - mat[r][c] * 2 + ident[r][c] for c in range(d)] for r in range(d)]
+    inv = [[mat[r][c] * 2 - sq[r][c] for c in range(d)] for r in range(d)]
     reports = [
-        matrix_report("phi-nilpotent", {"n": n, "l": l}, mat_mul(nil, nil), zero),
-        matrix_report("phi-inverse", {"n": n, "l": l}, mat_mul(mat, two_minus), ident),
+        matrix_report("phi-nilpotent", {"n": n, "l": l}, nil, zero),
+        matrix_report("phi-inverse", {"n": n, "l": l}, inv, ident),
     ]
     e_ok = True
     for r, idx in enumerate(basis):

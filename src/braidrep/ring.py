@@ -272,6 +272,39 @@ class LaurentPoly:
         result.terms = quotient
         return result.shifted(m_a[0] - m_b[0], m_a[1] - m_b[1])
 
+    def divexact_binomial(self, u, w):
+        """Exact quotient by the binomial x^u - x^w; raises InexactDivisionError.
+
+        With d = w - u, self = x^u (1 - x^d) Q means Q[e] = P[e] + Q[e - d]
+        for P = self / x^u, so Q is a running sum along each chain e + k d of
+        P's exponents, and the division is exact iff every chain sums to 0.
+        The cost is linear in the sizes of self and Q (plus a sort per chain).
+        """
+        d0, d1 = w[0] - u[0], w[1] - u[1]
+        if not (d0 or d1):
+            raise InexactDivisionError("division by zero")
+        axis, step = (1, d1) if d1 else (0, d0)
+        chains = {}
+        for (e0, e1), c in self.terms.items():
+            e0, e1 = e0 - u[0], e1 - u[1]
+            k = (e0, e1)[axis] // step
+            chains.setdefault((e0 - k * d0, e1 - k * d1), []).append((k, c))
+        quotient = {}
+        for (b0, b1), chain in chains.items():
+            chain.sort()
+            run = 0
+            for k, c in chain:
+                if run:
+                    for j in range(prev, k):
+                        quotient[(b0 + j * d0, b1 + j * d1)] = run
+                run += c
+                prev = k
+            if run:
+                raise InexactDivisionError("inexact binomial division")
+        result = self.__class__.__new__(self.__class__)
+        result.terms = quotient
+        return result
+
     def evaluate(self, v0, v1):
         """Exact value at (v0, v1); both must be nonzero rationals."""
         v0, v1 = Fraction(v0), Fraction(v1)

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from braidrep.ring import LaurentPoly
+from braidrep.decomp import mu
+from braidrep.ring import LaurentPoly, RatFunc
+from braidrep.verma import E, F, act_tensor
 
 settings.register_profile(
     "exact",
@@ -25,3 +27,25 @@ def random_poly(rnd, max_terms=4, max_exp=3, max_coeff=6):
 @pytest.fixture
 def rnd():
     return random.Random(20240817)
+
+
+def ratfunc_decomposition_oracle(vec):
+    """Highest-weight components of vec, solved top-down over RatFunc.
+
+    w_t = (E^t v - sum_{i>=1} mu_{t,i}(n, l-t) F^(i) w_{t+i}) / mu_{t,0}(n, l-t),
+    with each division done in the fraction field.
+    """
+    n, l = vec.n, vec.weight()
+    e_powers = [vec]
+    for _ in range(l):
+        e_powers.append(act_tensor(E, e_powers[-1]))
+    components = [None] * (l + 1)
+    for t in range(l, -1, -1):
+        acc = e_powers[t]
+        for i in range(1, l - t + 1):
+            if not components[t + i].is_zero():
+                acc = acc - mu(t, i, n, l - t) * act_tensor(F(i), components[t + i])
+        pivot = mu(t, 0, n, l - t)
+        components[t] = acc.map_coeffs(
+            lambda c: c / pivot if isinstance(c, RatFunc) else RatFunc(c, pivot))
+    return components

@@ -8,6 +8,9 @@ import sys
 import pytest
 
 from braidrep.cli import main
+from braidrep.verma import TensorVec
+
+from conftest import ratfunc_decomposition_oracle
 
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 RUN_CHECKS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
@@ -158,6 +161,15 @@ class TestOtherCommands:
         data = json.loads(out)
         assert len(data["components"]) == 2
         assert data["components"][1]["terms"][0]["idx"] == [0, 0, 0]
+
+    def test_decompose_values_match_oracle(self, capsys):
+        code, out, _ = run_cli(
+            ["decompose", "--n", "3", "--idx", "1,0,2"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        got = [TensorVec.from_json(comp) for comp in data["components"]]
+        assert (data["n"], data["l"]) == (3, 3)
+        assert got == ratfunc_decomposition_oracle(TensorVec.pure((1, 0, 2)))
 
     def test_decompose_validation(self, capsys):
         code, _, _ = run_cli(["decompose", "--n", "3", "--idx", "1,0"], capsys)

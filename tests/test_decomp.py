@@ -16,14 +16,31 @@ from braidrep.hwspace import hw_basis, is_highest_weight, rho_matrix
 from braidrep.linalg import mat_mul
 from braidrep.lkb import burau_matrices
 from braidrep.report import all_passed
-from braidrep.ring import LaurentPoly, RatFunc, qint, specialize
+from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
+                           specialize)
 from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
-from conftest import random_poly
+from conftest import random_poly, ratfunc_decomposition_oracle
 
 
 def mono(eq, es, c=1):
     return LaurentPoly.monomial(eq, es, c)
+
+
+def beta_factor_count(den, n, l):
+    """How many binomials s^n q^-a - s^-n q^a divide den; a unit monomial must remain."""
+    count = 0
+    for a in range(-2 * l - 2, 2 * l + 3):
+        b = LaurentPoly({(-a, n): 1, (a, -n): -1})
+        while True:
+            try:
+                den = den.divexact(b)
+            except InexactDivisionError:
+                break
+            count += 1
+    unit = den.as_monomial()
+    assert unit is not None and unit[1] in (1, -1)
+    return count
 
 
 def random_vec(rnd, n, l, nterms=5):
@@ -91,11 +108,36 @@ class TestDecompose:
                 continue
             assert decompose(v).reconstruct() == v
 
+    @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (3, 4)])
+    def test_pure_tensors_against_ratfunc_oracle(self, n, l):
+        most = 0
+        for idx in weight_basis(n, l):
+            v = TensorVec.pure(idx)
+            components = decompose(v).components
+            assert list(components) == ratfunc_decomposition_oracle(v)
+            for w in components:
+                for c in w.coeffs.values():
+                    most = max(most, beta_factor_count(c.den, n, l))
+        # the unreduced top-down denominators carry up to l(l+1)/2 binomials
+        assert most <= l
+
     def test_ratfunc_input(self):
         half = RatFunc(LaurentPoly.one(), LaurentPoly.monomial(0, 1) + 1)
         v = half * TensorVec.pure((1, 1, 0))
         dec = decompose(v)
         assert dec.reconstruct() == v
+
+    def test_mixed_ratfunc_input(self):
+        # repeated, distinct and absent denominators share one cleared form
+        den_a = LaurentPoly.monomial(0, 1) + 1
+        den_b = LaurentPoly.monomial(1, 0) - LaurentPoly.monomial(0, 2)
+        v = TensorVec(3, {(2, 0, 0): RatFunc(mono(1, 0), den_a),
+                          (0, 2, 0): RatFunc(LaurentPoly.constant(3), den_a),
+                          (1, 0, 1): RatFunc(mono(0, -1), den_b),
+                          (0, 1, 1): mono(2, 1)})
+        dec = decompose(v)
+        assert dec.reconstruct() == v
+        assert list(dec.components) == ratfunc_decomposition_oracle(v)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,77 @@ class TestDivexact:
         assert (a * b).divexact(b) == a
 
 
+def beta(a, n):
+    return LaurentPoly({(-a, n): 1, (a, -n): -1})
+
+
+def divexact_or_none(p, b):
+    try:
+        return p.divexact(b)
+    except InexactDivisionError:
+        return None
+
+
+def binomial_or_none(p, a, n):
+    try:
+        return p.divexact_binomial((-a, n), (a, -n))
+    except InexactDivisionError:
+        return None
+
+
+class TestDivexactBinomial:
+    @given(poly_strategy(), st.integers(-6, 6), st.integers(1, 5), st.booleans())
+    def test_agrees_with_divexact(self, p, a, n, exact):
+        b = beta(a, n)
+        if exact:
+            p = p * b
+        expected = divexact_or_none(p, b)
+        assert binomial_or_none(p, a, n) == expected
+        if exact:
+            assert expected is not None
+
+    def test_bulk_against_divexact(self, rnd):
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            a, n = rnd.randint(-6, 6), rnd.randint(1, 5)
+            p = random_poly(rnd, max_terms=6, max_exp=6, max_coeff=9)
+            if rnd.random() < 0.5:
+                p = p * beta(a, n) * random_poly(rnd, max_terms=2, max_exp=2)
+            got = binomial_or_none(p, a, n)
+            assert got == divexact_or_none(p, beta(a, n))
+            seen[got is not None] += 1
+        assert min(seen.values()) > 50
+
+    def test_chain_gaps_are_filled(self):
+        # (1 - m^4) / (1 - m) = 1 + m + m^2 + m^3 with m = q^4 s^-6 (a = 2, n = 3)
+        m = LaurentPoly.monomial(4, -6)
+        quotient = (LaurentPoly.monomial(-2, 3) * (1 - m ** 4)).divexact_binomial(
+            (-2, 3), (2, -3))
+        assert quotient == 1 + m + m ** 2 + m ** 3
+
+    def test_quotient_times_divisor(self):
+        p = (Q ** 3 + 2 * S * SINV ** 4 - QINV * S) * beta(-3, 2) * beta(-3, 2)
+        once = p.divexact_binomial((3, 2), (-3, -2))
+        assert once * beta(-3, 2) == p
+        assert once.divexact_binomial((3, 2), (-3, -2)) * beta(-3, 2) ** 2 == p
+
+    def test_step_along_q_only(self):
+        # q^-1 - q: the chains run along q alone
+        p = (Q ** 5 - 7 * S) * (QINV - Q)
+        assert p.divexact_binomial((-1, 0), (1, 0)) == Q ** 5 - 7 * S
+        with pytest.raises(InexactDivisionError):
+            (Q ** 5).divexact_binomial((-1, 0), (1, 0))
+
+    def test_inexact_and_zero_divisor_raise(self):
+        with pytest.raises(InexactDivisionError):
+            (Q + S).divexact_binomial((0, 1), (0, -1))
+        with pytest.raises(InexactDivisionError):
+            beta(1, 2).divexact_binomial((-2, 2), (2, -2))
+        with pytest.raises(InexactDivisionError):
+            (Q - S).divexact_binomial((1, 1), (1, 1))
+        assert LaurentPoly.zero().divexact_binomial((0, 1), (0, -1)).is_zero()
+
+
 class TestQCombinatorics:
     def test_qint_base_cases(self):
         assert qint(0).is_zero()

@@ -62,7 +62,7 @@ def rmatrix_pair(i, j):
         coeff = coeff * qbinom(m + j, j)
         for k in range(m):
             coeff = coeff * LaurentPoly({(-k - j, 1): 1, (k + j, -1): -1})
-        result = result + TensorVec.pure((j + m, i - m), coeff)
+        result._add_term((j + m, i - m), coeff)
     return result
 
 
@@ -116,7 +116,7 @@ def apply_letter(vec, k, perturb=False):
         local = pair(idx[i], idx[i + 1])
         for (a, b), c in local.coeffs.items():
             full = idx[:i] + (a, b) + idx[i + 2:]
-            result = result + TensorVec.pure(full, coeff * c)
+            result._add_term(full, coeff * c)
     return result
 
 

@@ -239,8 +239,9 @@ def alpha_map(k, w):
         c = c_coeff(k, j, n, l)
         extended = TensorVec(n + 1, {(j,) + idx: coeff
                                      for idx, coeff in w.coeffs.items()})
-        result = result + c * (act_tensor(F(k - j), extended) if k > j
-                               else extended)
+        image = act_tensor(F(k - j), extended) if k > j else extended
+        for idx, coeff in image.coeffs.items():
+            result._add_term(idx, coeff * c)
     return result
 
 

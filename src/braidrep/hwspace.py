@@ -130,7 +130,7 @@ def e_inverse_on_B(vec):
             raise IntegralityError("expected a monic monomial pivot, got %s" % unit)
         scale = LaurentPoly.monomial(-mono[0][0], -mono[0][1])
         c = coeff * scale
-        result = result + TensorVec.pure(lifted, c)
+        result._add_term(lifted, c)
         residual = residual - c * image
     return result
 
@@ -173,7 +173,7 @@ def phi(label):
                                    sign)
         mid = (k,)
         for idx, coeff in part.coeffs.items():
-            result = result + TensorVec.pure(prefix + mid + idx, b_k * coeff)
+            result._add_term(prefix + mid + idx, b_k * coeff)
     return result
 
 

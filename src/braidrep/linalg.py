@@ -22,18 +22,27 @@ def mat_identity(d, one):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
+    """Matrix product that skips zero entries (Gustavson's row-by-row product).
+
+    The exact checks multiply mostly-zero matrices (a braid generator on
+    V_{n,l} has at most l+1 nonzeros per column), so a dense triple loop
+    would spend most multiplies on a zero operand.
+    Missing entries are a zero of ``a``'s entry class, so LaurentPoly,
+    LKBPoly, Fraction and RatFunc matrices keep their entry class.
+    """
+    inner, cols = len(b), len(b[0])
+    if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
+        raise ValueError("cannot multiply matrices of incompatible shapes")
+    zero = a[0][0] - a[0][0]
+    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
     out = []
-    for r in range(rows):
-        row = []
-        arow = a[r]
-        for c in range(cols):
-            acc = arow[0] * b[0][c]
-            for k in range(1, inner):
-                acc = acc + arow[k] * b[k][c]
-            row.append(acc)
-        out.append(row)
+    for arow in a:
+        acc = {}
+        for x, b_row in zip(arow, b_rows):
+            if x:
+                for c, y in b_row:
+                    acc[c] = acc[c] + x * y if c in acc else x * y
+        out.append([acc.get(c, zero) for c in range(cols)])
     return out
 
 

@@ -64,7 +64,7 @@ class TensorVec:
 
     def __init__(self, n, coeffs=None):
         self.n = n
-        cleaned = {}
+        self.coeffs = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for idx, coeff in items:
@@ -73,17 +73,23 @@ class TensorVec:
                     raise ValueError("index %r has wrong length for n=%d" % (idx, n))
                 if isinstance(coeff, int):
                     coeff = LaurentPoly.constant(coeff)
-                if coeff.is_zero():
-                    continue
-                if idx in cleaned:
-                    acc = cleaned[idx] + coeff
-                    if acc.is_zero():
-                        del cleaned[idx]
-                    else:
-                        cleaned[idx] = acc
-                else:
-                    cleaned[idx] = coeff
-        self.coeffs = cleaned
+                self._add_term(idx, coeff)
+
+    def _add_term(self, idx, coeff):
+        """Add ``coeff`` to the coefficient of ``idx`` in place, never storing a zero.
+
+        Only for a vector its caller is still building: values are otherwise
+        treated as immutable.
+        """
+        coeffs = self.coeffs
+        if idx in coeffs:
+            acc = coeffs[idx] + coeff
+            if acc.is_zero():
+                del coeffs[idx]
+            else:
+                coeffs[idx] = acc
+        elif not coeff.is_zero():
+            coeffs[idx] = coeff
 
     # -- constructors ------------------------------------------------------
 
@@ -102,14 +108,6 @@ class TensorVec:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    @property
-    def domain(self):
-        """'poly' when all coefficients are integral, else 'ratfunc'."""
-        for c in self.coeffs.values():
-            if isinstance(c, RatFunc):
-                return "ratfunc"
-        return "poly"
 
     def weight(self):
         """Common total degree of all terms; None for the zero vector."""
@@ -137,18 +135,10 @@ class TensorVec:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
+        result = TensorVec(self.n)
+        result.coeffs = dict(self.coeffs)
         for idx, coeff in other.coeffs.items():
-            if idx in out:
-                acc = out[idx] + coeff
-                if acc.is_zero():
-                    del out[idx]
-                else:
-                    out[idx] = acc
-            else:
-                out[idx] = coeff
-        result = TensorVec.__new__(TensorVec)
-        result.n, result.coeffs = self.n, out
+            result._add_term(idx, coeff)
         return result
 
     def __neg__(self):
@@ -187,12 +177,6 @@ class TensorVec:
 
     def map_coeffs(self, fn):
         return TensorVec(self.n, {idx: fn(c) for idx, c in self.coeffs.items()})
-
-    def as_integral(self):
-        """Convert RatFunc coefficients back to polynomials (must be exact)."""
-        def to_poly(c):
-            return c.to_poly() if isinstance(c, RatFunc) else c
-        return self.map_coeffs(to_poly)
 
     # -- presentation -------------------------------------------------------
 
@@ -233,16 +217,18 @@ def weight_basis(n, l):
     """All compositions of l into n nonnegative parts, lex ascending."""
     if n < 1 or l < 0:
         raise ValueError("weight_basis needs n >= 1 and l >= 0")
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining + 1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), l, n)
+    # successor: move one unit from the last nonzero slot p to slot p - 1
+    # and the rest of slot p to the end; iterative, so any n is fine
+    parts = [0] * (n - 1) + [l]
+    p = n - 1 if l else 0
+    out = [tuple(parts)]
+    while p:
+        rest = parts[p] - 1
+        parts[p] = 0
+        parts[p - 1] += 1
+        parts[-1] = rest
+        p = n - 1 if rest else p - 1
+        out.append(tuple(parts))
     assert len(out) == comb(n + l - 1, l)
     return tuple(out)
 
@@ -311,7 +297,7 @@ def _act_e(vec):
             right = sum(idx[i + 1:])
             mono = LaurentPoly.monomial(-2 * right, n - 1 - i)
             new_idx = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-            result = result + TensorVec.pure(new_idx, coeff * mono)
+            result._add_term(new_idx, coeff * mono)
     return result
 
 
@@ -335,8 +321,7 @@ def _act_f(vec, m):
                         2 * tail * (idx[i] + parts[i]), -tail)
             if q_twist:
                 factor = factor.shifted(q_twist, 0)
-            if not factor.is_zero():
-                result = result + TensorVec.pure(new_idx, coeff * factor)
+            result._add_term(new_idx, coeff * factor)
     return result
 
 

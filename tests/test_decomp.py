@@ -238,8 +238,7 @@ class TestOmega:
                 nu = TensorVec.pure((j,) + (0,) * (n - 1))
                 omega = decompose(nu).components[0]
                 assert not omega.is_zero()
-                assert is_highest_weight(omega.as_integral()
-                                         if omega.domain == "poly" else omega)
+                assert is_highest_weight(omega)
 
 
 class TestFullTwist:

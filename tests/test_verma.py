@@ -173,6 +173,13 @@ class TestWeightBasis:
         assert list(basis) == sorted(set(basis))
         assert all(sum(idx) == 3 and len(idx) == 4 for idx in basis)
 
+    def test_many_strands(self):
+        # enumeration is iterative: more strands than the recursion limit
+        basis = weight_basis(1500, 1)
+        assert len(basis) == 1500
+        assert basis[0] == (0,) * 1499 + (1,)
+        assert basis[-1] == (1,) + (0,) * 1499
+
     def test_validation(self):
         with pytest.raises(ValueError):
             weight_basis(0, 1)

@@ -7,8 +7,10 @@ The braiding operator on V (x) V acts on pure tensors by
                       v_{j+m} (x) v_{i-m}
 
 and the generator sigma_i of B_n is R applied in tensor slots (i, i+1).
-R preserves each total-degree block of V (x) V; its inverse is computed
-blockwise by an exact solve and is asserted (not assumed) to stay integral.
+Its inverse is the flipped, bar-conjugated R up to a Cartan factor (bar
+inverts q and s): if R.(v_j (x) v_i) = sum c_{x,y} v_x (x) v_y, then
+
+    R^{-1}.(v_i (x) v_j) = sum q^{((j-i)^2 - (x-y)^2)/2} bar(c_{x,y}) v_y (x) v_x.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_mul, poly_matrix_inverse
+from .linalg import mat_mul
 from .report import CheckReport, matrix_report
-from .ring import LaurentPoly, qbinom
-from .verma import E, F, K, TensorVec, act_tensor, weight_basis
+from .verma import (E, F, K, TensorVec, act_tensor, f_single_coeff,
+                    weight_basis)
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,8 @@ def rmatrix_pair(i, j):
         raise ValueError("basis indices must be nonnegative")
     result = TensorVec.zero(2)
     for m in range(i + 1):
-        coeff = LaurentPoly.monomial(
+        coeff = f_single_coeff(m, j).shifted(
             2 * (i - m) * (j + m) + m * (m - 1) // 2, -(i + j))
-        coeff = coeff * qbinom(m + j, j)
-        for k in range(m):
-            coeff = coeff * LaurentPoly({(-k - j, 1): 1, (k + j, -1): -1})
         result._add_term((j + m, i - m), coeff)
     return result
 
@@ -75,30 +74,12 @@ def rmatrix_pair_perturbed(i, j):
 
 
 @lru_cache(maxsize=None)
-def _rblock(d, perturb=False):
-    """Matrix of R on the degree-d block of V (x) V, columns = images."""
-    basis = weight_basis(2, d)
-    pair = rmatrix_pair_perturbed if perturb else rmatrix_pair
-    cols = [pair(i, j) for (i, j) in basis]
-    return [[cols[c].coeff(basis[r]) for c in range(len(basis))]
-            for r in range(len(basis))]
-
-
-@lru_cache(maxsize=None)
-def _rblock_inverse(d):
-    """Blockwise inverse of R; entries verified to stay in the Laurent ring."""
-    return poly_matrix_inverse(_rblock(d))
-
-
 def rmatrix_pair_inverse(i, j):
-    """R^{-1} applied to v_i (x) v_j, from the cached exact block inverse."""
-    if i < 0 or j < 0:
-        raise ValueError("basis indices must be nonnegative")
-    d = i + j
-    basis = weight_basis(2, d)
-    col = basis.index((i, j))
-    inv = _rblock_inverse(d)
-    return TensorVec(2, {basis[r]: inv[r][col] for r in range(len(basis))})
+    """R^{-1} applied to v_i (x) v_j, by the bar-and-flip identity above."""
+    flipped = {}
+    for (x, y), c in rmatrix_pair(j, i).coeffs.items():
+        flipped[(y, x)] = c.bar().shifted(((j - i) ** 2 - (x - y) ** 2) // 2, 0)
+    return TensorVec(2, flipped)
 
 
 def apply_letter(vec, k, perturb=False):

@@ -48,7 +48,7 @@ from operator import mul, or_
 
 from .braid import BraidWord, apply_word
 from .hwspace import hw_basis, rho_matrix
-from .linalg import fraction_kernel_dimension, modp_rank
+from .linalg import fraction_rank, modp_rank
 from .report import CheckReport
 from .ring import InexactDivisionError, LaurentPoly, RatFunc, qint, specialize
 from .verma import E, F, TensorVec, act_tensor, weight_basis
@@ -418,7 +418,7 @@ def matrix_commutant_dimension(mats, seed=0):
                     row[r * d + k] += a[k][c]
                     row[k * d + c] -= a[r][k]
                 rows.append(row)
-    return fraction_kernel_dimension(rows, d * d)
+    return d * d - fraction_rank(rows, d * d)
 
 
 def _commutant_dim_modp(imats, seed):

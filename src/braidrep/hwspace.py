@@ -249,13 +249,13 @@ class RepMatrix:
                     for p, q in zip(ra, rb))
 
 
-def expand_in_hw_basis(vec, n, l, validate=True):
+def expand_in_hw_basis(vec, n, l):
     """Coefficients of a highest-weight vector on the hw_basis of (n, l).
 
     Reading off the A-components is exact because distinct basis vectors
-    have distinct A-leading tensors; with ``validate`` the residual against
-    the full expansion is checked to vanish, which certifies membership in
-    the highest-weight space.
+    have distinct A-leading tensors; the residual against the full
+    expansion is then checked to vanish, which certifies membership in the
+    highest-weight space.
     """
     basis = hw_basis(n, l)
     position = {el.label: c for c, el in enumerate(basis)}
@@ -268,17 +268,16 @@ def expand_in_hw_basis(vec, n, l, validate=True):
         if not isinstance(c, LaurentPoly):
             raise IntegralityError("non-integral coefficient %s" % c)
         coeffs[position[lab]] = c
-    if validate:
-        residual = vec
-        for c, el in zip(coeffs, basis):
-            if not c.is_zero():
-                residual = residual - c * el.vector
-        if not residual.is_zero():
-            raise ValueError("vector does not lie in the highest-weight span")
+    residual = vec
+    for c, el in zip(coeffs, basis):
+        if not c.is_zero():
+            residual = residual - c * el.vector
+    if not residual.is_zero():
+        raise ValueError("vector does not lie in the highest-weight span")
     return coeffs
 
 
-def rho_matrix(n, l, word, validate=True):
+def rho_matrix(n, l, word):
     """Representation matrix of a braid word on W_{n,l}.
 
     Words act left to right (first letter applied first); columns are the
@@ -293,7 +292,7 @@ def rho_matrix(n, l, word, validate=True):
     cols = []
     for el in basis:
         image = apply_word(word, el.vector)
-        cols.append(expand_in_hw_basis(image, n, l, validate=validate))
+        cols.append(expand_in_hw_basis(image, n, l))
     entries = tuple(tuple(cols[c][r] for c in range(len(basis)))
                     for r in range(len(basis)))
     return RepMatrix(n, l, tuple(el.label for el in basis), entries)

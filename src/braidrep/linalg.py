@@ -63,6 +63,8 @@ def mat_diff_witness(a, b):
 def poly_matrix_inverse(mat):
     """Exact inverse of a square matrix over a Laurent polynomial ring.
 
+    The tests' reference for the closed-form inverses in ``braid`` and
+    ``lkb``; nothing in the package calls it.
     Gauss-Jordan over the fraction field, then each entry is cleared back
     into the ring; a non-integral entry raises InexactDivisionError, a rank
     defect raises SingularMatrixError.  The product with the input is
@@ -118,10 +120,6 @@ def fraction_rank(rows, ncols):
         rank += 1
         col += 1
     return rank
-
-
-def fraction_kernel_dimension(rows, ncols):
-    return ncols - fraction_rank(rows, ncols)
 
 
 def modp_rank(rows, ncols, p):

@@ -15,6 +15,10 @@ inverses act by
     sigma_i^{-1}. F_{j,i}   = Q^{-1} F_{j,i+1} + (1-Q^{-1}) F_{j,i}
                               - (Q^{-1}-Q^{-2}) F_{i,i+1}
 
+Reversing the strands, P: F_{a,b} -> F_{n+1-b,n+1-a}, and inverting t and Q
+(bar) give the generators without a matrix inversion:
+sigma_i = P . bar(sigma_{n-i}^{-1}) . P.
+
 The bridge to the highest-weight side is the parameter identification
 theta: Q -> s^2, t -> -q^{-2} together with the basis rescaling
 F_{i,j} -> s^{i+j} w_{i,j}; because theta twists the scalars, the verified
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_mul, mat_identity, poly_matrix_inverse
+from .linalg import mat_mul, mat_identity
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .hwspace import hw_basis, pair_label, rho_matrix
@@ -115,12 +119,15 @@ def lkb_sigma_inverse(n, i):
     return _matrix_from_columns(n, columns)
 
 
-@lru_cache(maxsize=None)
 def lkb_sigma(n, i):
-    """Exact matrix inverse of lkb_sigma_inverse; integrality is asserted."""
-    inv = lkb_sigma_inverse(n, i)
-    entries = poly_matrix_inverse(inv.row_lists())
-    return LKBMatrix(n, inv.basis, tuple(tuple(row) for row in entries))
+    """Matrix of the i-th generator, P . bar(lkb_sigma_inverse(n, n-i)) . P."""
+    if not 1 <= i <= n - 1:
+        raise ValueError("generator index %d out of range for n=%d" % (i, n))
+    inv = lkb_sigma_inverse(n, n - i)
+    pos = {p: r for r, p in enumerate(inv.basis)}
+    flip = [pos[(n + 1 - b, n + 1 - a)] for (a, b) in inv.basis]
+    entries = tuple(tuple(inv.entries[r][c].bar() for c in flip) for r in flip)
+    return LKBMatrix(n, inv.basis, entries)
 
 
 def theta(p):

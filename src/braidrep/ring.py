@@ -230,6 +230,12 @@ class LaurentPoly:
         result.terms = {(e0 + d0, e1 + d1): c for (e0, e1), c in self.terms.items()}
         return result
 
+    def bar(self):
+        """Invert both variables: the exponents (e0, e1) become (-e0, -e1)."""
+        result = self.__class__.__new__(self.__class__)
+        result.terms = {(-e0, -e1): c for (e0, e1), c in self.terms.items()}
+        return result
+
     def divexact(self, divisor):
         """Exact division; raises InexactDivisionError when not divisible.
 

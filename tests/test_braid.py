@@ -6,6 +6,7 @@ from braidrep.braid import (BraidWord, apply_letter, apply_word,
                             check_braid_relations, check_equivariance,
                             check_yang_baxter, rmatrix_pair,
                             rmatrix_pair_inverse, sigma_matrix)
+from braidrep.linalg import mat_identity, mat_mul, poly_matrix_inverse
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly, RatFunc
 from braidrep.verma import TensorVec, weight_basis
@@ -87,6 +88,27 @@ class TestRMatrixInverse:
                 out = rmatrix_pair_inverse(i, j)
                 assert all(isinstance(c, LaurentPoly)
                            for c in out.coeffs.values())
+
+
+def r_block(d, pair):
+    """Matrix of pair on the degree-d block of V (x) V, columns = images."""
+    basis = weight_basis(2, d)
+    cols = [pair(i, j) for (i, j) in basis]
+    return [[col.coeff(idx) for col in cols] for idx in basis]
+
+
+class TestClosedFormRInverse:
+    @pytest.mark.parametrize("d", range(9))
+    def test_block_inverts_both_ways(self, d):
+        r, r_inv = r_block(d, rmatrix_pair), r_block(d, rmatrix_pair_inverse)
+        one = mat_identity(d + 1, LaurentPoly.one())
+        assert mat_mul(r, r_inv) == one
+        assert mat_mul(r_inv, r) == one
+
+    @pytest.mark.parametrize("d", range(7))
+    def test_matches_gauss_jordan(self, d):
+        assert r_block(d, rmatrix_pair_inverse) \
+            == poly_matrix_inverse(r_block(d, rmatrix_pair))
 
 
 class TestApplyWord:

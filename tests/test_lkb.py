@@ -4,7 +4,8 @@ import pytest
 
 from braidrep.braid import rmatrix_pair
 from braidrep.hwspace import rho_matrix
-from braidrep.linalg import mat_diff_witness, mat_mul
+from braidrep.linalg import (mat_diff_witness, mat_identity, mat_mul,
+                             poly_matrix_inverse)
 from braidrep.lkb import (LKBPoly, burau_matrices, check_burau,
                           check_lkb_braid_relations, fork_iso_check,
                           lkb_sigma, lkb_sigma_inverse, pair_basis, theta,
@@ -74,6 +75,29 @@ class TestLKBMatrices:
             T + LaurentPoly.monomial(1, 0)
         with pytest.raises(TypeError):
             QQ * LaurentPoly.one()
+
+
+class TestClosedFormSigma:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_inverts_both_ways(self, n):
+        one = mat_identity(len(pair_basis(n)), LKBPoly.one())
+        for i in range(1, n):
+            sigma = lkb_sigma(n, i).row_lists()
+            sigma_inv = lkb_sigma_inverse(n, i).row_lists()
+            assert mat_mul(sigma, sigma_inv) == one
+            assert mat_mul(sigma_inv, sigma) == one
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_gauss_jordan(self, n):
+        for i in range(1, n):
+            assert lkb_sigma(n, i).row_lists() \
+                == poly_matrix_inverse(lkb_sigma_inverse(n, i).row_lists())
+
+    def test_index_range_names_callers_index(self):
+        with pytest.raises(ValueError, match="index 3 out of range for n=3"):
+            lkb_sigma(3, 3)
+        with pytest.raises(ValueError, match="index 0 out of range for n=3"):
+            lkb_sigma(3, 0)
 
 
 class TestTheta:

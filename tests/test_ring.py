@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidrep.lkb import LKBPoly
 from braidrep.ring import (InexactDivisionError, LaurentPoly, PoleError,
                            RatFunc, ZeroSubstitutionError, qbinom,
                            qfactorial, qint, specialize)
@@ -170,6 +171,52 @@ class TestDivexactBinomial:
         with pytest.raises(InexactDivisionError):
             (Q - S).divexact_binomial((1, 1), (1, 1))
         assert LaurentPoly.zero().divexact_binomial((0, 1), (0, -1)).is_zero()
+
+
+class TestBar:
+    def test_inverts_both_variables(self):
+        p = Q ** 2 * SINV - 3 + 5 * QINV * S ** 3
+        assert p.bar() == QINV ** 2 * S - 3 + 5 * Q * SINV ** 3
+        assert p.bar().bar() == p
+        assert LaurentPoly.zero().bar().is_zero()
+
+    def test_keeps_subclass(self):
+        p = LKBPoly.monomial(1, -2, 3)
+        assert type(p.bar()) is LKBPoly
+        assert p.bar() == LKBPoly.monomial(-1, 2, 3)
+
+
+@pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+def test_sympy_cross_check(ring, rnd):
+    """*, +, divexact, divexact_binomial and bar agree with sympy."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols(ring.variables)
+
+    def expr(p):
+        return sympy.Add(*(c * x ** e0 * y ** e1
+                           for (e0, e1), c in p.terms.items()))
+
+    def monomial(e):
+        return x ** e[0] * y ** e[1]
+
+    for _ in range(40):
+        a, b = (ring(random_poly(rnd, max_terms=5, max_exp=4).terms)
+                for _ in range(2))
+        ea, eb = expr(a), expr(b)
+        assert sympy.expand(expr(a * b) - ea * eb) == 0
+        assert sympy.expand(expr(a + b) - (ea + eb)) == 0
+        bar = ea.subs({x: 1 / x, y: 1 / y}, simultaneous=True)
+        assert sympy.expand(expr(a.bar()) - bar) == 0
+        if not b.is_zero():
+            product = a * b
+            quotient = product.divexact(b)
+            assert sympy.cancel(expr(product) / eb - expr(quotient)) == 0
+        u, w = (tuple(rnd.randint(-4, 4) for _ in range(2)) for _ in range(2))
+        if u != w:
+            product = a * ring({u: 1, w: -1})
+            quotient = product.divexact_binomial(u, w)
+            binomial = monomial(u) - monomial(w)
+            assert sympy.cancel(expr(product) / binomial - expr(quotient)) == 0
 
 
 class TestQCombinatorics:

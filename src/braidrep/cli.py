@@ -51,6 +51,38 @@ def _require(cond, message):
         raise UsageError(message)
 
 
+#: Largest weight-space dimension C(n+l-1, l) a command accepts.  Exact
+#: arithmetic on V_{n,l} is out of reach long before this size.
+MAX_WEIGHT_SPACE_DIM = 100_000
+
+
+def _weight_space_dim_capped(n, l, cap):
+    """C(n+l-1, l), or a partial product over ``cap`` as soon as one is.
+
+    The partial products C(m, 1), C(m+1, 2), ... (m = max(n-1, l)) are the
+    binomials on the way to the full one and never decrease, so stopping
+    early never lets an oversized request through.
+    """
+    m, k = max(n - 1, l), min(n - 1, l)
+    dim = 1
+    for i in range(1, k + 1):
+        dim = dim * (m + i) // i
+        if dim > cap:
+            break
+    return dim
+
+
+def _require_weight_space(args, command):
+    """Validate --n and --l, and reject a weight space over the size limit."""
+    _require(args.n >= 2, "%s requires --n >= 2" % command)
+    _require(args.l >= 0, "%s requires --l >= 0" % command)
+    _require(_weight_space_dim_capped(args.n, args.l, MAX_WEIGHT_SPACE_DIM)
+             <= MAX_WEIGHT_SPACE_DIM,
+             "%s: the weight space V_{%d,%d} has dimension C(%d, %d), over "
+             "the limit of %d" % (command, args.n, args.l, args.n + args.l - 1,
+                                  args.l, MAX_WEIGHT_SPACE_DIM))
+
+
 def _parse_rational(text, flag):
     try:
         return Fraction(text)
@@ -70,8 +102,7 @@ def _matrix_text(rows, labels):
 
 
 def cmd_basis(args):
-    _require(args.n >= 2, "basis requires --n >= 2")
-    _require(args.l >= 0, "basis requires --l >= 0")
+    _require_weight_space(args, "basis")
     basis = hw_mod.hw_basis(args.n, args.l)
     payload = {
         "n": args.n,
@@ -89,8 +120,7 @@ def cmd_basis(args):
 
 
 def cmd_matrix(args):
-    _require(args.n >= 2, "matrix requires --n >= 2")
-    _require(args.l >= 0, "matrix requires --l >= 0")
+    _require_weight_space(args, "matrix")
     try:
         word = braid_mod.BraidWord.parse(args.n, args.word)
     except ValueError as exc:
@@ -137,8 +167,7 @@ def cmd_check(args):
     _require(args.suite in SUITES,
              "unknown suite %r (choose from %s)" % (args.suite, ", ".join(SUITES)))
     suite = SUITES[args.suite]
-    _require(args.n >= 2, "check requires --n >= 2")
-    _require(args.l >= 0, "check requires --l >= 0")
+    _require_weight_space(args, "check")
     _require(args.l >= suite.min_l,
              "%s requires --l >= %d" % (args.suite, suite.min_l))
     _require(suite.perturb or not args.perturb,
@@ -156,8 +185,7 @@ def cmd_check(args):
 
 
 def cmd_irreducible(args):
-    _require(args.n >= 2, "irreducible requires --n >= 2")
-    _require(args.l >= 0, "irreducible requires --l >= 0")
+    _require_weight_space(args, "irreducible")
     if (args.q0 is None) != (args.s0 is None):
         raise UsageError("provide both --q0 and --s0, or neither")
     if args.q0 is None:
@@ -254,8 +282,7 @@ def cmd_lkb_matrix(args):
 
 
 def cmd_twist(args):
-    _require(args.n >= 2, "twist requires --n >= 2")
-    _require(args.l >= 0, "twist requires --l >= 0")
+    _require_weight_space(args, "twist")
     scalar = decomp_mod.full_twist_scalar(args.n, args.l)
     payload = {"n": args.n, "l": args.l, "scalar": scalar.to_json()}
     _emit(args, payload, lambda: str(scalar))

@@ -277,24 +277,70 @@ def expand_in_hw_basis(vec, n, l):
     return coeffs
 
 
+# Bounded so that a sweep over many (n, l) cannot grow it without limit.
+# The four benchmark workloads and the default scripts/run_checks.py sweep
+# touch 74 distinct (n, l, k) between them; 128 holds all of them.
+@lru_cache(maxsize=128)
+def _generator_rows(n, l, k):
+    """Nonzero (col, entry) pairs of each row of rho_{n,l}(sigma_k).
+
+    Built once on the full tensor space: each basis vector is pushed through
+    the letter and expanded with ``expand_in_hw_basis``, whose residual
+    check certifies that the image lies in W_{n,l} with Laurent coefficients.
+    """
+    word = BraidWord(n, (k,))
+    cols = [expand_in_hw_basis(apply_word(word, el.vector), n, l)
+            for el in hw_basis(n, l)]
+    return tuple(tuple((c, col[r]) for c, col in enumerate(cols) if col[r])
+                 for r in range(len(cols)))
+
+
+def _apply_rows(rows, column):
+    """Sparse matrix-vector product; ``column`` maps row index to nonzero entry."""
+    out = {}
+    for r, row in enumerate(rows):
+        acc = None
+        for c, x in row:
+            y = column.get(c)
+            if y is not None:
+                acc = x * y if acc is None else acc + x * y
+        if acc:
+            out[r] = acc
+    return out
+
+
 def rho_matrix(n, l, word):
     """Representation matrix of a braid word on W_{n,l}.
 
     Words act left to right (first letter applied first); columns are the
-    images of the ordered basis vectors.  All entries stay in the Laurent
-    ring; any division en route is an error.
+    images of the ordered basis vectors, so rho(w1...wk) = rho(wk)...rho(w1).
+    Column c is the c-th column of the first letter's generator matrix,
+    pushed through the later letters one sparse matrix-vector product at a
+    time.  Each generator matrix is built once per (n, l, k) on the full
+    tensor space and residual-checked there (``_generator_rows``).  W_{n,l}
+    is invariant under B_n and has a free basis over the Laurent ring, so
+    those matrices are integral and a product of them is the matrix of the
+    word on W_{n,l}, with entries in the ring: no division and no further
+    check is needed.
     """
     if isinstance(word, (list, tuple)):
         word = BraidWord(n, tuple(word))
     if word.n != n:
         raise ValueError("word strand count %d does not match n=%d" % (word.n, n))
     basis = hw_basis(n, l)
+    d = len(basis)
+    gens = [_generator_rows(n, l, k) for k in word.letters]
     cols = []
-    for el in basis:
-        image = apply_word(word, el.vector)
-        cols.append(expand_in_hw_basis(image, n, l))
-    entries = tuple(tuple(cols[c][r] for c in range(len(basis)))
-                    for r in range(len(basis)))
+    for c in range(d):
+        if not gens:
+            column = {c: LaurentPoly.one()}
+        else:
+            column = {r: x for r, row in enumerate(gens[0]) for j, x in row if j == c}
+            for rows in gens[1:]:
+                column = _apply_rows(rows, column)
+        cols.append(column)
+    zero = LaurentPoly.zero()
+    entries = tuple(tuple(col.get(r, zero) for col in cols) for r in range(d))
     return RepMatrix(n, l, tuple(el.label for el in basis), entries)
 
 

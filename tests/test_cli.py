@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: schemas, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 
-from braidrep.cli import main
+from braidrep.cli import (MAX_WEIGHT_SPACE_DIM, UsageError, _require_weight_space,
+                          _weight_space_dim_capped, main)
 from braidrep.verma import TensorVec
 
 from conftest import ratfunc_decomposition_oracle
@@ -75,6 +79,41 @@ class TestMatrixCommand:
         code, _, err = run_cli(
             ["matrix", "--n", "3", "--l", "1", "--word", "7"], capsys)
         assert code == 2
+
+
+class TestInputBound:
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--n", "40", "--l", "10"],
+        ["matrix", "--n", "3", "--l", "1000000"],
+        ["check", "--suite", "twist", "--n", "40", "--l", "10"],
+        ["irreducible", "--n", "3", "--l", "1000000"],
+        ["twist", "--n", "1000000", "--l", "2"],
+    ])
+    def test_oversized_request_exits_before_any_work(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.2
+        assert code == 2
+        assert out == ""
+        assert "has dimension C(" in err and str(MAX_WEIGHT_SPACE_DIM) in err
+
+    def test_capped_dimension_decides_like_the_binomial(self):
+        for n in range(2, 14):
+            for l in range(14):
+                dim = comb(n + l - 1, l)
+                assert _weight_space_dim_capped(n, l, 10 ** 12) == dim
+                for cap in (1, 10, 100, 1000, dim - 1, dim):
+                    got = _weight_space_dim_capped(n, l, cap)
+                    assert (got > cap) == (dim > cap)
+                    assert got <= dim
+
+    def test_limit_is_inclusive(self):
+        # V_{n,1} has dimension n
+        at_limit = argparse.Namespace(n=MAX_WEIGHT_SPACE_DIM, l=1)
+        _require_weight_space(at_limit, "basis")
+        over = argparse.Namespace(n=MAX_WEIGHT_SPACE_DIM + 1, l=1)
+        with pytest.raises(UsageError, match=r"C\(%d, 1\)" % over.n):
+            _require_weight_space(over, "basis")
 
 
 class TestCheckCommand:

@@ -1,10 +1,13 @@
 """Highest-weight bases, the basis-adjusting automorphism, representation matrices."""
 
+import random
 from math import comb
 
 import pytest
 
+from braidrep import hwspace
 from braidrep.braid import BraidWord, apply_word
+from braidrep.decomp import full_twist_word
 from braidrep.hwspace import (ABLabel, a_index, a_label, check_phi,
                               check_sigma_w, check_wmax, classify_index,
                               e_inverse_on_B, expand_in_hw_basis, hw_basis,
@@ -257,6 +260,48 @@ class TestRho:
         assert set(data) == {"basis", "rows"}
         assert data["basis"] == ["w(2,3)", "w(1,3)", "w(1,2)"]
         assert len(data["rows"]) == 3 and len(data["rows"][0]) == 3
+
+    @pytest.mark.parametrize("n,l,twist", [
+        (2, 3, False), (3, 1, False), (3, 4, False), (4, 0, False),
+        (4, 3, False), (5, 3, False), (4, 2, True)])
+    def test_word_matches_tensor_path(self, n, l, twist):
+        # Oracle: every basis vector pushed through the whole word on the
+        # full tensor space, then expanded, with no generator matrix formed.
+        letters = [k for i in range(1, n) for k in (i, -i)]
+        if twist:
+            full = full_twist_word(n)
+            words = [full.letters, full.inverse().letters]
+        else:
+            rng = random.Random(100 * n + l)
+            words = [tuple(rng.choice(letters) for _ in range(length))
+                     for length in range(11)]
+        # Fill the generator cache at another n and another l first, so a
+        # cache that ignored either would serve those matrices below.
+        hwspace._generator_rows.cache_clear()
+        rho_matrix(3 if n == 2 else 2, l, [1, -1])
+        rho_matrix(n, 1 if l == 0 else 0, letters)
+        basis = hw_basis(n, l)
+        for word in words:
+            cols = [expand_in_hw_basis(apply_word(BraidWord(n, word), el.vector), n, l)
+                    for el in basis]
+            want = [[col[r] for col in cols] for r in range(len(basis))]
+            assert rho_matrix(n, l, word).row_lists() == want, word
+
+    @pytest.mark.parametrize("n,l", [(3, 0), (3, 1), (4, 2)])
+    def test_cached_generators_are_not_aliased(self, n, l):
+        before = {w: rho_matrix(n, l, w).to_json()
+                  for w in ((1,), (1, 1), (2,), (1, -2))}
+        rows = rho_matrix(n, l, [1]).row_lists()
+        for row in rows:
+            row[0] = row[0] + 1
+            row.append(LaurentPoly.one())
+        rows.clear()
+        for w, data in before.items():
+            m = rho_matrix(n, l, w)
+            assert m.to_json() == data, w
+            assert all(type(x) is LaurentPoly for row in m.entries for x in row)
+        ident = rho_matrix(n, l, [])
+        assert all(type(x) is LaurentPoly for row in ident.entries for x in row)
 
 
 class TestStructure:

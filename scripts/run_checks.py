@@ -2,7 +2,10 @@
 """Run every ``braidrep check`` suite over a small grid and print a summary table.
 
 Each row is one suite at one (n, l), or the irreducibility certificate at
-the rational point (q, s) = (2, 3), and names the checks that failed.
+the rational point (q, s) = (2, 3), and names the checks that failed.  For
+each n, one more row is the certificate's negative control: the unreduced
+Burau representation is reducible, so its commutant at (2, 3) must have
+dimension at least 2, and the row fails if it certifies 1.
 
 Usage: python scripts/run_checks.py [--nmax 5] [--lmax 3]
 """
@@ -15,7 +18,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from braidrep.cli import SUITES
-from braidrep.decomp import commutant_dimension
+from braidrep.decomp import commutant_dimension, matrix_commutant_dimension
+from braidrep.lkb import burau_matrices
+from braidrep.ring import specialize
 
 
 def main():
@@ -36,6 +41,11 @@ def main():
             start = time.perf_counter()
             failed = [] if commutant_dimension(n, l, 2, 3) == 1 else ["irreducible"]
             rows.append(("irreducible", n, l, failed, time.perf_counter() - start))
+        start = time.perf_counter()
+        mats = [[[specialize(x, 2, 3) for x in row] for row in mat]
+                for mat in burau_matrices(n, reduced=False)]
+        failed = [] if matrix_commutant_dimension(mats) >= 2 else ["certified-irreducible"]
+        rows.append(("burau-unred", n, 1, failed, time.perf_counter() - start))
 
     failures = 0
     for name, n, l, failed, dt in rows:

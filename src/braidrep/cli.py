@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple
 
 from . import braid as braid_mod
@@ -72,15 +73,23 @@ def _weight_space_dim_capped(n, l, cap):
     return dim
 
 
+def _require_size(command, size, what):
+    """Reject a request of ``size`` entries over the limit; ``what`` names them."""
+    _require(size <= MAX_WEIGHT_SPACE_DIM, "%s: %s, over the limit of %d"
+             % (command, what, MAX_WEIGHT_SPACE_DIM))
+
+
+def _require_weight_space_dim(command, n, l):
+    _require_size(command, _weight_space_dim_capped(n, l, MAX_WEIGHT_SPACE_DIM),
+                  "the weight space V_{%d,%d} has dimension C(%d, %d)"
+                  % (n, l, n + l - 1, l))
+
+
 def _require_weight_space(args, command):
     """Validate --n and --l, and reject a weight space over the size limit."""
     _require(args.n >= 2, "%s requires --n >= 2" % command)
     _require(args.l >= 0, "%s requires --l >= 0" % command)
-    _require(_weight_space_dim_capped(args.n, args.l, MAX_WEIGHT_SPACE_DIM)
-             <= MAX_WEIGHT_SPACE_DIM,
-             "%s: the weight space V_{%d,%d} has dimension C(%d, %d), over "
-             "the limit of %d" % (command, args.n, args.l, args.n + args.l - 1,
-                                  args.l, MAX_WEIGHT_SPACE_DIM))
+    _require_weight_space_dim(command, args.n, args.l)
 
 
 def _parse_rational(text, flag):
@@ -103,6 +112,11 @@ def _matrix_text(rows, labels):
 
 def cmd_basis(args):
     _require_weight_space(args, "basis")
+    # every basis vector is printed over tensors of n slots each
+    _require_size("basis", args.n * _weight_space_dim_capped(
+        args.n, args.l, MAX_WEIGHT_SPACE_DIM),
+        "the basis vectors have n * C(n+l-1, l) = %d * C(%d, %d) tensor slots"
+        % (args.n, args.n + args.l - 1, args.l))
     basis = hw_mod.hw_basis(args.n, args.l)
     payload = {
         "n": args.n,
@@ -225,6 +239,7 @@ def cmd_decompose(args):
         raise UsageError("--idx expects integers like '1,0,2'")
     _require(len(idx) == args.n, "--idx must list exactly n entries")
     _require(all(a >= 0 for a in idx), "--idx entries must be >= 0")
+    _require_weight_space_dim("decompose", args.n, sum(idx))
     dec = decomp_mod.decompose(TensorVec.pure(idx))
     payload = dec.to_json()
 
@@ -240,6 +255,8 @@ def cmd_decompose(args):
 
 def cmd_burau(args):
     _require(args.n >= 2, "burau requires --n >= 2")
+    _require_size("burau", args.n ** 2,
+                  "each generator matrix has n^2 = %d^2 entries" % args.n)
     mats = lkb_mod.burau_matrices(args.n, reduced=not args.unreduced)
     size = args.n - 1 if not args.unreduced else args.n
     labels = ["u%d" % j for j in range(1, args.n)] if not args.unreduced \
@@ -262,6 +279,8 @@ def cmd_burau(args):
 
 def cmd_lkb_matrix(args):
     _require(args.n >= 2, "lkb-matrix requires --n >= 2")
+    _require_size("lkb-matrix", comb(args.n, 2) ** 2,
+                  "each generator matrix has C(n,2)^2 = C(%d, 2)^2 entries" % args.n)
     gens = range(1, args.n) if args.i is None else [args.i]
     for i in gens:
         _require(1 <= i <= args.n - 1, "--i out of range")

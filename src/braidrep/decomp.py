@@ -32,8 +32,15 @@ u, b u, ..., b^(d-1) u of a random algebra element b have rank d, the
 centraliser of b is F_p[b], and the commutant lies inside it.  The equations
 [sum_k c_k b^k, rho(sigma_i)] u = 0 are a subset of the commutant's, so d
 minus their rank bounds the mod-p commutant dimension, and with it the
-rational one, from above.  A larger bound, or no cyclic vector, falls back to
-exact elimination over Fraction of X rho(sigma_i) = rho(sigma_i) X.
+rational one, from above.  The generator entries are reduced mod p straight
+from their Laurent polynomials, with q0, s0 and their inverses as residues;
+no rational number is formed.  The bound over Q holds because every entry
+is p-integral (p divides no numerator or denominator of q0 or s0): the
+reduction is then a ring map, so the rank mod p of the commutant's
+equations is at most their rank over Q.  A larger bound, no cyclic vector,
+or a point that is not p-integral, falls back to the exact rank over Q of
+X rho(sigma_i) = rho(sigma_i) X, by fraction-free Bareiss elimination on
+integer rows.
 """
 
 from __future__ import annotations
@@ -43,11 +50,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 from operator import mul, or_
 
 from .braid import BraidWord, apply_word
-from .hwspace import hw_basis, rho_matrix
+from .hwspace import _generator_rows, hw_basis, rho_matrix
 from .linalg import fraction_rank, modp_rank
 from .report import CheckReport
 from .ring import InexactDivisionError, LaurentPoly, RatFunc, qint, specialize
@@ -381,25 +388,62 @@ def _specialized_generators(n, l, q0, s0):
     return mats
 
 
+def _generators_modp(n, l, q0, s0):
+    """The generators rho(sigma_i) at (q0, s0), reduced mod p, or None.
+
+    Each nonzero entry of the cached generator rows is a Laurent polynomial
+    with integer coefficients, evaluated straight to an int mod p from the
+    residues of q0 and s0 and of their inverses (``pow`` with a negative
+    exponent).  That is the reduction mod p of the rational entry whenever
+    q0, s0, 1/q0 and 1/s0 are all p-integral; when p divides a numerator
+    or denominator of q0 or s0 the point is not, and None is returned.
+    """
+    p = _CERT_PRIME
+    if any(x.numerator % p == 0 or x.denominator % p == 0 for x in (q0, s0)):
+        return None
+    q, s = (x.numerator * pow(x.denominator, -1, p) % p for x in (q0, s0))
+    q_pow, s_pow = {}, {}
+    mats = []
+    for i in range(1, n):
+        rows = _generator_rows(n, l, i)
+        mat = [[0] * len(rows) for _ in rows]
+        for out, row in zip(mat, rows):
+            for c, entry in row:
+                total = 0
+                for (eq, es), coeff in entry.terms.items():
+                    if eq not in q_pow:
+                        q_pow[eq] = pow(q, eq, p)
+                    if es not in s_pow:
+                        s_pow[es] = pow(s, es, p)
+                    total += coeff * q_pow[eq] * s_pow[es]
+                out[c] = total % p
+        mats.append(mat)
+    return mats
+
+
 def _integerize(mat):
-    denom = 1
-    for row in mat:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    return [[int(x * denom) for x in row] for row in mat]
+    """The rational matrix times the lcm of its denominators, as ints."""
+    den = lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def matrix_commutant_dimension(mats, seed=0):
     """Exact dimension of the joint commutant of square rational matrices.
 
-    Fast path: a random algebra element b with a cyclic vector u mod a large
-    prime p (Krylov vectors u, b u, ..., b^(d-1) u of rank d) has centraliser
-    F_p[b], which holds the commutant.  The conditions that sum_k c_k b^k
-    commute with each matrix on u are a subset of the commutant's, so d minus
-    their rank bounds the commutant dimension from above, mod p and hence
-    over Q.  It is at least 1 (the identity commutes), so a bound of 1 is
-    exact.  Otherwise fall back to exact Fraction elimination on the full
-    Sylvester system.
+    Each matrix is scaled to an integer one (by the lcm of its
+    denominators, which leaves the commutant unchanged).  Fast path: a
+    random algebra element b with a cyclic vector u mod a large prime p
+    (Krylov vectors u, b u, ..., b^(d-1) u of rank d) has centraliser
+    F_p[b], which holds the commutant mod p.  The conditions that
+    sum_k c_k b^k commute with each matrix on u are a subset of the
+    commutant's, so d minus their rank bounds the commutant dimension mod p
+    from above.  The integer entries reduce mod p, so the rank mod p of the
+    commutant's equations is at most their rank over Q, and the bound holds
+    over Q too.  It is at least 1 (the identity commutes), so a bound of 1
+    is exact.  Otherwise fall back to the rank over Q of the full Sylvester
+    system X A = A X, whose rows are integers: ``fraction_rank`` computes it
+    by fraction-free Bareiss elimination, with no rational number and no
+    prime, so the fallback is exact.
     """
     d = len(mats[0])
     if d == 1:
@@ -413,7 +457,7 @@ def matrix_commutant_dimension(mats, seed=0):
         for r in range(d):
             for c in range(d):
                 # (X A - A X)[r, c] = sum_k X[r,k] A[k,c] - A[r,k] X[k,c]
-                row = [Fraction(0)] * (d * d)
+                row = [0] * (d * d)
                 for k in range(d):
                     row[r * d + k] += a[k][c]
                     row[k * d + c] -= a[r][k]
@@ -476,10 +520,16 @@ def commutant_dimension(n, l, q0, s0, seed=0):
     """Dimension of the commutant of the degree-l representation at (q0, s0).
 
     Dimension 1 certifies irreducibility at the point and hence generic
-    irreducibility over the fraction field.
+    irreducibility over the fraction field.  The certificate runs on the
+    generators reduced mod p (``_generators_modp``); only a bound other
+    than 1, or a point that is not p-integral, forms the rational matrices
+    for ``matrix_commutant_dimension``.
     """
     q0, s0 = validate_specialization(n, l, q0, s0)
     if comb(n + l - 2, l) == 1:
+        return 1
+    pmats = _generators_modp(n, l, q0, s0)
+    if pmats is not None and _commutant_dim_modp(pmats, seed) == 1:
         return 1
     mats = _specialized_generators(n, l, q0, s0)
     return matrix_commutant_dimension(mats, seed=seed)

@@ -7,7 +7,7 @@ never introduce floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .ring import RatFunc
 
@@ -97,29 +97,69 @@ def poly_matrix_inverse(mat):
 
 
 def fraction_rank(rows, ncols):
-    """Rank over Q of a list of Fraction rows (destructive on a copy)."""
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
-    rank = 0
-    col = 0
-    while rows and col < ncols:
-        pivot = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if pivot is None:
-            col += 1
+    """Rank over Q of int or Fraction rows, by fraction-free elimination.
+
+    Each row is scaled once by the lcm of its denominators, which leaves the
+    rank unchanged, and the integer rows go to Bareiss elimination
+    (``_bareiss_pivots``): no rational number is formed.
+    """
+    cleared = []
+    for row in filter(any, rows):
+        den = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (den // x.denominator) for x in row])
+    return len(_bareiss_pivots(cleared, ncols))
+
+
+def _bareiss_pivots(rows, ncols):
+    """Pivots of fraction-free (Bareiss) elimination on integer rows.
+
+    Step k + 1 replaces each entry x of a row by
+    (pivot * x - f * y) // previous_pivot, where f is the row's entry in the
+    pivot column and y the pivot row's entry in x's column.  By Sylvester's
+    identity (Bareiss, Math. Comp. 22, 1968) every entry after k steps is a
+    (k+1) x (k+1) minor of the input, on the k pivot rows and columns and
+    its own row and column, so the division is exact and entries grow only
+    as fast as minors do.  That holds whichever rows are chosen as pivots
+    and whichever columns are skipped, so the pivot is the candidate row
+    with the fewest nonzeros, which adds the least fill-in (Markowitz).
+
+    A row whose f is 0 would only be scaled by pivot / previous_pivot, so
+    it is left as it is and remembers the step j it was last updated at:
+    after step k its entries are the stored ones times p_k / p_j (p_i the
+    i-th pivot, p_0 = 1).  When it is next updated, the same formula with
+    p_j as the previous pivot gives its entries after step k + 1, again
+    exactly; a pivot row is first brought up to step k.  Rows that no step
+    touches keep their small entries.
+
+    The k-th pivot is a k x k minor; for a square nonsingular matrix the
+    last is +- its determinant.  The number of pivots is the rank.
+    """
+    rows = [(0, r) for r in rows if any(r)]      # (step last updated, row)
+    pivots = [1]
+    for col in range(ncols):
+        candidates = [i for i, (_, r) in enumerate(rows) if r[col]]
+        if not candidates:
             continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        prow = rows[0]
-        pval = prow[col]
+        step, prow = rows.pop(max(candidates, key=lambda i: rows[i][1].count(0)))
+        k = len(pivots) - 1
+        y = [x * pivots[k] // pivots[step] for x in prow[col:]]
+        pval, y = y[0], y[1:]
+        zeros = [0] * (col + 1)
         reduced = []
-        for r in rows[1:]:
-            if r[col] != 0:
-                f = r[col] / pval
-                r = [x - f * y for x, y in zip(r, prow)]
-            if any(r):
-                reduced.append(r)
+        for step, r in rows:
+            f = r[col]
+            if f:
+                r = zeros + [(pval * x - f * b) // pivots[step]
+                             for x, b in zip(r[col + 1:], y)]
+                if not any(r):
+                    continue
+                step = k + 1
+            reduced.append((step, r))
         rows = reduced
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(pval)
+        if not rows:
+            break
+    return pivots[1:]
 
 
 def modp_rank(rows, ncols, p):

@@ -97,6 +97,25 @@ class TestInputBound:
         assert out == ""
         assert "has dimension C(" in err and str(MAX_WEIGHT_SPACE_DIM) in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["decompose", "--n", "2", "--idx", "1000000,0"],
+         "V_{2,1000000} has dimension C(1000001, 1000000)"),
+        (["basis", "--n", str(10 ** 9), "--l", "0"],
+         "n * C(n+l-1, l) = %d * C(%d, 0)" % (10 ** 9, 10 ** 9 - 1)),
+        (["burau", "--n", "317"], "n^2 = 317^2"),
+        (["burau", "--n", str(10 ** 9), "--unreduced"], "n^2 = %d^2" % 10 ** 9),
+        (["lkb-matrix", "--n", "26"], "C(n,2)^2 = C(26, 2)^2"),
+        (["lkb-matrix", "--n", str(10 ** 9), "--i", "1", "--positive"],
+         "C(n,2)^2 = C(%d, 2)^2" % 10 ** 9),
+    ])
+    def test_oversized_n_exits_before_any_work(self, argv, named, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 0.2
+        assert code == 2
+        assert out == ""
+        assert named in err and str(MAX_WEIGHT_SPACE_DIM) in err
+
     def test_capped_dimension_decides_like_the_binomial(self):
         for n in range(2, 14):
             for l in range(14):

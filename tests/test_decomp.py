@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
+from braidrep import decomp
 from braidrep.decomp import (GuardedSpecializationError, _commutant_dim_modp,
-                             _integerize, alpha_map, c_coeff,
+                             _generators_modp, _integerize,
+                             _specialized_generators, alpha_map, c_coeff,
                              check_splitting, commutant_dimension, decompose,
                              ef1_eigencheck, full_twist_scalar,
                              lambda_const, matrix_commutant_dimension, mu,
@@ -21,6 +23,9 @@ from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
 from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
 from conftest import random_poly, ratfunc_decomposition_oracle
+
+
+CERT_PRIME = (1 << 61) - 1
 
 
 def mono(eq, es, c=1):
@@ -387,3 +392,54 @@ class TestCommutant:
     def test_krylov_certificate_any_seed(self):
         for seed in range(5):
             assert commutant_dimension(4, 3, 2, 3, seed=seed) == 1
+
+    @pytest.mark.parametrize("n, l, q0, s0", [
+        (3, 2, 2, 3),
+        (4, 3, 2, 3),
+        (4, 3, Fraction(5, 7), Fraction(-3, 4)),
+        (5, 2, Fraction(-9, 2), Fraction(11, 13)),
+    ])
+    def test_modp_generators_reduce_the_rational_ones(self, n, l, q0, s0):
+        # negative exponents of q and s are evaluated through their inverses
+        p = CERT_PRIME
+        expected = [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                     for row in m] for m in _specialized_generators(n, l, q0, s0)]
+        assert _generators_modp(n, l, q0, s0) == expected
+
+    @pytest.mark.parametrize("q0, s0", [
+        (CERT_PRIME, 3),
+        (2, Fraction(3, CERT_PRIME)),
+        (Fraction(2, CERT_PRIME), Fraction(CERT_PRIME, 5)),
+    ])
+    def test_point_off_the_prime_takes_the_exact_path(self, q0, s0, monkeypatch):
+        q0, s0 = validate_specialization(3, 2, q0, s0)
+        built = []
+        monkeypatch.setattr(decomp, "_specialized_generators",
+                            lambda *args: built.append(args)
+                            or _specialized_generators(*args))
+        assert _generators_modp(3, 2, q0, s0) is None
+        assert commutant_dimension(3, 2, q0, s0) == 1
+        assert built == [(3, 2, q0, s0)]
+        mats = _specialized_generators(3, 2, q0, s0)
+        assert rref_kernel_dim(sylvester_rows(mats), 9) == 1
+
+    @pytest.mark.parametrize("n, l", [(4, 3), (4, 4), (5, 3), (6, 2), (7, 2)])
+    def test_benchmark_classes_certify(self, n, l):
+        for seed in range(5):
+            q0, s0 = random_specialization(n, l, seed=seed)
+            assert commutant_dimension(n, l, q0, s0, seed=seed) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_unreduced_burau_commutant_is_two(self, n):
+        # reduced Burau plus the trivial line: the exact fallback decides
+        mats = [[[specialize(x, 2, 3) for x in row] for row in m]
+                for m in burau_matrices(n, reduced=False)]
+        assert matrix_commutant_dimension(mats) == 2
+        assert rref_kernel_dim(sylvester_rows(mats), n * n) == 2
+
+    def test_certified_point_forms_no_rational_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact path reached at a certified point")
+        monkeypatch.setattr(decomp, "_specialized_generators", refuse)
+        monkeypatch.setattr(decomp, "fraction_rank", refuse)
+        assert commutant_dimension(4, 3, 2, 3) == 1

@@ -1,11 +1,11 @@
-"""The sparse matrix product against a dense triple-loop oracle."""
+"""The sparse matrix product and the Bareiss rank against reference oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidrep.linalg import mat_mul
+from braidrep.linalg import _bareiss_pivots, fraction_rank, mat_mul
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
@@ -115,3 +115,111 @@ def test_missing_entries_keep_the_entry_class(zero, one):
 def test_shape_mismatch_raises(a, b):
     with pytest.raises(ValueError):
         mat_mul(a, b)
+
+
+# -- fraction_rank: Bareiss elimination against Gaussian elimination over Q ------
+
+
+def gauss_rank(rows, ncols):
+    """Rank over Q by Gaussian elimination over Fraction (the reference)."""
+    rows = [list(map(Fraction, r)) for r in rows if any(r)]
+    rank = 0
+    col = 0
+    while rows and col < ncols:
+        pivot = next((i for i, r in enumerate(rows) if r[col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[0], rows[pivot] = rows[pivot], rows[0]
+        prow = rows[0]
+        pval = prow[col]
+        reduced = []
+        for r in rows[1:]:
+            if r[col] != 0:
+                f = r[col] / pval
+                r = [x - f * y for x, y in zip(r, prow)]
+            if any(r):
+                reduced.append(r)
+        rows = reduced
+        rank += 1
+        col += 1
+    return rank
+
+
+def gauss_det(mat):
+    """Determinant over Q by Gaussian elimination over Fraction."""
+    rows = [list(map(Fraction, r)) for r in mat]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def _int_entry(rnd):
+    return rnd.randint(-9, 9)
+
+
+def _fraction_entry(rnd):
+    return Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
+
+
+def rows_of_rank_at_most(rnd, nrows, ncols, rank, entry):
+    """A product of random nrows x rank and rank x ncols factors; half of the
+    time a zero row and a repeated row are inserted at random places."""
+    zero = entry(rnd) * 0
+    left = [[entry(rnd) for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry(rnd) for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum((a * right[k][c] for k, a in enumerate(lrow)), zero)
+             for c in range(ncols)] for lrow in left]
+    if rnd.random() < 0.5:
+        rows.insert(rnd.randint(0, len(rows)), [zero] * ncols)
+        rows.insert(rnd.randint(0, len(rows)), list(rnd.choice(rows)))
+    return rows
+
+
+@pytest.mark.parametrize("entry", [_int_entry, _fraction_entry], ids=["int", "fraction"])
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (7, 7)], ids=["tall", "wide", "square"])
+def test_fraction_rank_matches_gaussian_elimination(entry, shape):
+    rnd = random.Random("%s %s" % (shape, entry.__name__))
+    nrows, ncols = shape
+    ranks = set()
+    for _ in range(40):
+        rows = rows_of_rank_at_most(rnd, nrows, ncols, rnd.randint(0, min(shape)), entry)
+        expected = gauss_rank(rows, ncols)
+        assert fraction_rank(rows, ncols) == expected, rows
+        ranks.add(expected)
+    # the samples cover rank-deficient and full-rank matrices alike
+    assert len(ranks) >= 3 and max(ranks) == min(shape)
+
+
+def test_fraction_rank_of_empty_and_zero_rows():
+    assert fraction_rank([], 3) == 0
+    assert fraction_rank([[0, 0, 0], [Fraction(0), 0, 0]], 3) == 0
+    assert fraction_rank([[Fraction(1, 3), Fraction(-2, 7)], [7, -6]], 2) == 1
+
+
+def test_last_bareiss_pivot_is_the_determinant():
+    # Sylvester's identity: the k-th pivot is a k x k minor, exactly, so the
+    # last pivot of a nonsingular matrix is its determinant up to sign
+    rnd = random.Random(10)
+    checked = 0
+    for size in range(1, 8):
+        for _ in range(8):
+            mat = [[rnd.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            det = gauss_det(mat)
+            pivots = _bareiss_pivots(mat, size)
+            assert all(type(x) is int for x in pivots)
+            if det:
+                assert len(pivots) == size
+                assert abs(pivots[-1]) == abs(det)
+                checked += 1
+    assert checked >= 40

@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from braidrep import decomp
-from braidrep.decomp import (GuardedSpecializationError, _commutant_dim_modp,
+from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
+                             _commutant_dim_modp,
                              _generators_modp, _integerize,
                              _specialized_generators, alpha_map, c_coeff,
                              check_splitting, commutant_dimension, decompose,
@@ -23,9 +24,6 @@ from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
 from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
 from conftest import random_poly, ratfunc_decomposition_oracle
-
-
-CERT_PRIME = (1 << 61) - 1
 
 
 def mono(eq, es, c=1):

@@ -253,10 +253,16 @@ def cmd_decompose(args):
     return 0
 
 
+def _generator_count(count):
+    return "%d generator %s" % (count, "matrix" if count == 1 else "matrices")
+
+
 def cmd_burau(args):
     _require(args.n >= 2, "burau requires --n >= 2")
-    _require_size("burau", args.n ** 2,
-                  "each generator matrix has n^2 = %d^2 entries" % args.n)
+    # all n - 1 generators are printed, each with at most n^2 entries
+    _require_size("burau", (args.n - 1) * args.n ** 2,
+                  "%s of n^2 = %d^2 entries each"
+                  % (_generator_count(args.n - 1), args.n))
     mats = lkb_mod.burau_matrices(args.n, reduced=not args.unreduced)
     size = args.n - 1 if not args.unreduced else args.n
     labels = ["u%d" % j for j in range(1, args.n)] if not args.unreduced \
@@ -279,8 +285,10 @@ def cmd_burau(args):
 
 def cmd_lkb_matrix(args):
     _require(args.n >= 2, "lkb-matrix requires --n >= 2")
-    _require_size("lkb-matrix", comb(args.n, 2) ** 2,
-                  "each generator matrix has C(n,2)^2 = C(%d, 2)^2 entries" % args.n)
+    count = args.n - 1 if args.i is None else 1
+    _require_size("lkb-matrix", count * comb(args.n, 2) ** 2,
+                  "%s of C(n,2)^2 = C(%d, 2)^2 entries each"
+                  % (_generator_count(count), args.n))
     gens = range(1, args.n) if args.i is None else [args.i]
     for i in gens:
         _require(1 <= i <= args.n - 1, "--i out of range")

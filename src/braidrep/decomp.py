@@ -57,7 +57,8 @@ from .braid import BraidWord, apply_word
 from .hwspace import _generator_rows, hw_basis, rho_matrix
 from .linalg import fraction_rank, modp_rank
 from .report import CheckReport
-from .ring import InexactDivisionError, LaurentPoly, RatFunc, qint, specialize
+from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
+                   unpack)
 from .verma import E, F, TensorVec, act_tensor, weight_basis
 
 
@@ -402,7 +403,7 @@ def _generators_modp(n, l, q0, s0):
     if any(x.numerator % p == 0 or x.denominator % p == 0 for x in (q0, s0)):
         return None
     q, s = (x.numerator * pow(x.denominator, -1, p) % p for x in (q0, s0))
-    q_pow, s_pow = {}, {}
+    residues = {}        # packed exponent key -> q^e_q s^e_s mod p
     mats = []
     for i in range(1, n):
         rows = _generator_rows(n, l, i)
@@ -410,12 +411,12 @@ def _generators_modp(n, l, q0, s0):
         for out, row in zip(mat, rows):
             for c, entry in row:
                 total = 0
-                for (eq, es), coeff in entry.terms.items():
-                    if eq not in q_pow:
-                        q_pow[eq] = pow(q, eq, p)
-                    if es not in s_pow:
-                        s_pow[es] = pow(s, es, p)
-                    total += coeff * q_pow[eq] * s_pow[es]
+                for key, coeff in entry.terms.items():
+                    r = residues.get(key)
+                    if r is None:
+                        eq, es = unpack(key)
+                        r = residues[key] = pow(q, eq, p) * pow(s, es, p) % p
+                    total += coeff * r
                 out[c] = total % p
         mats.append(mat)
     return mats

@@ -128,8 +128,7 @@ def e_inverse_on_B(vec):
         mono = unit.as_monomial()
         if mono is None or mono[1] != 1:
             raise IntegralityError("expected a monic monomial pivot, got %s" % unit)
-        scale = LaurentPoly.monomial(-mono[0][0], -mono[0][1])
-        c = coeff * scale
+        c = coeff.shifted(-mono[0][0], -mono[0][1])
         result._add_term(lifted, c)
         residual = residual - c * image
     return result

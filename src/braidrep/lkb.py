@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .linalg import mat_mul, mat_identity
 from .report import CheckReport, matrix_report
-from .ring import LaurentPoly
+from .ring import LaurentPoly, unpack
 from .hwspace import hw_basis, pair_label, rho_matrix
 
 
@@ -132,25 +132,23 @@ def lkb_sigma(n, i):
 
 def theta(p):
     """Parameter identification into the Verma-side ring: Q -> s^2, t -> -q^{-2}."""
-    if not isinstance(p, LKBPoly):
-        raise TypeError("theta is defined on the LKB parameter ring")
-    out = {}
-    for (et, eq_), coeff in p.terms.items():
-        sign = -coeff if et % 2 else coeff
-        key = (-2 * et, 2 * eq_)
-        acc = out.get(key, 0) + sign
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return LaurentPoly(out)
+    return _theta(p, -1)
 
 
 def theta_wrong_sign(p):
     """Negative control: same exponents but t -> +q^{-2}."""
+    return _theta(p, 1)
+
+
+def _theta(p, t_sign):
+    """Q -> s^2, t -> t_sign * q^{-2}, term by term (the map is injective)."""
     if not isinstance(p, LKBPoly):
         raise TypeError("theta is defined on the LKB parameter ring")
-    return LaurentPoly({(-2 * et, 2 * eq_): c for (et, eq_), c in p.terms.items()})
+    out = []
+    for key, coeff in p.terms.items():
+        et, eq_ = unpack(key)
+        out.append(((-2 * et, 2 * eq_), t_sign * coeff if et % 2 else coeff))
+    return LaurentPoly(out)
 
 
 def fork_iso_check(n, theta_map=theta):

@@ -6,8 +6,16 @@ arbitrary-precision Python integers: intermediate expression swell is
 expected and must never wrap or round.
 
 Canonical forms:
-  * ``LaurentPoly`` stores a sparse map (e_q, e_s) -> nonzero int; equal
-    polynomials have equal term maps.
+  * ``LaurentPoly`` stores a sparse map key -> nonzero int; equal
+    polynomials have equal term maps.  The key packs the exponents
+    (e_q, e_s) into one int, e_q * 2^KEY_BITS + e_s (``pack``/``unpack``),
+    so the key of a product term is the sum of two keys, and integer order
+    on keys is lexicographic order on (e_q, e_s).  Both hold while
+    |e_s| <= MAX_S_EXPONENT; e_q is unbounded.  Every polynomial carries an
+    upper bound on its |e_s|, which each operation updates in O(1) (sum for
+    ``*``, max for ``+``).  Only when that bound passes the limit is the
+    exact extent computed, and a result with an e_s out of range raises
+    ``OverflowError``; a key never aliases into the other exponent.
   * ``RatFunc`` divides out the common integer content, pulls the monomial
     factor out of the denominator, and makes the lexicographically-leading
     denominator coefficient positive.  No multivariate gcd is attempted;
@@ -22,6 +30,56 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+#: width of the e_s field of a packed key; at 20 bits the keys of the
+#: polynomials met in practice stay single-digit CPython ints
+KEY_BITS = 20
+_HALF = 1 << (KEY_BITS - 1)
+_MASK = (1 << KEY_BITS) - 1
+#: largest |e_s| a term may carry
+MAX_S_EXPONENT = _HALF - 1
+
+
+def pack(e0, e1):
+    """The key of the exponents (e0, e1); OverflowError if |e1| is too large."""
+    if not -_HALF < e1 < _HALF:
+        raise OverflowError("exponent %d of the second variable is outside "
+                            "+-%d" % (e1, MAX_S_EXPONENT))
+    return (e0 << KEY_BITS) + e1
+
+
+def unpack(key):
+    """The exponents (e0, e1) of a packed key."""
+    e1 = ((key + _HALF) & _MASK) - _HALF
+    return (key - e1) >> KEY_BITS, e1
+
+
+def _s_extent(terms):
+    """(min, max) of e_s over a nonempty term map."""
+    s = [((key + _HALF) & _MASK) - _HALF for key in terms]
+    return min(s), max(s)
+
+
+def _checked_bound(low, high):
+    """max |e_s| over [low, high]; OverflowError if it leaves the range."""
+    if low < -MAX_S_EXPONENT or high > MAX_S_EXPONENT:
+        raise OverflowError("an exponent of the second variable leaves +-%d"
+                            % MAX_S_EXPONENT)
+    return max(high, -low)
+
+
+def _product_bound(a, b):
+    """Exact max |e_s| of the product of two term maps; OverflowError if too large.
+
+    The extreme e_s of a product is the sum of the operands' extremes: the
+    top (bottom) e_s slices of two nonzero polynomials multiply to a nonzero
+    slice, so the bound is attained and an OverflowError is never spurious.
+    """
+    if not a or not b:
+        return 0
+    low_a, high_a = _s_extent(a)
+    low_b, high_b = _s_extent(b)
+    return _checked_bound(low_a + low_b, high_a + high_b)
 
 
 class InexactDivisionError(ArithmeticError):
@@ -43,47 +101,63 @@ class PoleError(SpecializationError):
 class LaurentPoly:
     """Sparse two-variable Laurent polynomial with integer coefficients.
 
-    Instances are immutable by convention: no method mutates ``terms`` after
-    construction, so values can be shared freely between threads.
+    ``terms`` maps packed exponent keys to coefficients and ``s_bound``
+    bounds |e_s| from above (see the module docstring).  Instances are
+    immutable by convention: no method mutates them after construction, so
+    values can be shared freely between threads.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "s_bound")
 
     #: printed variable names, in exponent-tuple order
     variables = ("q", "s")
 
     def __init__(self, terms=None):
+        """Build from (e0, e1) -> coeff pairs, as a dict or an iterable."""
         cleaned = {}
+        bound = 0
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for exps, coeff in items:
+            for (e0, e1), coeff in items:
                 if not coeff:
                     continue
-                key = (int(exps[0]), int(exps[1]))
+                e1 = int(e1)
+                key = pack(int(e0), e1)
                 acc = cleaned.get(key, 0) + coeff
                 if acc:
                     cleaned[key] = acc
+                    bound = max(bound, abs(e1))
                 elif key in cleaned:
                     del cleaned[key]
         self.terms = cleaned
+        self.s_bound = bound
+
+    @classmethod
+    def _packed(cls, terms, bound):
+        """Wrap a term map already in packed form, with its e_s bound."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        result.s_bound = bound
+        return result
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._packed({}, 0)
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
+        return cls._packed({0: 1}, 0)
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): int(c)})
+        c = int(c)
+        return cls._packed({0: c} if c else {}, 0)
 
     @classmethod
     def monomial(cls, e0, e1, coeff=1):
-        return cls({(e0, e1): coeff})
+        return cls._packed({pack(e0, e1): coeff} if coeff else {}, abs(e1))
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -101,38 +175,43 @@ class LaurentPoly:
         return bool(self.terms)
 
     def is_one(self):
-        return self.terms == {(0, 0): 1}
+        return self.terms == {0: 1}
 
     def as_monomial(self):
         """Return ((e0, e1), coeff) if this is a single term, else None."""
         if len(self.terms) != 1:
             return None
-        ((exps, coeff),) = self.terms.items()
-        return exps, coeff
+        ((key, coeff),) = self.terms.items()
+        return unpack(key), coeff
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for key, coeff in b.items():
+            acc = get(key, 0) + coeff
             if acc:
                 out[key] = acc
-            elif key in out:
+            else:
                 del out[key]
         result = self.__class__.__new__(self.__class__)
         result.terms = out
+        result.s_bound = max(self.s_bound, other.s_bound)
         return result
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = self.__class__.__new__(self.__class__)
-        result.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return result
+        return self._packed({key: -coeff for key, coeff in self.terms.items()},
+                            self.s_bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -147,20 +226,34 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for (a0, a1), ca in self.terms.items():
-            for (b0, b1), cb in other.terms.items():
-                key = (a0 + b0, a1 + b1)
-                acc = out.get(key, 0) + ca * cb
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        bound = self.s_bound + other.s_bound
+        if bound > MAX_S_EXPONENT:
+            bound = _product_bound(a, b)
+        # the first term of the shorter operand fills the map without lookups;
+        # an empty operand reads as coefficient 0 and gives the empty product
+        rows = iter(a.items())
+        ka, ca = next(rows, (0, 0))
+        b_items = b.items()
+        out = {ka + kb: ca * cb for kb, cb in b_items} if ca else {}
+        get = out.get
+        for ka, ca in rows:
+            for kb, cb in b_items:
+                key = ka + kb
+                acc = get(key, 0) + ca * cb
                 if acc:
                     out[key] = acc
-                elif key in out:
+                else:
                     del out[key]
         result = self.__class__.__new__(self.__class__)
         result.terms = out
+        result.s_bound = bound
         return result
 
     __rmul__ = __mul__
@@ -179,8 +272,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -210,7 +304,7 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.terms)
-        return key, self.terms[key]
+        return unpack(key), self.terms[key]
 
     def content(self):
         """Nonnegative gcd of all coefficients (0 for the zero polynomial)."""
@@ -222,25 +316,41 @@ class LaurentPoly:
     def min_exponents(self):
         if not self.terms:
             return (0, 0)
-        return (min(e[0] for e in self.terms), min(e[1] for e in self.terms))
+        return unpack(min(self.terms))[0], _s_extent(self.terms)[0]
 
     def shifted(self, d0, d1):
         """Multiply by the monomial with exponents (d0, d1)."""
-        result = self.__class__.__new__(self.__class__)
-        result.terms = {(e0 + d0, e1 + d1): c for (e0, e1), c in self.terms.items()}
-        return result
+        bound = self.s_bound + abs(d1)
+        if bound > MAX_S_EXPONENT:
+            if not self.terms:
+                return self
+            low, high = _s_extent(self.terms)
+            bound = _checked_bound(low + d1, high + d1)
+        d = (d0 << KEY_BITS) + d1
+        return self._packed({key + d: c for key, c in self.terms.items()}, bound)
 
     def bar(self):
         """Invert both variables: the exponents (e0, e1) become (-e0, -e1)."""
-        result = self.__class__.__new__(self.__class__)
-        result.terms = {(-e0, -e1): c for (e0, e1), c in self.terms.items()}
-        return result
+        return self._packed({-key: c for key, c in self.terms.items()},
+                            self.s_bound)
+
+    def _content_divided(self, g):
+        """The polynomial with every coefficient divided by g, which divides them."""
+        return self._packed({key: c // g for key, c in self.terms.items()},
+                            self.s_bound)
+
+    def _cone(self):
+        """(e0, e1) -> coeff shifted so both minimal exponents are 0, and the shift."""
+        decoded = [(unpack(key), c) for key, c in self.terms.items()]
+        m0 = unpack(min(self.terms))[0]
+        m1 = min(e1 for (_, e1), _ in decoded)
+        return {(e0 - m0, e1 - m1): c for (e0, e1), c in decoded}, (m0, m1)
 
     def divexact(self, divisor):
         """Exact division; raises InexactDivisionError when not divisible.
 
-        Both operands are shifted into the positive-exponent cone first so
-        that lex-ordered long division terminates.
+        Both operands are decoded and shifted into the positive-exponent cone
+        first so that lex-ordered long division terminates.
         """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
@@ -250,14 +360,10 @@ class LaurentPoly:
         if self.content() % divisor.content():
             # Gauss: the divisor's content must divide the dividend's
             raise InexactDivisionError("content obstruction")
-        m_b = divisor.min_exponents()
-        b_terms = {(e0 - m_b[0], e1 - m_b[1]): c
-                   for (e0, e1), c in divisor.terms.items()}
+        b_terms, m_b = divisor._cone()
         lb = max(b_terms)
         lbc = b_terms[lb]
-        m_a = self.min_exponents()
-        rem = {(e0 - m_a[0], e1 - m_a[1]): c
-               for (e0, e1), c in self.terms.items()}
+        rem, m_a = self._cone()
         quotient = {}
         while rem:
             la = max(rem)
@@ -274,9 +380,9 @@ class LaurentPoly:
                     rem[key] = acc
                 else:
                     rem.pop(key, None)
-        result = self.__class__.__new__(self.__class__)
-        result.terms = quotient
-        return result.shifted(m_a[0] - m_b[0], m_a[1] - m_b[1])
+        d0, d1 = m_a[0] - m_b[0], m_a[1] - m_b[1]
+        return self.__class__({(e0 + d0, e1 + d1): c
+                               for (e0, e1), c in quotient.items()})
 
     def divexact_binomial(self, u, w):
         """Exact quotient by the binomial x^u - x^w; raises InexactDivisionError.
@@ -284,47 +390,72 @@ class LaurentPoly:
         With d = w - u, self = x^u (1 - x^d) Q means Q[e] = P[e] + Q[e - d]
         for P = self / x^u, so Q is a running sum along each chain e + k d of
         P's exponents, and the division is exact iff every chain sums to 0.
-        The cost is linear in the sizes of self and Q (plus a sort per chain).
+        The chains are walked on packed keys with the stride key of d.  The
+        cost is linear in the sizes of self and Q (plus a sort per chain).
         """
         d0, d1 = w[0] - u[0], w[1] - u[1]
         if not (d0 or d1):
             raise InexactDivisionError("division by zero")
-        axis, step = (1, d1) if d1 else (0, d0)
+        # every exponent met below, and Q's, lies within this bound
+        bound = self.s_bound + max(abs(u[1]), abs(w[1]))
+        if bound > MAX_S_EXPONENT:
+            return self.divexact(self.__class__({u: 1, w: -1}))
+        u_key = (u[0] << KEY_BITS) + u[1]
+        d_key = (d0 << KEY_BITS) + d1
         chains = {}
-        for (e0, e1), c in self.terms.items():
-            e0, e1 = e0 - u[0], e1 - u[1]
-            k = (e0, e1)[axis] // step
-            chains.setdefault((e0 - k * d0, e1 - k * d1), []).append((k, c))
+        for key, c in self.terms.items():
+            key -= u_key
+            e1 = ((key + _HALF) & _MASK) - _HALF
+            k = e1 // d1 if d1 else ((key - e1) >> KEY_BITS) // d0
+            chains.setdefault(key - k * d_key, []).append((k, c))
         quotient = {}
-        for (b0, b1), chain in chains.items():
+        for base, chain in chains.items():
             chain.sort()
             run = 0
             for k, c in chain:
                 if run:
-                    for j in range(prev, k):
-                        quotient[(b0 + j * d0, b1 + j * d1)] = run
+                    key = base + prev * d_key
+                    for _ in range(prev, k):
+                        quotient[key] = run
+                        key += d_key
                 run += c
                 prev = k
             if run:
                 raise InexactDivisionError("inexact binomial division")
-        result = self.__class__.__new__(self.__class__)
-        result.terms = quotient
-        return result
+        return self._packed(quotient, bound)
 
     def evaluate(self, v0, v1):
-        """Exact value at (v0, v1); both must be nonzero rationals."""
+        """Exact value at (v0, v1); both must be nonzero rationals.
+
+        With v0 = a/b and v1 = c/d, the terms are summed over the integers
+        with exponents shifted to be nonnegative, and divided once at the end.
+        """
         v0, v1 = Fraction(v0), Fraction(v1)
         if v0 == 0 or v1 == 0:
             raise ZeroSubstitutionError("variables may only take nonzero values")
-        total = Fraction(0)
-        for (e0, e1), coeff in self.terms.items():
-            total += coeff * v0 ** e0 * v1 ** e1
-        return total
+        if not self.terms:
+            return Fraction(0)
+        a, b = v0.numerator, v0.denominator
+        c, d = v1.numerator, v1.denominator
+        terms = [(*unpack(key), coeff) for key, coeff in self.terms.items()]
+        e0s, e1s = [t[0] for t in terms], [t[1] for t in terms]
+        lo0, hi0, lo1, hi1 = min(e0s), max(e0s), min(e1s), max(e1s)
+        # v0^e0 v1^e1 = a^(e0-lo0) b^(hi0-e0) c^(e1-lo1) d^(hi1-e1) a^lo0 b^-hi0 c^lo1 d^-hi1
+        total = sum(coeff * a ** (e0 - lo0) * b ** (hi0 - e0)
+                    * c ** (e1 - lo1) * d ** (hi1 - e1) for e0, e1, coeff in terms)
+        num, den = total, 1
+        for base, exp in ((a, lo0), (b, -hi0), (c, lo1), (d, -hi1)):
+            if exp >= 0:
+                num *= base ** exp
+            else:
+                den *= base ** -exp
+        return Fraction(num, den)
 
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """[((e0, e1), coeff)] in lex order on the exponents."""
+        return [(unpack(key), c) for key, c in sorted(self.terms.items())]
 
     def __str__(self):
         if not self.terms:
@@ -394,14 +525,11 @@ class RatFunc:
                 except InexactDivisionError:
                     pass
             g = gcd(num.content(), den.content())
-            shift = den.min_exponents()
-            if g != 1 or shift != (0, 0):
-                num = num.__class__(
-                    {(e0 - shift[0], e1 - shift[1]): c // g
-                     for (e0, e1), c in num.terms.items()})
-                den = den.__class__(
-                    {(e0 - shift[0], e1 - shift[1]): c // g
-                     for (e0, e1), c in den.terms.items()})
+            if g != 1:
+                num, den = num._content_divided(g), den._content_divided(g)
+            d0, d1 = den.min_exponents()
+            if d0 or d1:
+                num, den = num.shifted(-d0, -d1), den.shifted(-d0, -d1)
         if den.leading()[1] < 0:
             num, den = -num, -den
         self.num = num
@@ -498,6 +626,16 @@ class RatFunc:
         return not eq
 
     __hash__ = None
+
+    def shifted(self, d0, d1):
+        """Multiply by the monomial with exponents (d0, d1).
+
+        Monomials are units, so the reduced form just shifts the numerator.
+        """
+        result = RatFunc.__new__(RatFunc)
+        result.num = self.num.shifted(d0, d1)
+        result.den = self.den
+        return result
 
     def to_poly(self):
         """Clear the denominator; raises InexactDivisionError if impossible."""

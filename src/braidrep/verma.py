@@ -282,7 +282,7 @@ def _compositions(total, parts):
 def _act_k(vec, sign):
     out = {}
     for idx, coeff in vec.coeffs.items():
-        out[idx] = coeff * LaurentPoly.monomial(-2 * sign * sum(idx), sign * vec.n)
+        out[idx] = coeff.shifted(-2 * sign * sum(idx), sign * vec.n)
     return TensorVec(vec.n, out)
 
 
@@ -295,9 +295,8 @@ def _act_e(vec):
                 continue
             # K-eigenvalues of the factors to the right of position i
             right = sum(idx[i + 1:])
-            mono = LaurentPoly.monomial(-2 * right, n - 1 - i)
             new_idx = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-            result._add_term(new_idx, coeff * mono)
+            result._add_term(new_idx, coeff.shifted(-2 * right, n - 1 - i))
     return result
 
 
@@ -308,20 +307,19 @@ def _act_f(vec, m):
         for parts in _compositions(m, n):
             new_idx = tuple(a + p for a, p in zip(idx, parts))
             tail = m
-            q_twist = 0
-            factor = LaurentPoly.one()
+            factor = None
+            shift_q = shift_s = 0
             for i in range(n):
                 tail -= parts[i]
-                q_twist -= parts[i] * tail
                 if parts[i]:
-                    factor = factor * f_single_coeff(parts[i], idx[i])
-                if tail:
-                    # K^{-tail} eigenvalue at v_{idx[i] + parts[i]}
-                    factor = factor * LaurentPoly.monomial(
-                        2 * tail * (idx[i] + parts[i]), -tail)
-            if q_twist:
-                factor = factor.shifted(q_twist, 0)
-            result._add_term(new_idx, coeff * factor)
+                    single = f_single_coeff(parts[i], idx[i])
+                    factor = single if factor is None else factor * single
+                # the K^{-tail} eigenvalue at v_{idx[i] + parts[i]},
+                # s^-tail q^{2 tail (idx[i] + parts[i])}, and the q-twist
+                # q^{-parts[i] tail}
+                shift_q += tail * (2 * idx[i] + parts[i])
+                shift_s -= tail
+            result._add_term(new_idx, coeff * factor.shifted(shift_q, shift_s))
     return result
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: schemas, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -107,6 +108,14 @@ class TestInputBound:
         (["lkb-matrix", "--n", "26"], "C(n,2)^2 = C(26, 2)^2"),
         (["lkb-matrix", "--n", str(10 ** 9), "--i", "1", "--positive"],
          "C(n,2)^2 = C(%d, 2)^2" % 10 ** 9),
+        # all printed generators count: 46 * 47^2 and 13 * C(14, 2)^2 are
+        # just over the limit, 45 * 46^2 and 12 * C(13, 2)^2 just under
+        (["burau", "--n", "47"], "46 generator matrices of n^2 = 47^2"),
+        (["burau", "--n", "47", "--unreduced"], "n^2 = 47^2"),
+        (["lkb-matrix", "--n", "14"],
+         "13 generator matrices of C(n,2)^2 = C(14, 2)^2"),
+        (["lkb-matrix", "--n", "26", "--i", "1"],
+         "1 generator matrix of C(n,2)^2 = C(26, 2)^2"),
     ])
     def test_oversized_n_exits_before_any_work(self, argv, named, capsys):
         start = time.perf_counter()
@@ -311,3 +320,41 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "braidrep.cli", "matrix"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 2
+
+
+# SHA-256 of the standard output of fixed small commands, recorded before the
+# packed-key ring; any change to the arithmetic must keep these bytes.
+GOLDEN_STDOUT = [
+    (["matrix", "--n", "3", "--l", "2", "--word", "1 -2 1"],
+     "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
+    (["matrix", "--n", "4", "--l", "2", "--word", "1 2 -3", "--format", "text"],
+     "3c6a4a377a2c23db02b92dce0e0252dd910780298bd66dc3b48597cd0fd46ba0"),
+    (["decompose", "--n", "3", "--idx", "1,0,2"],
+     "ae4cfbaf9d752dd2cdb9c9b79e08117b501c38990e108d1bd0b63721ec933aea"),
+    (["decompose", "--n", "4", "--idx", "2,0,1,1", "--format", "text"],
+     "32bccc419730ace8f2ce787af943ca8fa575989ef024a01b7eaf5a81449785bf"),
+    (["basis", "--n", "4", "--l", "2"],
+     "787e82221f01e68cfe73c200b88dae91cba54629f5e371c324d9cd211a65c409"),
+    (["burau", "--n", "5"],
+     "fceb96687d1ee98cf9016857b0cd1cf284649316cfbd7b969ff66a40bdad7155"),
+    (["burau", "--n", "4", "--unreduced", "--format", "text"],
+     "b85c9869dedff96aad1f89a05910beb8b55f9a0016e6f61daad8841c9a1df4c1"),
+    (["lkb-matrix", "--n", "4"],
+     "90a001ecbfcac7eb428dab58fea99486e11cae39a764cf97ef405f49d4ecbfc4"),
+    (["lkb-matrix", "--n", "4", "--i", "2", "--positive", "--format", "text"],
+     "061278de5bf45aa0e8be6c0e280f394d84c3e8b08479d39c4a33a957bdd0ea80"),
+    (["twist", "--n", "4", "--l", "2"],
+     "c888f23284b1424514d39d6da4712622d794da19a886d208b9807babefcfb1b3"),
+    (["irreducible", "--n", "4", "--l", "2", "--q0", "2", "--s0", "3"],
+     "53f6945d0ccf34c696f6725e078e0e752abaeb06ca950440dd6a3c1dc294f85b"),
+    (["irreducible", "--n", "3", "--l", "3", "--seed", "7"],
+     "659acd3abec429bcd8a92f83466673575f01487eef75f851b0904e641977525f"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout(argv, digest, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

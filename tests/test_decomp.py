@@ -404,6 +404,22 @@ class TestCommutant:
                      for row in m] for m in _specialized_generators(n, l, q0, s0)]
         assert _generators_modp(n, l, q0, s0) == expected
 
+    @pytest.mark.parametrize("n, l, q0, s0", [
+        (4, 3, Fraction(5, 7), Fraction(-3, 4)),
+        (5, 2, Fraction(-9, 2), Fraction(11, 13)),
+    ])
+    def test_modp_generators_match_per_term_fractions(self, n, l, q0, s0):
+        p = CERT_PRIME
+
+        def per_term(entry):
+            value = sum((c * q0 ** e0 * s0 ** e1
+                         for (e0, e1), c in entry.sorted_terms()), Fraction(0))
+            return value.numerator * pow(value.denominator, -1, p) % p
+
+        expected = [[[per_term(x) for x in row] for row in rho_matrix(n, l, [i]).entries]
+                    for i in range(1, n)]
+        assert _generators_modp(n, l, q0, s0) == expected
+
     @pytest.mark.parametrize("q0, s0", [
         (CERT_PRIME, 3),
         (2, Fraction(3, CERT_PRIME)),

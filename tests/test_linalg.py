@@ -34,7 +34,7 @@ def _laurent(rnd):
 
 
 def _lkb(rnd):
-    return LKBPoly(random_poly(rnd, max_terms=3, max_exp=2).terms)
+    return LKBPoly(random_poly(rnd, max_terms=3, max_exp=2).sorted_terms())
 
 
 def _fraction(rnd):

@@ -115,7 +115,7 @@ class TestTheta:
         for et in range(-3, 4):
             for eq in range(-3, 4):
                 image = theta(LKBPoly.monomial(et, eq))
-                key = tuple(sorted(image.terms.items()))
+                key = tuple(image.sorted_terms())
                 assert key not in seen
                 seen[key] = (et, eq)
 

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidrep.lkb import LKBPoly
-from braidrep.ring import (InexactDivisionError, LaurentPoly, PoleError,
-                           RatFunc, ZeroSubstitutionError, qbinom,
-                           qfactorial, qint, specialize)
+from braidrep.ring import (MAX_S_EXPONENT, InexactDivisionError, LaurentPoly,
+                           PoleError, RatFunc, ZeroSubstitutionError, qbinom,
+                           qfactorial, qint, specialize, unpack)
 
 from conftest import random_poly
 
@@ -40,8 +40,8 @@ class TestLaurentArithmetic:
 
     def test_canonical_form_drops_zeros(self):
         p = LaurentPoly({(0, 0): 1, (1, 1): 0})
-        assert p.terms == {(0, 0): 1}
-        assert (p - p).terms == {}
+        assert p.sorted_terms() == [((0, 0), 1)]
+        assert (p - p).sorted_terms() == []
 
     @given(poly_strategy(), poly_strategy(), poly_strategy())
     def test_distributivity(self, a, b, c):
@@ -194,13 +194,13 @@ def test_sympy_cross_check(ring, rnd):
 
     def expr(p):
         return sympy.Add(*(c * x ** e0 * y ** e1
-                           for (e0, e1), c in p.terms.items()))
+                           for (e0, e1), c in p.sorted_terms()))
 
     def monomial(e):
         return x ** e[0] * y ** e[1]
 
     for _ in range(40):
-        a, b = (ring(random_poly(rnd, max_terms=5, max_exp=4).terms)
+        a, b = (ring(random_poly(rnd, max_terms=5, max_exp=4).sorted_terms())
                 for _ in range(2))
         ea, eb = expr(a), expr(b)
         assert sympy.expand(expr(a * b) - ea * eb) == 0
@@ -312,6 +312,18 @@ class TestSpecialize:
             assert specialize(a + b, Fraction(3, 2), Fraction(-5, 3)) == va + vb
 
 
+    def test_matches_per_term_fractions(self, rnd):
+        points = [(Fraction(3, 2), Fraction(-5, 3)), (Fraction(-7, 11), 4),
+                  (1, Fraction(1, 9)), (Fraction(-2), Fraction(-13, 6))]
+        for _ in range(60):
+            p = random_poly(rnd, max_terms=6, max_exp=7)
+            for q0, s0 in points:
+                expected = sum((c * Fraction(q0) ** e0 * Fraction(s0) ** e1
+                                for (e0, e1), c in p.sorted_terms()), Fraction(0))
+                value = p.evaluate(q0, s0)
+                assert type(value) is Fraction and value == expected
+
+
 class TestRatFunc:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -373,3 +385,175 @@ class TestJson:
         r = RatFunc(Q + 1, S + 2)
         assert RatFunc.from_json(r.to_json()) == r
         assert set(r.to_json()) == {"num", "den"}
+
+
+# -- the packed-key ring against a plain tuple-key implementation ---------------
+
+
+def o_poly(rnd, q_span, s_span, max_terms=6):
+    terms = {}
+    for _ in range(rnd.randint(0, max_terms)):
+        key = (rnd.randint(-q_span, q_span), rnd.randint(-s_span, s_span))
+        terms[key] = terms.get(key, 0) + rnd.randint(-9, 9)
+    return {k: c for k, c in terms.items() if c}
+
+
+def o_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def o_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def o_mul(a, b):
+    out = {}
+    for (a0, a1), ca in a.items():
+        for (b0, b1), cb in b.items():
+            k = (a0 + b0, a1 + b1)
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def o_shift(a, d0, d1):
+    return {(e0 + d0, e1 + d1): c for (e0, e1), c in a.items()}
+
+
+def o_divexact(a, b):
+    """Lex-ordered long division in the positive cone; None when inexact."""
+    if not a:
+        return {}
+    ma = (min(e0 for e0, _ in a), min(e1 for _, e1 in a))
+    mb = (min(e0 for e0, _ in b), min(e1 for _, e1 in b))
+    rem = o_shift(a, -ma[0], -ma[1])
+    div = o_shift(b, -mb[0], -mb[1])
+    lb = max(div)
+    quotient = {}
+    while rem:
+        la = max(rem)
+        e = (la[0] - lb[0], la[1] - lb[1])
+        if e[0] < 0 or e[1] < 0 or rem[la] % div[lb]:
+            return None
+        quotient[e] = rem[la] // div[lb]
+        rem = o_add(rem, o_neg(o_mul(div, {e: quotient[e]})))
+    return o_shift(quotient, ma[0] - mb[0], ma[1] - mb[1])
+
+
+def o_terms(a):
+    return sorted(a.items())
+
+
+@pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+def test_packed_ring_matches_tuple_oracle(ring, rnd):
+    for _ in range(200):
+        # spans from tiny to keys that no longer fit one CPython digit
+        q_span, s_span = rnd.choice(((3, 3), (40, 40), (5000, 3), (3, 20000)))
+        da, db = o_poly(rnd, q_span, s_span), o_poly(rnd, q_span, s_span)
+        a, b = ring(da), ring(db)
+        assert type(a * b) is ring
+        assert a.sorted_terms() == o_terms(da)
+        assert (a * b).sorted_terms() == o_terms(o_mul(da, db))
+        assert (a + b).sorted_terms() == o_terms(o_add(da, db))
+        assert (a - b).sorted_terms() == o_terms(o_add(da, o_neg(db)))
+        assert (-a).sorted_terms() == o_terms(o_neg(da))
+        d0, d1 = rnd.randint(-q_span, q_span), rnd.randint(-s_span, s_span)
+        assert a.shifted(d0, d1).sorted_terms() == o_terms(o_shift(da, d0, d1))
+        assert a.bar().sorted_terms() == o_terms({(-e0, -e1): c
+                                                  for (e0, e1), c in da.items()})
+        if da:
+            top = max(da)
+            assert a.leading() == (top, da[top])
+        data = a.to_json()
+        assert data == {"terms": [[e0, e1, str(c)] for (e0, e1), c in o_terms(da)]}
+        assert ring.from_json(data).sorted_terms() == o_terms(da)
+        if db:
+            # an exact quotient, and a perturbed dividend that may not be one
+            prod = o_mul(da, db)
+            assert ring(prod).divexact(b).sorted_terms() == o_terms(da)
+            noisy = o_add(prod, o_poly(rnd, q_span, s_span, max_terms=1))
+            expected = o_divexact(noisy, db)
+            if expected is None:
+                with pytest.raises(InexactDivisionError):
+                    ring(noisy).divexact(b)
+            else:
+                assert ring(noisy).divexact(b).sorted_terms() == o_terms(expected)
+        u = (rnd.randint(-q_span, q_span), rnd.randint(-s_span, s_span))
+        w = (rnd.randint(-q_span, q_span), rnd.randint(-s_span, s_span))
+        if u != w:
+            binomial = {u: 1, w: -1}
+            for dividend in (da, o_mul(da, binomial)):
+                expected = o_divexact(dividend, binomial)
+                if expected is None:
+                    with pytest.raises(InexactDivisionError):
+                        ring(dividend).divexact_binomial(u, w)
+                else:
+                    got = ring(dividend).divexact_binomial(u, w)
+                    assert got.sorted_terms() == o_terms(expected)
+
+
+class TestPackedKeyRange:
+    """|e_s| <= MAX_S_EXPONENT is representable; beyond it an operation raises."""
+
+    def test_largest_exponent_works(self):
+        m = MAX_S_EXPONENT
+        for e in (m, -m):
+            p = LaurentPoly.monomial(-7, e, 3)
+            assert p.sorted_terms() == [((-7, e), 3)]
+            assert str(p) == "3*q^-7*s^%d" % e
+            assert LaurentPoly.from_json(p.to_json()) == p
+            assert p.bar().sorted_terms() == [((7, -e), 3)]
+            assert (p * LaurentPoly.monomial(7, -e)).sorted_terms() == [((0, 0), 3)]
+            assert p.shifted(0, -e).sorted_terms() == [((-7, 0), 3)]
+            assert (p + S).leading() == ((0, 1), 1)
+        assert S ** m == LaurentPoly.monomial(0, m)
+        assert (S ** m).evaluate(5, -1) == -1
+        # a factor at the limit divides out of a sum at the limit exactly
+        top = LaurentPoly.monomial(0, m) - LaurentPoly.monomial(0, m - 1)
+        assert top.divexact_binomial((0, 1), (0, 0)) == LaurentPoly.monomial(0, m - 1)
+        assert top.divexact(S - 1) == LaurentPoly.monomial(0, m - 1)
+
+    def test_crossing_the_limit_raises(self):
+        m = MAX_S_EXPONENT
+        big = LaurentPoly.monomial(0, m)
+        for make in (lambda: LaurentPoly.monomial(0, m + 1),
+                     lambda: LaurentPoly.monomial(1, -m - 1),
+                     lambda: LaurentPoly({(0, 0): 1, (3, 2 * m): 1}),
+                     lambda: big * S,
+                     lambda: (Q - big) * (S + Q),
+                     lambda: big.bar() * SINV,
+                     lambda: big * big,
+                     lambda: big.shifted(0, 1),
+                     lambda: S ** (m + 1),
+                     lambda: SINV ** (m + 1),
+                     lambda: (big - S ** (m - 1)).divexact_binomial((0, -1), (0, -2)),
+                     lambda: RatFunc(big, SINV + 2),
+                     lambda: LKBPoly.monomial(0, m) * LKBPoly.monomial(5, 1)):
+            with pytest.raises(OverflowError):
+                make()
+
+    def test_no_key_aliases_into_the_first_exponent(self):
+        # wrapped around, the key of s^(m+6) would read as q s^(4-m)
+        m = MAX_S_EXPONENT
+        assert unpack(m + 6) == (1, 4 - m)
+        big = LaurentPoly.monomial(0, m)
+        with pytest.raises(OverflowError):
+            big * LaurentPoly.monomial(0, 6)
+        with pytest.raises(OverflowError):
+            big.shifted(0, 6)
+
+    def test_alternating_product_stays_in_range(self):
+        p = S
+        for k in range(2000):
+            p = p * (SINV if k % 2 == 0 else S)
+        assert p == S
+        # operands at the limit trip the bound every time and are rescanned
+        m = MAX_S_EXPONENT
+        up, down = LaurentPoly.monomial(0, m), LaurentPoly.monomial(1, -m)
+        p = 2 + Q
+        for _ in range(300):
+            p = (p * up) * down
+            p = p.shifted(0, m).shifted(0, -m)
+        assert p == (2 + Q) * Q ** 300

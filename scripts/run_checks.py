@@ -5,7 +5,8 @@ Each row is one suite at one (n, l), or the irreducibility certificate at
 the rational point (q, s) = (2, 3), and names the checks that failed.  For
 each n, one more row is the certificate's negative control: the unreduced
 Burau representation is reducible, so its commutant at (2, 3) must have
-dimension at least 2, and the row fails if it certifies 1.
+dimension at least 2, and the row fails if it certifies 1.  The summary
+line gives the row count, the failed rows and the sweep's wall time.
 
 Usage: python scripts/run_checks.py [--nmax 5] [--lmax 3]
 """
@@ -29,6 +30,7 @@ def main():
     parser.add_argument("--lmax", type=int, default=3)
     args = parser.parse_args()
 
+    sweep_start = time.perf_counter()
     rows = []
     for n in range(2, args.nmax + 1):
         for l in range(args.lmax + 1):
@@ -53,7 +55,8 @@ def main():
             name, n, l, "FAIL" if failed else "pass", dt,
             " ".join(dict.fromkeys(failed)))).rstrip())
         failures += bool(failed)
-    print("\n%d rows, %d failures" % (len(rows), failures))
+    print("\n%d rows, %d failures, %.2f s" % (
+        len(rows), failures, time.perf_counter() - sweep_start))
     print("(phi fails at l=1 for n>=3 by design: its wmax-eigenvalue check")
     print(" tests the scalar claim where it is false, a documented erratum;")
     print(" see README \"Acceptance status\" and test_acceptance.py)")

@@ -24,6 +24,11 @@ psi(alpha_k w) = lambda_k F^(k-1) w with
 
     lambda_k = s^{-2n-k} q^{4l-k-3} - s^{-k} q^{k-1}.
 
+The direct-sum splitting map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1}
+is checked as the integral matrix N = D alpha, where D = beta(U) prod_k lambda_k
+and U is the union of every pure tensor's binomial multisets, by the
+identities psi N = D and N sigma_i = sigma_{i+1} N over the Laurent ring.
+
 Irreducibility at an exact rational point (q0, s0) is certified by a
 commutant of dimension 1.  The commutant always contains the identity, so an
 upper bound of 1 is exact.  The bound comes from a cyclic vector mod a large
@@ -53,10 +58,10 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul, or_
 
-from .braid import BraidWord, apply_word
+from .braid import BraidWord, sigma_matrix
 from .hwspace import _generator_rows, hw_basis, rho_matrix
-from .linalg import fraction_rank, modp_rank
-from .report import CheckReport
+from .linalg import fraction_rank, mat_identity, mat_mul, modp_rank
+from .report import CheckReport, matrix_report
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
 from .verma import E, F, TensorVec, act_tensor, weight_basis
@@ -267,24 +272,6 @@ def psi_map(vec):
     return TensorVec(vec.n - 1, out)
 
 
-def alpha_full(vec):
-    """The direct-sum splitting map on a full weight space of degree l-1."""
-    dec = decompose(vec)
-    n, lm1 = dec.n, dec.l
-    result = TensorVec.zero(n + 1)
-    for t, w in enumerate(dec.components):
-        if w.is_zero():
-            continue
-        k = t + 1
-        lam = lambda_const(k, n, lm1 + 1)
-        result = result + alpha_map(k, w).map_coeffs(lambda c: _frac(c) / lam)
-    return result
-
-
-def _frac(coeff):
-    return coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
-
-
 def shifted_generator(i):
     """Generator index under the strand inclusion that prepends a strand.
 
@@ -295,26 +282,38 @@ def shifted_generator(i):
     return i + 1
 
 
-def check_splitting(n, l):
-    """psi alpha = id on the degree-(l-1) space, plus shifted equivariance.
+def splitting_columns(n, l):
+    """D and the integral columns N_v = D alpha(v), v over weight_basis(n, l-1)."""
+    decs = [decompose(TensorVec.pure(idx)) for idx in weight_basis(n, l - 1)]
+    common = reduce(or_, (f for dec in decs for f in dec.factors), Counter())
+    lambdas = [lambda_const(k, n, l) for k in range(1, l + 1)]
+    den = _beta_product(common, n) * reduce(mul, lambdas)
+    cofactors = [reduce(mul, lambdas[:t] + lambdas[t + 1:], LaurentPoly.one())
+                 for t in range(l)]
+    cols = []
+    for dec in decs:
+        col = TensorVec.zero(n + 1)
+        for t, (num, factors) in enumerate(zip(dec.numerators, dec.factors)):
+            scale = _beta_product(common - factors, n) * cofactors[t]
+            col = col + scale * alpha_map(t + 1, num)
+        cols.append(col)
+    return den, cols
 
-    Equivariance is checked generator by generator on every pure tensor,
-    through the strand-inclusion index shift.
-    """
-    reports = []
-    pures = [TensorVec.pure(idx) for idx in weight_basis(n, l - 1)]
-    alphas = [alpha_full(v) for v in pures]
-    ok = all(psi_map(a) == v for v, a in zip(pures, alphas))
-    reports.append(CheckReport("splitting-section", {"n": n, "l": l}, ok))
+
+def check_splitting(n, l):
+    """psi N = D and N sigma_i = sigma_{i+1} N for N = D alpha on V_{n,l-1}."""
+    den, cols = splitting_columns(n, l)
+    basis = weight_basis(n, l - 1)
+    split = [[col.coeff(idx) for col in cols] for idx in weight_basis(n + 1, l)]
+    images = [psi_map(col) for col in cols]
+    section = [[image.coeff(idx) for image in images] for idx in basis]
+    reports = [matrix_report("splitting-section", {"n": n, "l": l},
+                             section, mat_identity(len(basis), den))]
     for i in range(1, n):
-        ok = True
-        for v, alpha in zip(pures, alphas):
-            lhs = alpha_full(apply_word(BraidWord(n, (i,)), v))
-            rhs = apply_word(BraidWord(n + 1, (shifted_generator(i),)), alpha)
-            if lhs != rhs:
-                ok = False
-        reports.append(CheckReport("splitting-equivariance",
-                                   {"n": n, "l": l, "i": i}, ok))
+        lhs = mat_mul(split, sigma_matrix(n, l - 1, i))
+        rhs = mat_mul(sigma_matrix(n + 1, l, shifted_generator(i)), split)
+        reports.append(matrix_report("splitting-equivariance",
+                                     {"n": n, "l": l, "i": i}, lhs, rhs))
     dims_ok = comb(n + l - 1, l) == sum(comb(n + l - k - 2, l - k)
                                         for k in range(l + 1))
     reports.append(CheckReport("splitting-dimensions", {"n": n, "l": l}, dims_ok))

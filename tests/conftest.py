@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from braidrep.decomp import mu
+from braidrep.decomp import alpha_map, lambda_const, mu
 from braidrep.ring import LaurentPoly, RatFunc
-from braidrep.verma import E, F, act_tensor
+from braidrep.verma import E, F, TensorVec, act_tensor
 
 settings.register_profile(
     "exact",
@@ -49,3 +49,18 @@ def ratfunc_decomposition_oracle(vec):
         components[t] = acc.map_coeffs(
             lambda c: c / pivot if isinstance(c, RatFunc) else RatFunc(c, pivot))
     return components
+
+
+def ratfunc_splitting_oracle(vec):
+    """The direct-sum splitting map of vec, over RatFunc.
+
+    alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1}(n, l), with the w_t of
+    ``ratfunc_decomposition_oracle`` and l one more than the degree of v.
+    """
+    n, l = vec.n, vec.weight() + 1
+    result = TensorVec.zero(n + 1)
+    for t, w in enumerate(ratfunc_decomposition_oracle(vec)):
+        if not w.is_zero():
+            lam = lambda_const(t + 1, n, l)
+            result = result + alpha_map(t + 1, w).map_coeffs(lambda c: c / lam)
+    return result

@@ -11,8 +11,11 @@ from math import comb
 
 import pytest
 
+from braidrep import hwspace as hw_mod
 from braidrep.cli import (MAX_WEIGHT_SPACE_DIM, UsageError, _require_weight_space,
                           _weight_space_dim_capped, main)
+from braidrep.hwspace import IntegralityError
+from braidrep.ring import InexactDivisionError
 from braidrep.verma import TensorVec
 
 from conftest import ratfunc_decomposition_oracle
@@ -80,6 +83,25 @@ class TestMatrixCommand:
         code, _, err = run_cli(
             ["matrix", "--n", "3", "--l", "1", "--word", "7"], capsys)
         assert code == 2
+
+    def test_exponent_overflow_exits_2(self, capsys):
+        # sigma_1^262200 on V_{2,1} reaches s^-524400, past the packed-key
+        # range; the word is too long for a subprocess argv, so in-process
+        word = " ".join(["1"] * 262200)
+        code, out, err = run_cli(
+            ["matrix", "--n", "2", "--l", "1", "--word", word], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "524287" in err
+
+    @pytest.mark.parametrize("exc", [InexactDivisionError, IntegralityError])
+    def test_internal_faults_stay_loud(self, exc, monkeypatch):
+        def fault(*args):
+            raise exc("internal fault")
+
+        monkeypatch.setattr(hw_mod, "rho_matrix", fault)
+        with pytest.raises(exc):
+            main(["matrix", "--n", "2", "--l", "1", "--word", "1"])
 
 
 class TestInputBound:

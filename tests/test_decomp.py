@@ -14,7 +14,7 @@ from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationErr
                              ef1_eigencheck, full_twist_scalar,
                              lambda_const, matrix_commutant_dimension, mu,
                              psi_map, random_specialization,
-                             validate_specialization)
+                             splitting_columns, validate_specialization)
 from braidrep.hwspace import hw_basis, is_highest_weight, rho_matrix
 from braidrep.linalg import mat_mul
 from braidrep.lkb import burau_matrices
@@ -23,7 +23,8 @@ from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
                            specialize)
 from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
-from conftest import random_poly, ratfunc_decomposition_oracle
+from conftest import (random_poly, ratfunc_decomposition_oracle,
+                      ratfunc_splitting_oracle)
 
 
 def mono(eq, es, c=1):
@@ -222,9 +223,43 @@ class TestSplittingMaps:
             route2 = s_part + c_coeff(k, 1, n, l) * mono(2 * k - 2, 1 - k)
             assert lambda_const(k, n, l) == route2
 
-    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3),
+                                     (5, 3)])
     def test_splitting(self, n, l):
         assert all_passed(check_splitting(n, l))
+
+    @pytest.mark.parametrize("n,l", [(2, 3), (3, 2), (3, 3)])
+    def test_columns_match_ratfunc_oracle(self, n, l):
+        # every integral column is D times the fraction-field splitting map
+        den, cols = splitting_columns(n, l)
+        for idx, col in zip(weight_basis(n, l - 1), cols):
+            expected = ratfunc_splitting_oracle(TensorVec.pure(idx))
+            assert col.map_coeffs(lambda c: RatFunc(c, den)) == expected
+
+    def test_forms_no_fraction(self, monkeypatch):
+        def no_fraction(self, *args, **kwargs):
+            raise AssertionError("RatFunc formed")
+
+        monkeypatch.setattr(RatFunc, "__init__", no_fraction)
+        assert all_passed(check_splitting(3, 3))
+
+    @pytest.mark.parametrize("n,l", [(2, 3), (3, 2), (4, 3)])
+    def test_unshifted_generator_fails(self, n, l, monkeypatch):
+        # negative control: the inclusion must send sigma_i to sigma_{i+1}
+        monkeypatch.setattr(decomp, "shifted_generator", lambda i: i)
+        reports = [r for r in check_splitting(n, l)
+                   if r.check == "splitting-equivariance"]
+        assert len(reports) == n - 1
+        assert all(not r.passed and r.witness is not None for r in reports)
+
+    def test_wrong_lambda_breaks_section(self, monkeypatch):
+        # negative control: doubling every lambda_k scales N by 2^(l-1), D by 2^l
+        lam = decomp.lambda_const
+        monkeypatch.setattr(decomp, "lambda_const",
+                            lambda k, n, l: 2 * lam(k, n, l))
+        reports = {r.check: r for r in check_splitting(3, 2)}
+        section = reports["splitting-section"]
+        assert not section.passed and section.witness is not None
 
     def test_dimension_bookkeeping(self):
         for n in range(2, 6):

@@ -11,6 +11,14 @@ components are solved for top-down:
 
     w_t = ( E^t v - sum_{i>=1} mu_{t,i}(n, l-t) F^(i) w_{t+i} ) / mu_{t,0}(n, l-t).
 
+Each w_t is held as a numerator over a multiset of binomials beta_a.  The
+split is linear in v, so it is solved only for pure tensors, each once, in
+a bounded cache; a vector's split is their combination over one common
+multiset per t, reduced by the binomials that divide every coefficient.
+The beta_a are pairwise coprime, so that reduced form depends on w_t alone
+and equals what the solve on v itself gives.  A pure tensor met for the
+first time pays one solve: on a cold cache a k-term vector costs k solves.
+
 The splitting maps of one strand up,
 
     alpha_k(w) = sum_{j=0..k} c_{k,j} F^(k-j) (v_j (x) w),
@@ -53,7 +61,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul, or_
@@ -150,7 +158,9 @@ class HWDecomposition:
         for t, (num, factors) in enumerate(zip(self.numerators, self.factors)):
             if not num.is_zero():
                 image = act_tensor(F(t), num) if t else num
-                total = total + _beta_product(common - factors, n) * image
+                scale = _beta_product(common - factors, n)
+                for idx, c in image.coeffs.items():
+                    total._add_term(idx, c * scale)
         coeffs = list(total.coeffs.items())
         for a in common.elements():
             coeffs = _divide_all(coeffs, a, n)
@@ -163,8 +173,12 @@ class HWDecomposition:
                 "components": [w.to_json() for w in self.components]}
 
 
-def decompose(vec):
-    """Split a homogeneous vector into its highest-weight components.
+# Bounded so that a sweep over many (n, l) cannot grow it without limit.
+# V_{n,l} has C(n+l-1, l) pure tensors: 20 for the benchmark's (4, 3), 65
+# for the whole criterion-8 grid; 256 holds all of them.
+@lru_cache(maxsize=256)
+def _pure_decomposition(idx):
+    """(numerators, factors) of the pure tensor v_idx, by the top-down solve.
 
     The triangular system is solved top-down, with every pivot
     mu_{t,0}(n, l-t) and every mu_{t,i}(n, l-t) a product of binomials
@@ -174,19 +188,11 @@ def decompose(vec):
         u_t = beta(L) E^t v - sum_{i >= 1} mu_{t,i}(n, l-t) beta(L - L_{t+i}) F^(i) u_{t+i},
 
     and each factor of L + mu_{t,0}(n, l-t) that divides every coefficient of
-    u_t is cancelled at once.  Fraction-field input is first cleared by one
-    common polynomial, which every component then carries as a denominator.
+    u_t is cancelled at once.  The returned tuples are shared by every
+    caller and must not be changed.
     """
-    n = vec.n
-    l = vec.weight()
-    if l is None:
-        raise ValueError("cannot decompose the zero vector (degree unknown)")
-    dens = [c.den for c in vec.coeffs.values() if isinstance(c, RatFunc)]
-    denom = reduce(mul, [d for i, d in enumerate(dens) if d not in dens[:i]],
-                   LaurentPoly.one())
-    vec = vec.map_coeffs(lambda c: c.num * denom.divexact(c.den)
-                         if isinstance(c, RatFunc) else c * denom)
-    e_powers = [vec]
+    n, l = len(idx), sum(idx)
+    e_powers = [TensorVec.pure(idx)]
     for _ in range(l):
         e_powers.append(act_tensor(E, e_powers[-1]))
     nums, facs = [None] * (l + 1), [None] * (l + 1)
@@ -198,6 +204,56 @@ def decompose(vec):
             scale = mu(t, r - t, n, l - t) * _beta_product(common - facs[r], n)
             acc = acc + (-scale) * act_tensor(F(r - t), nums[r])
         nums[t], facs[t] = _cancel(acc, common + mu_factors(t, 0, l - t), n)
+    return tuple(nums), tuple(facs)
+
+
+def decompose(vec):
+    """Split a homogeneous vector into its highest-weight components.
+
+    Fraction-field input is first cleared by one common polynomial, which
+    every component then carries as a denominator.  The split is then formed
+    by linearity from the cached split (num_t(idx), L_t(idx)) of each pure
+    tensor in the support: with c_idx the cleared coefficients and L_t the
+    union (largest multiplicities) of the L_t(idx),
+
+        u_t = sum_idx c_idx beta(L_t - L_t(idx)) num_t(idx) = beta(L_t) w_t,
+
+    and ``_cancel`` removes each factor of L_t that divides every
+    coefficient of u_t.  The beta_a are pairwise coprime, so the result is
+    the one the top-down solve gives on vec itself.  A single pure tensor
+    with coefficient 1 returns the cached parts as they are.  A pure tensor
+    met for the first time pays one top-down solve, so on a cold cache a
+    k-term vector costs k solves, more than one solve on the whole vector.
+    Negative indices are rejected before any work.
+    """
+    if any(a < 0 for idx in vec.coeffs for a in idx):
+        raise ValueError("decompose needs nonnegative indices")
+    n = vec.n
+    l = vec.weight()
+    if l is None:
+        raise ValueError("cannot decompose the zero vector (degree unknown)")
+    dens = [c.den for c in vec.coeffs.values() if isinstance(c, RatFunc)]
+    denom = reduce(mul, [d for i, d in enumerate(dens) if d not in dens[:i]],
+                   LaurentPoly.one())
+    vec = vec.map_coeffs(lambda c: c.num * denom.divexact(c.den)
+                         if isinstance(c, RatFunc) else c * denom)
+    if len(vec.coeffs) == 1:
+        (idx, c), = vec.coeffs.items()
+        if c.is_one():
+            return HWDecomposition(n, l, *_pure_decomposition(idx), denom)
+    pures = [(c, *_pure_decomposition(idx)) for idx, c in vec.coeffs.items()]
+    nums, facs = [], []
+    for t in range(l + 1):
+        parts = [(c, ns[t], fs[t]) for c, ns, fs in pures if not ns[t].is_zero()]
+        common = reduce(or_, (f for _, _, f in parts), Counter())
+        acc = TensorVec.zero(n)
+        for c, num, factors in parts:
+            scale = c * _beta_product(common - factors, n)
+            for idx, coeff in num.coeffs.items():
+                acc._add_term(idx, coeff * scale)
+        num, kept = _cancel(acc, common, n)
+        nums.append(num)
+        facs.append(kept)
     return HWDecomposition(n, l, tuple(nums), tuple(facs), denom)
 
 

@@ -1,5 +1,6 @@
 """Weight-space decomposition, splitting maps, irreducibility certificates."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 from braidrep import decomp
 from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
                              _commutant_dim_modp,
-                             _generators_modp, _integerize,
+                             _generators_modp, _integerize, _pure_decomposition,
                              _specialized_generators, alpha_map, c_coeff,
                              check_splitting, commutant_dimension, decompose,
                              ef1_eigencheck, full_twist_scalar,
@@ -146,6 +147,88 @@ class TestDecompose:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             decompose(TensorVec.zero(3))
+
+    @pytest.mark.parametrize("idx", [(1, -1), (3, -1, 0)])
+    def test_negative_index_rejected(self, idx):
+        # (1, -1) used to return a split of a vector outside the module, and
+        # (3, -1, 0) failed deep inside qbinom; neither may reach the cache
+        before = _pure_decomposition.cache_info()
+        with pytest.raises(ValueError, match="nonnegative"):
+            decompose(TensorVec.pure(idx))
+        after = _pure_decomposition.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def beta(a, n):
+    return LaurentPoly({(-a, n): 1, (a, -n): -1})
+
+
+def parts(dec):
+    """Everything decompose returns, in comparable form."""
+    return dec.numerators, dec.factors, dec.denom, dec.to_json()
+
+
+class TestRecombination:
+    """decompose(v) formed by linearity from cached pure-tensor splits."""
+
+    @pytest.mark.parametrize("n,l", [(3, 3), (4, 3)])
+    def test_cold_and_warm_cache_agree_with_oracle(self, n, l, rnd):
+        vecs = [v for v in (random_vec(rnd, n, l) for _ in range(8))
+                if not v.is_zero()]
+        cold = []
+        for v in vecs:
+            _pure_decomposition.cache_clear()
+            cold.append(decompose(v))
+        for idx in weight_basis(n, l):
+            decompose(TensorVec.pure(idx))
+        for v, dec in zip(vecs, cold):
+            warm = decompose(v)
+            assert parts(warm) == parts(dec)
+            assert list(warm.components) == ratfunc_decomposition_oracle(v)
+
+    def test_beta_coefficient_is_cancelled(self):
+        n, l = 4, 3
+        hits = 0
+        for idx in weight_basis(n, l):
+            pure = decompose(TensorVec.pure(idx))
+            for t, factors in enumerate(pure.factors):
+                for a in factors:
+                    dec = decompose(TensorVec.pure(idx, beta(a, n)))
+                    assert dec.factors[t] == factors - Counter({a: 1})
+                    assert dec.numerators[t] == pure.numerators[t]
+                    hits += 1
+        assert hits
+
+    @pytest.mark.parametrize("n,l", [(3, 3), (4, 3)])
+    def test_no_kept_factor_divides_its_numerator(self, n, l, rnd):
+        vecs = [TensorVec.pure(idx) for idx in weight_basis(n, l)]
+        vecs += [random_vec(rnd, n, l) for _ in range(8)]
+        kept = 0
+        for v in vecs:
+            if v.is_zero():
+                continue
+            dec = decompose(v)
+            for num, factors in zip(dec.numerators, dec.factors):
+                for a in factors:
+                    with pytest.raises(InexactDivisionError):
+                        for c in num.coeffs.values():
+                            c.divexact_binomial((-a, n), (a, -n))
+                    kept += 1
+        assert kept
+
+    def test_ratfunc_input_goes_through_cache(self):
+        den = LaurentPoly.monomial(0, 1) + 2
+        v = TensorVec(4, {(3, 0, 0, 0): RatFunc(mono(1, 0), den),
+                          (1, 1, 1, 0): RatFunc(LaurentPoly.constant(3), den),
+                          (0, 2, 0, 1): mono(0, -1) + 1})
+        _pure_decomposition.cache_clear()
+        dec = decompose(v)
+        info = _pure_decomposition.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
+        assert parts(decompose(v)) == parts(dec)
+        assert _pure_decomposition.cache_info().hits == 3
+        assert dec.reconstruct() == v
+        assert list(dec.components) == ratfunc_decomposition_oracle(v)
 
 
 class TestEF1:

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Write every generator matrix of a representation to a JSON file.
 
+--n and --l are validated as ``braidrep matrix`` validates them: a bad or
+oversized request prints ``error: ...`` and exits 2 before any work.
+
 Usage: python scripts/export_matrices.py --n 4 --l 2 --out matrices_4_2.json
 """
 
@@ -11,6 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from braidrep.cli import UsageError, _require_weight_space
 from braidrep.hwspace import label_str, rho_matrix
 
 
@@ -22,6 +26,11 @@ def main():
                         help="also export the inverse generators")
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
+    try:
+        _require_weight_space(args, "export_matrices")
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     gens = list(range(1, args.n))
     if args.inverses:

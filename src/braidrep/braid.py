@@ -101,13 +101,13 @@ def apply_letter(vec, k, perturb=False):
     return result
 
 
-def apply_word(word, vec, perturb=False):
+def apply_word(word, vec):
     """Apply a braid word letter by letter, first letter first."""
     if word.n != vec.n:
         raise ValueError("word on %d strands applied to %d-strand vector"
                          % (word.n, vec.n))
     for k in word.letters:
-        vec = apply_letter(vec, k, perturb=perturb)
+        vec = apply_letter(vec, k)
     return vec
 
 

@@ -68,7 +68,8 @@ from operator import mul, or_
 
 from .braid import BraidWord, sigma_matrix
 from .hwspace import _generator_rows, hw_basis, rho_matrix
-from .linalg import fraction_rank, mat_identity, mat_mul, modp_rank
+from .linalg import (fraction_rank, mat_diff_witness, mat_identity, mat_mul,
+                     modp_rank)
 from .report import CheckReport, matrix_report
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
@@ -389,15 +390,11 @@ def full_twist_scalar(n, l):
     A non-scalar result signals an internal inconsistency and raises.
     """
     m = rho_matrix(n, l, full_twist_word(n))
-    d = m.size
     scalar = m.entries[0][0]
-    for r in range(d):
-        for c in range(d):
-            expected = scalar if r == c else LaurentPoly.zero()
-            if m.entries[r][c] != expected:
-                raise ArithmeticError(
-                    "full twist is not scalar at (%d, %d) for n=%d l=%d"
-                    % (r, c, n, l))
+    witness = mat_diff_witness(m.entries, mat_identity(m.size, scalar))
+    if witness is not None:
+        raise ArithmeticError("full twist is not scalar at (%d, %d) for n=%d l=%d"
+                              % (witness[0], witness[1], n, l))
     return scalar
 
 

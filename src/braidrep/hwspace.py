@@ -35,7 +35,7 @@ from .braid import BraidWord, apply_word
 from .linalg import mat_identity, mat_mul
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
-from .verma import E, TensorVec, act_e_power, act_tensor, weight_basis
+from .verma import E, TensorVec, act_tensor, weight_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -164,7 +164,7 @@ def phi(label):
         elif k == 1:
             part = tail_vec
         else:
-            part = act_e_power(tail_vec, k - 1)
+            part = act_tensor(E, part)        # E^{k-1} v_tail
             if part.is_zero():
                 break
         sign = -1 if (k - 1) % 2 else 1
@@ -239,13 +239,6 @@ class RepMatrix:
             "basis": [label_str(lab) for lab in self.basis],
             "rows": [[p.to_json() for p in row] for row in self.entries],
         }
-
-    def __eq__(self, other):
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        return (self.n, self.l, self.basis) == (other.n, other.l, other.basis) \
-            and all(p == q for ra, rb in zip(self.entries, other.entries)
-                    for p, q in zip(ra, rb))
 
 
 def expand_in_hw_basis(vec, n, l):
@@ -347,16 +340,16 @@ def rho_matrix(n, l, word):
 
 
 def phi_matrix(n, l):
-    """Matrix of Phi on the full weight space, columns = images."""
+    """Matrix of Phi on the full weight space, columns = images.
+
+    The image of an A-tensor is the cached highest-weight basis vector of
+    its label.
+    """
     basis = weight_basis(n, l)
-    cols = []
-    for idx in basis:
-        if classify_index(idx) == "A":
-            cols.append(phi(a_label(idx)))
-        else:
-            cols.append(TensorVec.pure(idx))
-    return [[cols[c].coeff(basis[r]) for c in range(len(basis))]
-            for r in range(len(basis))], basis
+    images = {el.label: el.vector for el in hw_basis(n, l)}
+    cols = [images[a_label(idx)] if classify_index(idx) == "A"
+            else TensorVec.pure(idx) for idx in basis]
+    return [[col.coeff(idx) for col in cols] for idx in basis], basis
 
 
 def check_phi(n, l):
@@ -373,18 +366,11 @@ def check_phi(n, l):
         matrix_report("phi-nilpotent", {"n": n, "l": l}, nil, zero),
         matrix_report("phi-inverse", {"n": n, "l": l}, inv, ident),
     ]
-    e_ok = True
-    for r, idx in enumerate(basis):
-        if classify_index(idx) == "A":
-            # E Phi must vanish on the A-part
-            if not act_tensor(E, phi(a_label(idx))).is_zero():
-                e_ok = False
-        else:
-            # Phi must fix the B-part pointwise, so E Phi = E there
-            col = [mat[rr][r] for rr in range(d)]
-            if any(not c.is_zero() for rr, c in enumerate(col) if rr != r) \
-                    or not col[r].is_one():
-                e_ok = False
+    # E Phi must vanish on the A-part, and Phi must fix the B-part pointwise
+    # (so E Phi = E there, which is injective on B)
+    e_ok = all(is_highest_weight(el.vector) for el in hw_basis(n, l)) and all(
+        mat[r][c] == ident[r][c] for c, idx in enumerate(basis)
+        if classify_index(idx) == "B" for r in range(d))
     reports.append(CheckReport("phi-e-structure", {"n": n, "l": l}, e_ok))
     return reports
 

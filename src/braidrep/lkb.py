@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_mul, mat_identity
+from .linalg import mat_diff_witness, mat_identity, mat_mul
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, unpack
 from .hwspace import hw_basis, pair_label, rho_matrix
@@ -232,31 +232,20 @@ def burau_matrices(n, reduced=True):
     if not reduced:
         return unreduced
 
-    def u_in_d(j):
-        vec = [zero] * n
-        vec[j - 1] = LaurentPoly.monomial(0, 2 * j)       # t^{-j}
-        vec[n - 1] = vec[n - 1] - LaurentPoly.monomial(0, 2 * n)
-        return vec
-
-    u_vectors = [u_in_d(j) for j in range(1, n)]
+    # u: the u_j as columns in d-coordinates.  Its top n-1 rows are
+    # diag(t^{-j}), so R_i in sigma_i u = u R_i is read off those rows of
+    # sigma_i u; u R_i must then give back all n rows exactly
+    u = [[LaurentPoly.monomial(0, 2 * (r + 1)) if r == c else zero
+          for c in range(n - 1)] for r in range(n - 1)]
+    u.append([-LaurentPoly.monomial(0, 2 * n)] * (n - 1))
     out = []
     for mat in unreduced:
-        cols = []
-        for j in range(1, n):
-            image = [sum((mat[r][k] * u_vectors[j - 1][k] for k in range(n)),
-                         zero) for r in range(n)]
-            # image lies in the span of the u_j; coordinates read off the
-            # d_1..d_{n-1} slots, then the d_n slot must balance exactly
-            coords = [image[r] * LaurentPoly.monomial(0, -2 * (r + 1))
-                      for r in range(n - 1)]
-            check = [zero] * n
-            for k, c in enumerate(coords):
-                for r in range(n):
-                    check[r] = check[r] + c * u_vectors[k][r]
-            if any((check[r] - image[r]) for r in range(n)):
-                raise ArithmeticError("reduced Burau image left the kernel basis")
-            cols.append(coords)
-        out.append([[cols[c][r] for c in range(n - 1)] for r in range(n - 1)])
+        image = mat_mul(mat, u)
+        coords = [[x * LaurentPoly.monomial(0, -2 * (r + 1)) for x in image[r]]
+                  for r in range(n - 1)]
+        if mat_diff_witness(mat_mul(u, coords), image) is not None:
+            raise ArithmeticError("reduced Burau image left the kernel basis")
+        out.append(coords)
     return out
 
 
@@ -278,12 +267,7 @@ def check_burau(n):
                                      reduced[i - 1], rescaled))
     unred = burau_matrices(n, reduced=False)
     t_powers = [LaurentPoly.monomial(0, -2 * j) for j in range(1, n + 1)]
-    quot_ok = True
-    for i, mat in enumerate(unred, start=1):
-        for c in range(n):
-            total = sum((mat[r][c] * t_powers[r] for r in range(n)),
-                        LaurentPoly.zero())
-            if total != t_powers[c]:
-                quot_ok = False
+    # the evaluation d_j -> t^j is a row vector fixed by every generator
+    quot_ok = all(mat_mul([t_powers], mat) == [t_powers] for mat in unred)
     reports.append(CheckReport("burau-quotient-map", {"n": n}, quot_ok))
     return reports

@@ -289,12 +289,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == coerced.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     __hash__ = None
 
     # -- structure ---------------------------------------------------------
@@ -618,12 +612,6 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
 
     __hash__ = None
 

@@ -55,9 +55,9 @@ class TensorVec:
     """Finite linear combination of pure tensors v_{a_1} (x) ... (x) v_{a_n}.
 
     Keys are length-n tuples of nonnegative ints; coefficients live in the
-    Laurent ring or its fraction field (the two may be mixed transiently,
-    e.g. while assembling a decomposition).  Zero coefficients are never
-    stored.
+    Laurent ring, or in its fraction field for the components of a
+    decomposition (whose numerators stay in the ring) and for fraction-field
+    input to it.  Zero coefficients are never stored.
     """
 
     __slots__ = ("n", "coeffs")
@@ -236,11 +236,6 @@ def weight_basis(n, l):
 # -- single-factor action -------------------------------------------------------
 
 
-def k_eigenvalue(j, n=1):
-    """Eigenvalue of K on an n-factor tensor of total degree j: s^n q^{-2j}."""
-    return LaurentPoly.monomial(-2 * j, n)
-
-
 @lru_cache(maxsize=None)
 def f_single_coeff(m, j):
     """Coefficient of v_{j+m} in F^(m).v_j."""
@@ -254,15 +249,7 @@ def act_single(gen, j):
     """Action of a generator on the single basis vector v_j."""
     if j < 0:
         raise ValueError("basis index must be nonnegative")
-    if gen.kind == "K":
-        return TensorVec.pure((j,), k_eigenvalue(j))
-    if gen.kind == "Kinv":
-        return TensorVec.pure((j,), LaurentPoly.monomial(2 * j, -1))
-    if gen.kind == "E":
-        if j == 0:
-            return TensorVec.zero(1)
-        return TensorVec.pure((j - 1,))
-    return TensorVec.pure((j + gen.power,), f_single_coeff(gen.power, j))
+    return act_tensor(gen, TensorVec.pure((j,)))
 
 
 # -- tensor action ------------------------------------------------------------
@@ -333,8 +320,3 @@ def act_tensor(gen, vec):
         return _act_e(vec)
     return _act_f(vec, gen.power)
 
-
-def act_e_power(vec, t):
-    for _ in range(t):
-        vec = _act_e(vec)
-    return vec

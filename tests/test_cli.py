@@ -23,6 +23,8 @@ from conftest import ratfunc_decomposition_oracle
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 RUN_CHECKS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
                           "run_checks.py")
+EXPORT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                      "export_matrices.py")
 
 
 def run_cli(args, capsys):
@@ -334,6 +336,35 @@ class TestSubprocessEntry:
         assert len(failed) == 1
         assert failed[0].startswith("phi          n=3 l=1")
         assert failed[0].endswith("wmax-eigenvalue")
+
+    def test_export_script_matches_rho_matrix(self):
+        n, l = 3, 2
+        proc = subprocess.run(
+            [sys.executable, EXPORT, "--n", str(n), "--l", str(l), "--inverses"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert (data["n"], data["l"]) == (n, l)
+        gens = [1, 2, -1, -2]
+        assert sorted(data["generators"]) == sorted(str(k) for k in gens)
+        for k in gens:
+            expected = hw_mod.rho_matrix(n, l, [k]).to_json()
+            assert data["basis"] == expected["basis"]
+            assert data["generators"][str(k)] == expected["rows"], k
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--n", "40", "--l", "12"], "V_{40,12} has dimension C(51, 12)"),
+        (["--n", "1", "--l", "2"], "requires --n >= 2"),
+        (["--n", "3", "--l", "-1"], "requires --l >= 0"),
+    ])
+    def test_export_script_rejects_bad_sizes_before_any_work(self, argv, named):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, EXPORT] + argv,
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
 
     def test_argparse_usage_exit_code(self):
         env = dict(os.environ)

@@ -1,5 +1,6 @@
 """Weight-space decomposition, splitting maps, irreducibility certificates."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -380,6 +381,21 @@ class TestFullTwist:
                 expected = mono(0, -6) if r == c else LaurentPoly.zero()
                 assert prod[r][c] == expected
         assert full_twist_scalar(3, 1) == mono(0, -6)
+
+    def test_non_scalar_matrix_raises_at_the_first_entry(self, monkeypatch):
+        real = decomp.rho_matrix
+
+        def altered(n, l, word):
+            m = real(n, l, word)
+            rows = [list(row) for row in m.entries]
+            rows[2][0] = rows[2][0] + mono(1, 0)
+            rows[1][2] = rows[1][2] + mono(0, 1)
+            return dataclasses.replace(m, entries=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(decomp, "rho_matrix", altered)
+        with pytest.raises(ArithmeticError,
+                           match=r"not scalar at \(1, 2\) for n=3 l=2"):
+            full_twist_scalar(3, 2)
 
     def test_3_2_value_two_routes(self):
         # route B: multiply generator matrices of the word

@@ -309,6 +309,37 @@ class TestStructure:
     def test_phi_checks(self, n, l):
         assert all_passed(check_phi(n, l))
 
+    @staticmethod
+    def e_structure(n, l):
+        return next(r for r in check_phi(n, l) if r.check == "phi-e-structure")
+
+    def test_e_structure_fails_for_a_basis_vector_not_highest_weight(self, monkeypatch):
+        n, l = 3, 2
+        assert self.e_structure(n, l).passed
+        basis = list(hw_basis(n, l))
+        last = basis[-1]
+        # a B-tensor of the same weight: E maps B injectively, so E no longer kills it
+        basis[-1] = hwspace.HWBasisElement(
+            last.label, last.vector + TensorVec.pure((0, 0, 2)))
+        monkeypatch.setattr(hwspace, "hw_basis", lambda n_, l_: tuple(basis))
+        assert not is_highest_weight(basis[-1].vector)
+        assert not self.e_structure(n, l).passed
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_e_structure_fails_for_an_altered_b_column(self, monkeypatch, offset):
+        n, l = 3, 2
+        real = hwspace.phi_matrix
+
+        def altered(n_, l_):
+            mat, basis = real(n_, l_)
+            c = next(c for c, idx in enumerate(basis) if classify_index(idx) == "B")
+            r = (c + offset) % len(basis)        # the diagonal, or one below it
+            mat[r][c] = mat[r][c] + S
+            return mat, basis
+
+        monkeypatch.setattr(hwspace, "phi_matrix", altered)
+        assert not self.e_structure(n, l).passed
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sigma_w_closed_forms(self, n):
         report, = check_sigma_w(n)

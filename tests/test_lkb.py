@@ -2,6 +2,7 @@
 
 import pytest
 
+from braidrep import lkb
 from braidrep.braid import rmatrix_pair
 from braidrep.hwspace import rho_matrix
 from braidrep.linalg import (mat_diff_witness, mat_identity, mat_mul,
@@ -179,6 +180,21 @@ class TestBurau:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_degree_one_isomorphism(self, n):
         assert all_passed(check_burau(n))
+
+    def test_quotient_map_control_fails_on_an_altered_generator(self, monkeypatch):
+        real = lkb.burau_matrices
+
+        def altered(n, reduced=True):
+            mats = real(n, reduced)
+            if not reduced:
+                mats[-1][0][0] = mats[-1][0][0] + LaurentPoly.one()
+            return mats
+
+        monkeypatch.setattr(lkb, "burau_matrices", altered)
+        reports = {r.check: r for r in check_burau(4)}
+        assert not reports["burau-quotient-map"].passed
+        assert all(r.passed for r in check_burau(4)
+                   if r.check == "burau-degree-one")
 
     def test_degree_one_matches_by_hand(self):
         # sigma_1 on the single basis vector of W_{2,1} is -s^-2

@@ -57,12 +57,8 @@ def rmatrix_pair(i, j):
     """R applied to the pure tensor v_i (x) v_j (two factors)."""
     if i < 0 or j < 0:
         raise ValueError("basis indices must be nonnegative")
-    result = TensorVec.zero(2)
-    for m in range(i + 1):
-        coeff = f_single_coeff(m, j).shifted(
-            2 * (i - m) * (j + m) + m * (m - 1) // 2, -(i + j))
-        result._add_term((j + m, i - m), coeff)
-    return result
+    return TensorVec(2, {(j + m, i - m): f_single_coeff(m, j).shifted(
+        2 * (i - m) * (j + m) + m * (m - 1) // 2, -(i + j)) for m in range(i + 1)})
 
 
 def rmatrix_pair_perturbed(i, j):
@@ -92,13 +88,13 @@ def apply_letter(vec, k, perturb=False):
         pair = rmatrix_pair_perturbed if perturb else rmatrix_pair
     else:
         pair = rmatrix_pair_inverse
-    result = TensorVec.zero(n)
+    pairs = {}
     for idx, coeff in vec.coeffs.items():
         local = pair(idx[i], idx[i + 1])
         for (a, b), c in local.coeffs.items():
             full = idx[:i] + (a, b) + idx[i + 2:]
-            result._add_term(full, coeff * c)
-    return result
+            pairs.setdefault(full, []).append((coeff, c))
+    return TensorVec.from_products(n, pairs)
 
 
 def apply_word(word, vec):

@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -319,6 +320,8 @@ def cmd_twist(args):
 # -- parser ----------------------------------------------------------------------
 
 
+# Built on first use, not at import; parse_args keeps no state between calls.
+@lru_cache(maxsize=1)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="braidrep",

@@ -99,10 +99,8 @@ def mu(t, k, n, l):
 
 
 def _beta_product(factors, n):
-    acc = LaurentPoly.one()
-    for a in factors.elements():
-        acc = acc * LaurentPoly({(-a, n): 1, (a, -n): -1})
-    return acc
+    return reduce(mul, [LaurentPoly({(-a, n): 1, (a, -n): -1})
+                        for a in factors.elements()], LaurentPoly.one())
 
 
 def _divide_all(coeffs, a, n):
@@ -152,16 +150,16 @@ class HWDecomposition:
         return tuple(out)
 
     def reconstruct(self):
-        """sum_t F^(t) w_t over one common multiset of binomials, divided out exactly."""
+        """sum_t F^(t) w_t over one common multiset of binomials, divided out exactly.
+
+        Each coefficient of the sum is one ``dot`` over the scaled images.
+        """
         n = self.n
         common = reduce(or_, self.factors, Counter())
-        total = TensorVec.zero(n)
-        for t, (num, factors) in enumerate(zip(self.numerators, self.factors)):
-            if not num.is_zero():
-                image = act_tensor(F(t), num) if t else num
-                scale = _beta_product(common - factors, n)
-                for idx, c in image.coeffs.items():
-                    total._add_term(idx, c * scale)
+        total = TensorVec.combination(n, [
+            (_beta_product(common - factors, n), act_tensor(F(t), num) if t else num)
+            for t, (num, factors) in enumerate(zip(self.numerators, self.factors))
+            if not num.is_zero()])
         coeffs = list(total.coeffs.items())
         for a in common.elements():
             coeffs = _divide_all(coeffs, a, n)
@@ -200,10 +198,9 @@ def _pure_decomposition(idx):
     for t in range(l, -1, -1):
         lower = [r for r in range(t + 1, l + 1) if not nums[r].is_zero()]
         common = reduce(or_, (facs[r] for r in lower), Counter())
-        acc = _beta_product(common, n) * e_powers[t]
-        for r in lower:
-            scale = mu(t, r - t, n, l - t) * _beta_product(common - facs[r], n)
-            acc = acc + (-scale) * act_tensor(F(r - t), nums[r])
+        acc = TensorVec.combination(n, [(_beta_product(common, n), e_powers[t])] + [
+            (-mu(t, r - t, n, l - t) * _beta_product(common - facs[r], n),
+             act_tensor(F(r - t), nums[r])) for r in lower])
         nums[t], facs[t] = _cancel(acc, common + mu_factors(t, 0, l - t), n)
     return tuple(nums), tuple(facs)
 
@@ -247,11 +244,8 @@ def decompose(vec):
     for t in range(l + 1):
         parts = [(c, ns[t], fs[t]) for c, ns, fs in pures if not ns[t].is_zero()]
         common = reduce(or_, (f for _, _, f in parts), Counter())
-        acc = TensorVec.zero(n)
-        for c, num, factors in parts:
-            scale = c * _beta_product(common - factors, n)
-            for idx, coeff in num.coeffs.items():
-                acc._add_term(idx, coeff * scale)
+        acc = TensorVec.combination(n, [(c * _beta_product(common - factors, n), num)
+                                        for c, num, factors in parts])
         num, kept = _cancel(acc, common, n)
         nums.append(num)
         facs.append(kept)
@@ -283,12 +277,10 @@ def ef1_eigencheck(n, l):
 
 def c_coeff(k, j, n, l):
     """Recursion coefficient c_{k,j}; the divisor is a monomial, so this is exact."""
-    acc = LaurentPoly.one()
-    for jj in range(j):
-        num = LaurentPoly({(2 * l - k + jj - 1, -n - 1): 1,
-                           (-2 * l + k - jj + 1, n + 1): -1})
-        acc = acc * num.shifted(2 * (l - k), -n)    # divide by s^n q^{-2(l-k)}
-    return acc
+    factors = [LaurentPoly({(2 * l - k + jj - 1, -n - 1): 1,
+                            (-2 * l + k - jj + 1, n + 1): -1}).shifted(2 * (l - k), -n)
+               for jj in range(j)]       # each divided by s^n q^{-2(l-k)}
+    return reduce(mul, factors, LaurentPoly.one())
 
 
 def lambda_const(k, n, l):
@@ -304,15 +296,13 @@ def alpha_map(k, w):
     l = lk + k
     if not 1 <= k <= l:
         raise ValueError("alpha_map needs 1 <= k <= l")
-    result = TensorVec.zero(n + 1)
+    terms = []
     for j in range(k + 1):
-        c = c_coeff(k, j, n, l)
         extended = TensorVec(n + 1, {(j,) + idx: coeff
                                      for idx, coeff in w.coeffs.items()})
         image = act_tensor(F(k - j), extended) if k > j else extended
-        for idx, coeff in image.coeffs.items():
-            result._add_term(idx, coeff * c)
-    return result
+        terms.append((c_coeff(k, j, n, l), image))
+    return TensorVec.combination(n + 1, terms)
 
 
 def psi_map(vec):
@@ -347,13 +337,10 @@ def splitting_columns(n, l):
     den = _beta_product(common, n) * reduce(mul, lambdas)
     cofactors = [reduce(mul, lambdas[:t] + lambdas[t + 1:], LaurentPoly.one())
                  for t in range(l)]
-    cols = []
-    for dec in decs:
-        col = TensorVec.zero(n + 1)
-        for t, (num, factors) in enumerate(zip(dec.numerators, dec.factors)):
-            scale = _beta_product(common - factors, n) * cofactors[t]
-            col = col + scale * alpha_map(t + 1, num)
-        cols.append(col)
+    cols = [TensorVec.combination(n + 1, [
+        (_beta_product(common - factors, n) * cofactors[t], alpha_map(t + 1, num))
+        for t, (num, factors) in enumerate(zip(dec.numerators, dec.factors))])
+        for dec in decs]
     return den, cols
 
 

@@ -34,7 +34,7 @@ from math import comb
 from .braid import BraidWord, apply_word
 from .linalg import mat_identity, mat_mul
 from .report import CheckReport, matrix_report
-from .ring import LaurentPoly
+from .ring import LaurentPoly, dot
 from .verma import E, TensorVec, act_tensor, weight_basis
 
 
@@ -157,7 +157,7 @@ def phi(label):
                 - LaurentPoly.monomial(0, n - i) * TensorVec.pure(c_n))
     tail_vec = TensorVec.pure(label.tail)
     prefix = (0,) * (j - 2)
-    result = TensorVec.zero(n)
+    pairs = {}
     for k in range(l + 1):
         if k == 0:
             part = e_inverse_on_B(tail_vec)
@@ -172,8 +172,8 @@ def phi(label):
                                    sign)
         mid = (k,)
         for idx, coeff in part.coeffs.items():
-            result._add_term(prefix + mid + idx, b_k * coeff)
-    return result
+            pairs.setdefault(prefix + mid + idx, []).append((b_k, coeff))
+    return TensorVec.from_products(n, pairs)
 
 
 def a_index_of_b(label):
@@ -260,10 +260,8 @@ def expand_in_hw_basis(vec, n, l):
         if not isinstance(c, LaurentPoly):
             raise IntegralityError("non-integral coefficient %s" % c)
         coeffs[position[lab]] = c
-    residual = vec
-    for c, el in zip(coeffs, basis):
-        if not c.is_zero():
-            residual = residual - c * el.vector
+    residual = vec - TensorVec.combination(n, [(c, el.vector)
+                                               for c, el in zip(coeffs, basis) if c])
     if not residual.is_zero():
         raise ValueError("vector does not lie in the highest-weight span")
     return coeffs
@@ -288,16 +286,14 @@ def _generator_rows(n, l, k):
 
 
 def _apply_rows(rows, column):
-    """Sparse matrix-vector product; ``column`` maps row index to nonzero entry."""
+    """Sparse matrix-vector product, one ``dot`` per row; ``column``: row -> entry."""
     out = {}
     for r, row in enumerate(rows):
-        acc = None
-        for c, x in row:
-            y = column.get(c)
-            if y is not None:
-                acc = x * y if acc is None else acc + x * y
-        if acc:
-            out[r] = acc
+        pairs = [(x, column[c]) for c, x in row if c in column]
+        if pairs:
+            acc = dot(pairs)
+            if acc:
+                out[r] = acc
     return out
 
 

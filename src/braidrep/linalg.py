@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .ring import RatFunc
+from .ring import RatFunc, dot
 
 
 class SingularMatrixError(ArithmeticError):
@@ -26,9 +26,10 @@ def mat_mul(a, b):
 
     The exact checks multiply mostly-zero matrices (a braid generator on
     V_{n,l} has at most l+1 nonzeros per column), so a dense triple loop
-    would spend most multiplies on a zero operand.
-    Missing entries are a zero of ``a``'s entry class, so LaurentPoly,
-    LKBPoly, Fraction and RatFunc matrices keep their entry class.
+    would spend most multiplies on a zero operand.  Each entry is one
+    ``dot`` over the pairs that meet at it.  Missing entries are a zero of
+    ``a``'s entry class, so LaurentPoly, LKBPoly, Fraction and RatFunc
+    matrices keep their entry class.
     """
     inner, cols = len(b), len(b[0])
     if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
@@ -37,12 +38,12 @@ def mat_mul(a, b):
     b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
     out = []
     for arow in a:
-        acc = {}
+        pairs = {}
         for x, b_row in zip(arow, b_rows):
             if x:
                 for c, y in b_row:
-                    acc[c] = acc[c] + x * y if c in acc else x * y
-        out.append([acc.get(c, zero) for c in range(cols)])
+                    pairs.setdefault(c, []).append((x, y))
+        out.append([dot(pairs[c]) if c in pairs else zero for c in range(cols)])
     return out
 
 

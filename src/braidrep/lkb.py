@@ -167,13 +167,9 @@ def fork_iso_check(n, theta_map=theta):
         lkb = lkb_sigma_inverse(n, i)
         rho = rho_matrix(n, 2, [i])
         d = len(basis_pairs)
-        transported = [[None] * d for _ in range(d)]
-        for r in range(d):
-            dr = sum(basis_pairs[r])
-            for c in range(d):
-                dc = sum(basis_pairs[c])
-                coeff = theta_map(lkb.entries[r][c])
-                transported[r][c] = coeff * LaurentPoly.monomial(0, dr - dc)
+        transported = [[theta_map(lkb.entries[r][c]).shifted(
+            0, sum(basis_pairs[r]) - sum(basis_pairs[c])) for c in range(d)]
+            for r in range(d)]
         aligned = [[rho.entries[perm[r]][perm[c]] for c in range(d)]
                    for r in range(d)]
         reports.append(matrix_report("fork-isomorphism", {"n": n, "i": i},

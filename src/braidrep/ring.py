@@ -16,6 +16,8 @@ Canonical forms:
     ``*``, max for ``+``).  Only when that bound passes the limit is the
     exact extent computed, and a result with an e_s out of range raises
     ``OverflowError``; a key never aliases into the other exponent.
+  * ``dot`` forms sum x * y in one term map, with no product or partial sum
+    allocated and the same range guard; ``*`` is its one-pair case.
   * ``RatFunc`` divides out the common integer content, pulls the monomial
     factor out of the denominator, and makes the lexicographically-leading
     denominator coefficient positive.  No multivariate gcd is attempted;
@@ -214,49 +216,52 @@ class LaurentPoly:
                             self.s_bound)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if type(other) is not type(self):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        bound = self.s_bound + other.s_bound
-        if bound > MAX_S_EXPONENT:
-            bound = _product_bound(a, b)
-        # the first term of the shorter operand fills the map without lookups;
-        # an empty operand reads as coefficient 0 and gives the empty product
-        rows = iter(a.items())
-        ka, ca = next(rows, (0, 0))
-        b_items = b.items()
-        out = {ka + kb: ca * cb for kb, cb in b_items} if ca else {}
-        get = out.get
-        for ka, ca in rows:
-            for kb, cb in b_items:
-                key = ka + kb
-                acc = get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        result = self.__class__.__new__(self.__class__)
-        result.terms = out
-        result.s_bound = bound
-        return result
+        return self._sum_of_products(((self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _sum_of_products(cls, pairs):
+        """sum x * y over (x, y) pairs of this class, formed in one term map.
+
+        Each product's bound is checked before its terms are added in place.
+        """
+        out = None
+        bound = 0
+        for x, y in pairs:
+            a, b = x.terms, y.terms
+            if len(a) > len(b):
+                a, b = b, a
+            pair_bound = x.s_bound + y.s_bound
+            if pair_bound > MAX_S_EXPONENT:
+                pair_bound = _product_bound(a, b)
+            bound = max(bound, pair_bound)
+            rows = iter(a.items())
+            b_items = b.items()
+            if out is None:
+                # an empty operand reads as coefficient 0 and adds nothing
+                ka, ca = next(rows, (0, 0))
+                out = {ka + kb: ca * cb for kb, cb in b_items} if ca else {}
+                get = out.get
+            for ka, ca in rows:
+                for kb, cb in b_items:
+                    key = ka + kb
+                    acc = get(key, 0) + ca * cb
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return cls._packed(out, bound)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -574,16 +579,10 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -656,6 +655,23 @@ class RatFunc:
     @classmethod
     def from_json(cls, data, ring=LaurentPoly):
         return cls(ring.from_json(data["num"]), ring.from_json(data["den"]))
+
+
+def dot(pairs):
+    """sum x * y over a nonempty list of (x, y) pairs.
+
+    Pairs all of one LaurentPoly class go to that class's ``_sum_of_products``,
+    which raises OverflowError exactly when one x * y would; any other
+    entries are multiplied and added in order.
+    """
+    cls = type(pairs[0][0])
+    if issubclass(cls, LaurentPoly):
+        for x, y in pairs:
+            if type(x) is not cls or type(y) is not cls:
+                break
+        else:
+            return cls._sum_of_products(pairs)
+    return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
 
 
 # -- q-combinatorics --------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .ring import LaurentPoly, RatFunc, qbinom
+from .ring import LaurentPoly, RatFunc, dot, qbinom
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,25 @@ class TensorVec:
     def pure(cls, idx, coeff=1):
         return cls(len(idx), {tuple(idx): coeff})
 
+    @classmethod
+    def from_products(cls, n, pairs_by_idx):
+        """The vector with coefficient ``dot(pairs)`` at each idx -> pairs entry."""
+        result = cls(n)
+        for idx, pairs in pairs_by_idx.items():
+            coeff = dot(pairs)
+            if coeff:
+                result.coeffs[idx] = coeff
+        return result
+
+    @classmethod
+    def combination(cls, n, terms):
+        """sum scale * vec over (scale, vec) pairs, through ``from_products``."""
+        pairs = {}
+        for scale, vec in terms:
+            for idx, coeff in vec.coeffs.items():
+                pairs.setdefault(idx, []).append((coeff, scale))
+        return cls.from_products(n, pairs)
+
     # -- predicates / structure ---------------------------------------------
 
     def is_zero(self):
@@ -119,10 +138,7 @@ class TensorVec:
         return totals.pop()
 
     def coeff(self, idx):
-        c = self.coeffs.get(tuple(idx))
-        if c is None:
-            return LaurentPoly.zero()
-        return c
+        return self.coeffs.get(tuple(idx)) or LaurentPoly.zero()
 
     def sorted_terms(self):
         return sorted(self.coeffs.items())
@@ -153,16 +169,8 @@ class TensorVec:
     def __mul__(self, scalar):
         if isinstance(scalar, int):
             scalar = LaurentPoly.constant(scalar)
-        if scalar.is_zero():
-            return TensorVec.zero(self.n)
-        out = {}
-        for idx, coeff in self.coeffs.items():
-            c = coeff * scalar
-            if not c.is_zero():
-                out[idx] = c
-        result = TensorVec.__new__(TensorVec)
-        result.n, result.coeffs = self.n, out
-        return result
+        return TensorVec(self.n, {idx: coeff * scalar
+                                  for idx, coeff in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -259,18 +267,13 @@ def act_single(gen, j):
 def _compositions(total, parts):
     if parts == 1:
         return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
 
 
 def _act_k(vec, sign):
-    out = {}
-    for idx, coeff in vec.coeffs.items():
-        out[idx] = coeff.shifted(-2 * sign * sum(idx), sign * vec.n)
-    return TensorVec(vec.n, out)
+    return TensorVec(vec.n, {idx: coeff.shifted(-2 * sign * sum(idx), sign * vec.n)
+                             for idx, coeff in vec.coeffs.items()})
 
 
 def _act_e(vec):
@@ -289,7 +292,7 @@ def _act_e(vec):
 
 def _act_f(vec, m):
     n = vec.n
-    result = TensorVec.zero(n)
+    pairs = {}
     for idx, coeff in vec.coeffs.items():
         for parts in _compositions(m, n):
             new_idx = tuple(a + p for a, p in zip(idx, parts))
@@ -306,8 +309,9 @@ def _act_f(vec, m):
                 # q^{-parts[i] tail}
                 shift_q += tail * (2 * idx[i] + parts[i])
                 shift_s -= tail
-            result._add_term(new_idx, coeff * factor.shifted(shift_q, shift_s))
-    return result
+            pairs.setdefault(new_idx, []).append(
+                (coeff, factor.shifted(shift_q, shift_s)))
+    return TensorVec.from_products(n, pairs)
 
 
 def act_tensor(gen, vec):

@@ -191,6 +191,15 @@ class TestCheckCommand:
         assert code == 1
         assert any(not r["pass"] for r in json.loads(out))
 
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        # the parser is built once and reused: a flag of one call must not
+        # reach the next one with the same argv minus that flag
+        argv = ["check", "--suite", "braid", "--n", "3", "--l", "2"]
+        assert run_cli(argv + ["--perturb"], capsys)[0] == 1
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert all(r["pass"] for r in json.loads(out))
+
     def test_unknown_suite(self, capsys):
         for args, message in [(["nonsense", "--n", "3"], "unknown suite"),
                               (["splitting", "--n", "3", "--l", "0"],

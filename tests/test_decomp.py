@@ -145,6 +145,25 @@ class TestDecompose:
         assert dec.reconstruct() == v
         assert list(dec.components) == ratfunc_decomposition_oracle(v)
 
+    @pytest.mark.parametrize("case", ["single", "mixed"])
+    def test_reconstruct_returns_the_ratfunc_input(self, case):
+        # the fraction-field inputs of the two tests above: reconstruct gives
+        # back each coefficient as a RatFunc equal to the input's
+        den_a = LaurentPoly.monomial(0, 1) + 1
+        if case == "single":
+            v = RatFunc(LaurentPoly.one(), den_a) * TensorVec.pure((1, 1, 0))
+        else:
+            den_b = LaurentPoly.monomial(1, 0) - LaurentPoly.monomial(0, 2)
+            v = TensorVec(3, {(2, 0, 0): RatFunc(mono(1, 0), den_a),
+                              (0, 2, 0): RatFunc(LaurentPoly.constant(3), den_a),
+                              (1, 0, 1): RatFunc(mono(0, -1), den_b),
+                              (0, 1, 1): mono(2, 1)})
+        got = decompose(v).reconstruct()
+        assert set(got.coeffs) == set(v.coeffs)
+        for idx, c in got.coeffs.items():
+            assert isinstance(c, RatFunc)
+            assert c == v.coeffs[idx]
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             decompose(TensorVec.zero(3))

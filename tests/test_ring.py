@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from braidrep.lkb import LKBPoly
 from braidrep.ring import (MAX_S_EXPONENT, InexactDivisionError, LaurentPoly,
-                           PoleError, RatFunc, ZeroSubstitutionError, qbinom,
+                           PoleError, RatFunc, ZeroSubstitutionError, dot, qbinom,
                            qfactorial, qint, specialize, unpack)
 
 from conftest import random_poly
@@ -557,3 +557,105 @@ class TestPackedKeyRange:
             p = (p * up) * down
             p = p.shifted(0, m).shifted(0, -m)
         assert p == (2 + Q) * Q ** 300
+
+
+def summed(pairs):
+    """The reference for ``dot``: every product formed, then added in order."""
+    products = [x * y for x, y in pairs]
+    return sum(products[1:], products[0])
+
+
+def ring_poly(ring, rnd, **kwargs):
+    return ring(dict(random_poly(rnd, **kwargs).sorted_terms()))
+
+
+def assert_same_poly(got, want):
+    assert type(got) is type(want)
+    assert got.sorted_terms() == want.sorted_terms()
+    assert got.s_bound == want.s_bound
+
+
+class TestDot:
+    """The fused sum-of-products kernel against sum(x * y)."""
+
+    @pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+    def test_seeded_oracle(self, ring, rnd):
+        for _ in range(300):
+            pairs = [(ring_poly(ring, rnd), ring_poly(ring, rnd, max_terms=6))
+                     for _ in range(rnd.randint(1, 6))]
+            got = dot(pairs)
+            assert_same_poly(got, summed(pairs))
+            assert got.s_bound == max((x * y).s_bound for x, y in pairs)
+
+    @pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+    def test_one_pair_is_the_product(self, ring, rnd):
+        for _ in range(100):
+            x, y = ring_poly(ring, rnd), ring_poly(ring, rnd)
+            assert_same_poly(dot([(x, y)]), x * y)
+
+    @pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+    def test_exact_cancellation_gives_a_typed_zero(self, ring):
+        x = ring({(1, 0): 2, (0, -1): -3})
+        y = ring({(2, 1): 1, (0, 0): 5})
+        for pairs in ([(x, y), (-x, y)], [(x, y), (y, -x)],
+                      [(x, y), (x, x), (-y, x), (-x, x)]):
+            got = dot(pairs)
+            assert type(got) is ring
+            assert got.is_zero() and got.terms == {}
+        # a zero operand, first or later, adds nothing
+        zero = ring.zero()
+        assert_same_poly(dot([(zero, y), (x, y)]), summed([(zero, y), (x, y)]))
+        assert_same_poly(dot([(x, y), (y, zero)]), summed([(x, y), (y, zero)]))
+        assert dot([(zero, zero)]).is_zero()
+
+    def test_monomial_pairs(self, rnd):
+        for _ in range(200):
+            pairs = [(LaurentPoly.monomial(rnd.randint(-5, 5), rnd.randint(-5, 5),
+                                           rnd.randint(-3, 3)),
+                      LaurentPoly.monomial(rnd.randint(-5, 5), rnd.randint(-5, 5),
+                                           rnd.randint(-3, 3)))
+                     for _ in range(rnd.randint(1, 8))]
+            assert_same_poly(dot(pairs), summed(pairs))
+
+    def test_range_guard_matches_the_product(self, rnd):
+        m = MAX_S_EXPONENT
+        near = [LaurentPoly.monomial(1, m), LaurentPoly.monomial(0, -m, 2),
+                LaurentPoly.monomial(-1, m - 1) + S, S - LaurentPoly.monomial(0, 2 - m),
+                S, SINV, S * S, Q + 3, LaurentPoly.zero()]
+        raised = passed = 0
+        for _ in range(400):
+            pairs = [(rnd.choice(near), rnd.choice(near))
+                     for _ in range(rnd.randint(1, 4))]
+            try:
+                want = summed(pairs)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    dot(pairs)
+                raised += 1
+                continue
+            got = dot(pairs)
+            assert_same_poly(got, want)
+            # no key aliased: every exponent decodes inside the range
+            assert all(abs(e1) <= m for (_, e1), _ in got.sorted_terms())
+            passed += 1
+        assert raised and passed
+
+    def test_fraction_field_entries_take_the_fallback(self, rnd):
+        half = RatFunc(LaurentPoly.one(), S + 1)
+        third = RatFunc(Q, S - 2)
+        p = LaurentPoly({(1, 1): 2, (0, 0): -1})
+        for pairs in ([(half, third)], [(half, p), (third, half)],
+                      [(p, p), (half, p)], [(p, half), (p, p)]):
+            got = dot(pairs)
+            assert isinstance(got, RatFunc)
+            assert got == summed(pairs)
+        fracs = [(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)),
+                  Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))) for _ in range(5)]
+        assert dot(fracs) == sum(x * y for x, y in fracs)
+        assert type(dot(fracs)) is Fraction
+
+    def test_mixed_rings_raise_as_the_product_does(self):
+        with pytest.raises(TypeError):
+            LaurentPoly.one() * LKBPoly.one()
+        with pytest.raises(TypeError):
+            dot([(Q, Q), (LaurentPoly.one(), LKBPoly.one())])

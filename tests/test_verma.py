@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from braidrep.ring import LaurentPoly, qbinom
+from braidrep.braid import apply_letter
+from braidrep.ring import LaurentPoly, RatFunc, qbinom
 from braidrep.verma import (E, F, K, KINV, AlgebraGen, TensorVec, act_single,
                             act_tensor, weight_basis)
 
@@ -213,3 +214,50 @@ class TestTensorVec:
         assert TensorVec.from_json(data) == v
         idxs = [tuple(t["idx"]) for t in data["terms"]]
         assert idxs == sorted(idxs)
+
+
+def assert_no_stored_zero(vec):
+    assert all(not c.is_zero() for c in vec.coeffs.values())
+
+
+class TestProductSites:
+    """The sum-of-products sites: cancellation, fraction-field coefficients."""
+
+    def test_from_products_drops_cancelled_sums(self):
+        x, y = LaurentPoly({(1, 0): 2, (0, 1): -1}), S + 3
+        v = TensorVec.from_products(2, {(0, 1): [(x, y), (-x, y)],
+                                        (1, 0): [(x, y), (y, y)]})
+        assert list(v.coeffs) == [(1, 0)]
+        assert v.coeffs[(1, 0)] == x * y + y * y
+
+    def test_f_action_cancels_at_an_index(self):
+        # F^(1) of a v_(1,0) + b v_(0,1) meets v_(1,1) from both terms;
+        # a and b are chosen to cancel it there
+        hit_a = act_tensor(F(1), TensorVec.pure((1, 0))).coeff((1, 1))
+        hit_b = act_tensor(F(1), TensorVec.pure((0, 1))).coeff((1, 1))
+        v = TensorVec(2, {(1, 0): hit_b, (0, 1): -hit_a})
+        image = act_tensor(F(1), v)
+        assert set(image.coeffs) == {(2, 0), (0, 2)}
+        assert_no_stored_zero(image)
+
+    def test_letter_and_inverse_cancel_everywhere_else(self, rnd):
+        for k in (1, 2, -1):
+            v = random_vec(rnd, 3, 3)
+            back = apply_letter(apply_letter(v, k), -k)
+            assert set(back.coeffs) == set(v.coeffs)
+            assert_no_stored_zero(back)
+            assert back == v
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_f_action_on_mixed_coefficients_is_additive(self, rnd, m):
+        den = LaurentPoly.monomial(0, 1) + 2
+        for _ in range(5):
+            idxs = rnd.sample(weight_basis(3, 2), 6)
+            poly_part = TensorVec(3, {idx: random_poly(rnd) + 1 for idx in idxs[:3]})
+            frac_part = TensorVec(3, {idx: RatFunc(random_poly(rnd) + 1, den)
+                                      for idx in idxs[3:]})
+            mixed = TensorVec(3, {**poly_part.coeffs, **frac_part.coeffs})
+            image = act_tensor(F(m), mixed)
+            assert image == act_tensor(F(m), poly_part) + act_tensor(F(m), frac_part)
+            assert any(isinstance(c, RatFunc) for c in image.coeffs.values())
+            assert_no_stored_zero(image)

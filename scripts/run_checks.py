@@ -8,6 +8,12 @@ Burau representation is reducible, so its commutant at (2, 3) must have
 dimension at least 2, and the row fails if it certifies 1.  The summary
 line gives the row count, the failed rows and the sweep's wall time.
 
+--nmax and --lmax are validated before any row runs: --nmax must be at
+least 2, --lmax at least 0, and the largest spaces the sweep builds,
+V_{nmax+1,lmax} (splitting) and V_{nmax,lmax+1} (equivariance), must be
+within ``braidrep check``'s size limit.  A bad request prints
+``error: ...`` and exits 2.
+
 Usage: python scripts/run_checks.py [--nmax 5] [--lmax 3]
 """
 
@@ -18,7 +24,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from braidrep.cli import SUITES
+from braidrep.cli import SUITES, UsageError, _require, _require_weight_space_dim
 from braidrep.decomp import commutant_dimension, matrix_commutant_dimension
 from braidrep.lkb import burau_matrices
 from braidrep.ring import specialize
@@ -29,6 +35,14 @@ def main():
     parser.add_argument("--nmax", type=int, default=5)
     parser.add_argument("--lmax", type=int, default=3)
     args = parser.parse_args()
+    try:
+        _require(args.nmax >= 2, "run_checks requires --nmax >= 2")
+        _require(args.lmax >= 0, "run_checks requires --lmax >= 0")
+        _require_weight_space_dim("run_checks", args.nmax + 1, args.lmax)
+        _require_weight_space_dim("run_checks", args.nmax, args.lmax + 1)
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     sweep_start = time.perf_counter()
     rows = []

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .linalg import mat_mul
 from .report import CheckReport, matrix_report
+from .ring import LaurentPoly
 from .verma import (E, F, K, TensorVec, act_tensor, f_single_coeff,
                     weight_basis)
 
@@ -108,11 +109,25 @@ def apply_word(word, vec):
 
 
 def sigma_matrix(n, l, k, perturb=False):
-    """Matrix of sigma_k (or its inverse) on the degree-l weight space of n strands."""
+    """Matrix of sigma_k (or its inverse) on the degree-l weight space of n strands.
+
+    Built once per (n, l, k, perturb) in ``_sigma_rows``; each call hands
+    out fresh row lists, so a caller may change them.
+    """
+    return [list(row) for row in _sigma_rows(n, l, k, perturb)]
+
+
+# Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
+# pass of the benchmark's check grid builds 58 or 59 distinct matrices and the
+# default scripts/run_checks.py sweep 62; 64 holds either.
+@lru_cache(maxsize=64)
+def _sigma_rows(n, l, k, perturb):
+    """Rows of sigma_matrix as tuples; all the zero entries are one shared zero."""
     basis = weight_basis(n, l)
-    cols = [apply_letter(TensorVec.pure(idx), k, perturb=perturb) for idx in basis]
-    return [[cols[c].coeff(basis[r]) for c in range(len(basis))]
-            for r in range(len(basis))]
+    cols = [apply_letter(TensorVec.pure(idx), k, perturb=perturb).coeffs
+            for idx in basis]
+    zero = LaurentPoly.zero()
+    return tuple(tuple(col.get(idx, zero) for col in cols) for idx in basis)
 
 
 def operator_matrix(gen, n, l):
@@ -126,10 +141,9 @@ def operator_matrix(gen, n, l):
         target = weight_basis(n, l - 1)
     else:
         target = weight_basis(n, l + gen.power)
-    cols = [act_tensor(gen, TensorVec.pure(idx)) for idx in basis]
-    mat = [[cols[c].coeff(target[r]) for c in range(len(basis))]
-           for r in range(len(target))]
-    return mat, target
+    cols = [act_tensor(gen, TensorVec.pure(idx)).coeffs for idx in basis]
+    zero = LaurentPoly.zero()
+    return [[col.get(idx, zero) for col in cols] for idx in target], target
 
 
 # -- structural checks ---------------------------------------------------------

@@ -345,7 +345,8 @@ def phi_matrix(n, l):
     images = {el.label: el.vector for el in hw_basis(n, l)}
     cols = [images[a_label(idx)] if classify_index(idx) == "A"
             else TensorVec.pure(idx) for idx in basis]
-    return [[col.coeff(idx) for col in cols] for idx in basis], basis
+    zero = LaurentPoly.zero()
+    return [[col.coeffs.get(idx, zero) for col in cols] for idx in basis], basis
 
 
 def check_phi(n, l):
@@ -353,13 +354,19 @@ def check_phi(n, l):
     mat, basis = phi_matrix(n, l)
     d = len(basis)
     ident = mat_identity(d, LaurentPoly.one())
-    zero = [[LaurentPoly.zero()] * d for _ in range(d)]
+    zero = LaurentPoly.zero()
     sq = mat_mul(mat, mat)
-    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1 and Phi (2 - Phi) = 2 Phi - Phi^2
-    nil = [[sq[r][c] - mat[r][c] * 2 + ident[r][c] for c in range(d)] for r in range(d)]
-    inv = [[mat[r][c] * 2 - sq[r][c] for c in range(d)] for r in range(d)]
+    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1 and Phi (2 - Phi) = 2 Phi - Phi^2, formed
+    # only where the entry of Phi, Phi^2 or 1 is nonzero: both are 0 elsewhere
+    nil = [[zero] * d for _ in range(d)]
+    inv = [[zero] * d for _ in range(d)]
+    for r in range(d):
+        for c in {c for row in (mat[r], sq[r]) for c, x in enumerate(row) if x} | {r}:
+            nil[r][c] = sq[r][c] - mat[r][c] * 2 + ident[r][c]
+            inv[r][c] = mat[r][c] * 2 - sq[r][c]
     reports = [
-        matrix_report("phi-nilpotent", {"n": n, "l": l}, nil, zero),
+        matrix_report("phi-nilpotent", {"n": n, "l": l}, nil,
+                      [[zero] * d for _ in range(d)]),
         matrix_report("phi-inverse", {"n": n, "l": l}, inv, ident),
     ]
     # E Phi must vanish on the A-part, and Phi must fix the B-part pointwise

@@ -51,10 +51,14 @@ def mat_diff_witness(a, b):
     """First (row, col, difference) where two matrices disagree, else None.
 
     Matrices of different shapes raise ValueError instead of comparing.
+    Whole rows are compared first, which runs in C; only a row that differs
+    is scanned entry by entry.
     """
     if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
         raise ValueError("cannot compare matrices of different shapes")
     for r, (ra, rb) in enumerate(zip(a, b)):
+        if ra == rb:
+            continue
         for c, (x, y) in enumerate(zip(ra, rb)):
             if x != y:
                 return (r, c, x - y)

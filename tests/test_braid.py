@@ -2,6 +2,7 @@
 
 import pytest
 
+from braidrep import braid
 from braidrep.braid import (BraidWord, apply_letter, apply_word,
                             check_braid_relations, check_equivariance,
                             check_yang_baxter, rmatrix_pair,
@@ -198,3 +199,32 @@ class TestSigmaMatrix:
             image = apply_letter(TensorVec.pure(idx), 1)
             for r, target in enumerate(basis):
                 assert mat[r][c] == image.coeff(target)
+
+    def test_each_call_hands_out_fresh_lists(self):
+        first = sigma_matrix(3, 2, 1)
+        want = [list(row) for row in first]
+        first[0][0] = first[0][0] + 1
+        first[1].append(LaurentPoly.one())
+        first.pop()
+        assert sigma_matrix(3, 2, 1) == want
+        assert sigma_matrix(3, 2, 1) is not sigma_matrix(3, 2, 1)
+
+
+class TestPerturbedAndCleanMatrices:
+    """The cached generator matrices keep the perturbed R apart from the real one."""
+
+    def test_perturbed_checks_fail_after_clean_ones(self):
+        braid._sigma_rows.cache_clear()
+        assert all_passed(check_braid_relations(3, 2))
+        assert all_passed(check_yang_baxter(2))
+        assert not all_passed(check_braid_relations(3, 2, perturb=True))
+        assert not all_passed(check_yang_baxter(2, perturb=True))
+
+    def test_clean_checks_pass_after_perturbed_ones(self):
+        braid._sigma_rows.cache_clear()
+        assert not all_passed(check_braid_relations(3, 2, perturb=True))
+        assert not all_passed(check_yang_baxter(2, perturb=True))
+        assert all_passed(check_braid_relations(3, 2))
+        assert all_passed(check_yang_baxter(2))
+        assert all_passed(check_equivariance(3, 2))
+        assert sigma_matrix(3, 2, 1) != sigma_matrix(3, 2, 1, perturb=True)

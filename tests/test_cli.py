@@ -346,6 +346,28 @@ class TestSubprocessEntry:
         assert failed[0].startswith("phi          n=3 l=1")
         assert failed[0].endswith("wmax-eigenvalue")
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--nmax", "1"], "requires --nmax >= 2"),
+        (["--lmax", "-1"], "requires --lmax >= 0"),
+        # splitting builds V_{nmax+1,lmax}, equivariance V_{nmax,lmax+1}
+        (["--nmax", "60", "--lmax", "9"], "V_{61,9} has dimension C(69, 9)"),
+        (["--nmax", "30", "--lmax", "4"], "V_{30,5} has dimension C(34, 5)"),
+    ])
+    def test_run_checks_rejects_bad_sizes_before_any_row(self, argv, named):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, RUN_CHECKS] + argv,
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+    def test_run_checks_accepts_the_smallest_grid(self):
+        proc = subprocess.run([sys.executable, RUN_CHECKS, "--nmax", "2", "--lmax", "0"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "10 rows, 0 failures" in proc.stdout
+
     def test_export_script_matches_rho_matrix(self):
         n, l = 3, 2
         proc = subprocess.run(

@@ -13,7 +13,7 @@ from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationErr
                              _generators_modp, _integerize, _pure_decomposition,
                              _specialized_generators, alpha_map, c_coeff,
                              check_splitting, commutant_dimension, decompose,
-                             ef1_eigencheck, full_twist_scalar,
+                             ef1_eigencheck, full_twist_scalar, full_twist_word,
                              lambda_const, matrix_commutant_dimension, mu,
                              psi_map, random_specialization,
                              splitting_columns, validate_specialization)
@@ -400,6 +400,16 @@ class TestFullTwist:
                 expected = mono(0, -6) if r == c else LaurentPoly.zero()
                 assert prod[r][c] == expected
         assert full_twist_scalar(3, 1) == mono(0, -6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_garside_word_is_the_full_twist(self, n):
+        # Delta^2 and (sigma_1 ... sigma_{n-1})^n are one braid, so they have
+        # one matrix on every W_{n,l}
+        word = full_twist_word(n)
+        assert len(word.letters) == n * (n - 1)
+        for l in range(4):
+            want = rho_matrix(n, l, tuple(range(1, n)) * n).entries
+            assert rho_matrix(n, l, word).entries == want, l
 
     def test_non_scalar_matrix_raises_at_the_first_entry(self, monkeypatch):
         real = decomp.rho_matrix

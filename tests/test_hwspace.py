@@ -340,6 +340,61 @@ class TestStructure:
         monkeypatch.setattr(hwspace, "phi_matrix", altered)
         assert not self.e_structure(n, l).passed
 
+    @staticmethod
+    def dense_phi_identities(mat):
+        """(Phi - 1)^2 and Phi (2 - Phi), every entry formed (test oracle)."""
+        from braidrep.linalg import mat_mul
+        d = len(mat)
+        sq = mat_mul(mat, mat)
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        ident = [[one if r == c else zero for c in range(d)] for r in range(d)]
+        nil = [[sq[r][c] - mat[r][c] * 2 + ident[r][c] for c in range(d)]
+               for r in range(d)]
+        inv = [[mat[r][c] * 2 - sq[r][c] for c in range(d)] for r in range(d)]
+        return sq, ident, nil, inv
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (4, 2), (4, 3)])
+    def test_phi_fails_at_an_entry_zero_in_phi_its_square_and_1(self, monkeypatch, n, l):
+        # check_phi forms (Phi - 1)^2 and Phi (2 - Phi) only where Phi, Phi^2
+        # or 1 is nonzero.  Damage Phi where all three are zero, at the first
+        # spot whose first mismatch lies where only the new Phi^2 is nonzero,
+        # so that a formation blind to Phi^2 would report another witness.
+        real = hwspace.phi_matrix
+        mat, basis = real(n, l)
+        d = len(basis)
+        sq = self.dense_phi_identities(mat)[0]
+
+        def damaged(spot):
+            r, c = spot
+            bad = [list(row) for row in mat]
+            bad[r][c] = bad[r][c] + S
+            return bad
+
+        def first_mismatch(lhs, rhs):
+            return next(([r, c, str(lhs[r][c] - rhs[r][c])] for r in range(d)
+                         for c in range(d) if lhs[r][c] != rhs[r][c]), None)
+
+        def only_in_square(spot):
+            bad = damaged(spot)
+            _, _, nil, _ = self.dense_phi_identities(bad)
+            first = first_mismatch(nil, [[LaurentPoly.zero()] * d] * d)
+            return first is not None and first[0] != first[1] \
+                and not bad[first[0]][first[1]]
+
+        spot = next(spot for spot in ((r, c) for r in range(d) for c in range(d))
+                    if spot[0] != spot[1] and not mat[spot[0]][spot[1]]
+                    and not sq[spot[0]][spot[1]] and only_in_square(spot))
+        bad = damaged(spot)
+        _, ident, nil, inv = self.dense_phi_identities(bad)
+        monkeypatch.setattr(hwspace, "phi_matrix",
+                            lambda n_, l_: ([list(row) for row in bad], basis))
+        reports = {rep.check: rep for rep in check_phi(n, l)}
+        zero = [[LaurentPoly.zero()] * d] * d
+        for name, lhs, rhs in (("phi-nilpotent", nil, zero),
+                               ("phi-inverse", inv, ident)):
+            assert not reports[name].passed, name
+            assert reports[name].witness == first_mismatch(lhs, rhs), name
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sigma_w_closed_forms(self, n):
         report, = check_sigma_w(n)

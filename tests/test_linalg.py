@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep.linalg import _bareiss_pivots, fraction_rank, mat_mul
+from braidrep.linalg import (_bareiss_pivots, fraction_rank, mat_diff_witness,
+                              mat_mul)
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
@@ -115,6 +116,54 @@ def test_missing_entries_keep_the_entry_class(zero, one):
 def test_shape_mismatch_raises(a, b):
     with pytest.raises(ValueError):
         mat_mul(a, b)
+
+
+# -- mat_diff_witness: whole rows first, then the first differing entry -----------
+
+
+def first_mismatch(a, b):
+    """Entry-by-entry scan in row order (test oracle)."""
+    for r, (ra, rb) in enumerate(zip(a, b)):
+        for c, (x, y) in enumerate(zip(ra, rb)):
+            if x != y:
+                return (r, c, x - y)
+    return None
+
+
+def copy_entries(mat):
+    """Equal entries that are distinct objects."""
+    return [[LaurentPoly(dict(x.sorted_terms())) for x in row] for row in mat]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_diff_witness_is_the_first_mismatch(seed):
+    rnd = random.Random(seed)
+    rows, cols = rnd.randint(2, 6), rnd.randint(1, 6)
+    a = sparse_matrix(rnd, rows, cols, _laurent, LaurentPoly.zero())
+    b = copy_entries(a)
+    assert all(x is not y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    assert mat_diff_witness(a, b) is None
+    # mismatches in several rows, the earliest one not in the first row
+    for r in rnd.sample(range(1, rows), min(3, rows - 1)):
+        c = rnd.randrange(cols)
+        b[r][c] = b[r][c] + Q * S
+    want = first_mismatch(a, b)
+    assert want is not None and want[0] >= 1
+    assert mat_diff_witness(a, b) == want
+    assert mat_diff_witness(b, a) == first_mismatch(b, a)
+
+
+def test_diff_witness_compares_rows_of_any_sequence_type():
+    a = [(Q, S), (S, Q)]
+    assert mat_diff_witness(a, [[Q, S], [S, Q]]) is None
+    assert mat_diff_witness(a, [[Q, S], [S, S]]) == (1, 1, Q - S)
+
+
+def test_diff_witness_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        mat_diff_witness([[Q, S]], [[Q]])
+    with pytest.raises(ValueError):
+        mat_diff_witness([[Q]], [[Q], [S]])
 
 
 # -- fraction_rank: Bareiss elimination against Gaussian elimination over Q ------

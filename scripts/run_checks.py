@@ -11,7 +11,8 @@ line gives the row count, the failed rows and the sweep's wall time.
 --nmax and --lmax are validated before any row runs: --nmax must be at
 least 2, --lmax at least 0, and the largest spaces the sweep builds,
 V_{nmax+1,lmax} (splitting) and V_{nmax,lmax+1} (equivariance), must be
-within ``braidrep check``'s size limit.  A bad request prints
+within ``braidrep check``'s size limit, and so must the generator
+matrices the lkb and burau rows build at nmax.  A bad request prints
 ``error: ...`` and exits 2.
 
 Usage: python scripts/run_checks.py [--nmax 5] [--lmax 3]
@@ -40,6 +41,9 @@ def main():
         _require(args.lmax >= 0, "run_checks requires --lmax >= 0")
         _require_weight_space_dim("run_checks", args.nmax + 1, args.lmax)
         _require_weight_space_dim("run_checks", args.nmax, args.lmax + 1)
+        for suite in SUITES.values():
+            if suite.bound:
+                suite.bound("run_checks", args.nmax)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -118,8 +118,8 @@ def sigma_matrix(n, l, k, perturb=False):
 
 
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
-# pass of the benchmark's check grid builds 58 or 59 distinct matrices and the
-# default scripts/run_checks.py sweep 62; 64 holds either.
+# pass of the benchmark's check grid builds 53 or 54 distinct matrices and the
+# default scripts/run_checks.py sweep 50; 64 holds either.
 @lru_cache(maxsize=64)
 def _sigma_rows(n, l, k, perturb):
     """Rows of sigma_matrix as tuples; all the zero entries are one shared zero."""

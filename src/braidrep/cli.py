@@ -30,7 +30,7 @@ from . import braid as braid_mod
 from . import decomp as decomp_mod
 from . import hwspace as hw_mod
 from . import lkb as lkb_mod
-from .report import CheckReport, all_passed
+from .report import all_passed
 from .verma import TensorVec
 
 
@@ -150,10 +150,28 @@ def cmd_matrix(args):
     return 0
 
 
+def _generator_count(count):
+    return "%d generator %s" % (count, "matrix" if count == 1 else "matrices")
+
+
+def _require_burau_size(command, n):
+    """Reject the n - 1 Burau generators, n^2 entries each, over the limit."""
+    _require_size(command, (n - 1) * n ** 2, "%s of n^2 = %d^2 entries each"
+                  % (_generator_count(n - 1), n))
+
+
+def _require_lkb_size(command, n, count):
+    """Reject ``count`` LKB generators, C(n,2)^2 entries each, over the limit."""
+    _require_size(command, count * comb(n, 2) ** 2,
+                  "%s of C(n,2)^2 = C(%d, 2)^2 entries each"
+                  % (_generator_count(count), n))
+
+
 class Suite(NamedTuple):
     run: Callable          # (n, l, perturb) -> [CheckReport]
     perturb: bool = False  # whether --perturb damages what the suite checks
     min_l: int = 0
+    bound: Callable = None  # (command, n): rejects an n too large to build
 
 
 # The runners look each check up on its module when called, so that a
@@ -167,13 +185,12 @@ SUITES = {
     "phi": Suite(lambda n, l, p: hw_mod.check_phi(n, l) + hw_mod.check_wmax(n, l)
                  + (hw_mod.check_sigma_w(n) if l == 2 else [])),
     "lkb": Suite(lambda n, l, p: lkb_mod.fork_iso_check(n)
-                 + lkb_mod.check_lkb_braid_relations(n)),
-    "burau": Suite(lambda n, l, p: lkb_mod.check_burau(n)),
+                 + lkb_mod.check_lkb_braid_relations(n),
+                 bound=lambda command, n: _require_lkb_size(command, n, n - 1)),
+    "burau": Suite(lambda n, l, p: lkb_mod.check_burau(n), bound=_require_burau_size),
     "splitting": Suite(lambda n, l, p: decomp_mod.check_splitting(n, l), min_l=1),
     "eigen": Suite(lambda n, l, p: decomp_mod.ef1_eigencheck(n, l)),
-    "twist": Suite(lambda n, l, p: [CheckReport(
-        "full-twist-scalar", {"n": n, "l": l}, True,
-        str(decomp_mod.full_twist_scalar(n, l)))]),
+    "twist": Suite(lambda n, l, p: decomp_mod.check_full_twist(n, l)),
 }
 _PERTURB_SUITES = " and ".join(name for name, s in SUITES.items() if s.perturb)
 
@@ -183,6 +200,8 @@ def cmd_check(args):
              "unknown suite %r (choose from %s)" % (args.suite, ", ".join(SUITES)))
     suite = SUITES[args.suite]
     _require_weight_space(args, "check")
+    if suite.bound:
+        suite.bound("check", args.n)
     _require(args.l >= suite.min_l,
              "%s requires --l >= %d" % (args.suite, suite.min_l))
     _require(suite.perturb or not args.perturb,
@@ -254,16 +273,10 @@ def cmd_decompose(args):
     return 0
 
 
-def _generator_count(count):
-    return "%d generator %s" % (count, "matrix" if count == 1 else "matrices")
-
-
 def cmd_burau(args):
     _require(args.n >= 2, "burau requires --n >= 2")
     # all n - 1 generators are printed, each with at most n^2 entries
-    _require_size("burau", (args.n - 1) * args.n ** 2,
-                  "%s of n^2 = %d^2 entries each"
-                  % (_generator_count(args.n - 1), args.n))
+    _require_burau_size("burau", args.n)
     mats = lkb_mod.burau_matrices(args.n, reduced=not args.unreduced)
     size = args.n - 1 if not args.unreduced else args.n
     labels = ["u%d" % j for j in range(1, args.n)] if not args.unreduced \
@@ -286,10 +299,7 @@ def cmd_burau(args):
 
 def cmd_lkb_matrix(args):
     _require(args.n >= 2, "lkb-matrix requires --n >= 2")
-    count = args.n - 1 if args.i is None else 1
-    _require_size("lkb-matrix", count * comb(args.n, 2) ** 2,
-                  "%s of C(n,2)^2 = C(%d, 2)^2 entries each"
-                  % (_generator_count(count), args.n))
+    _require_lkb_size("lkb-matrix", args.n, args.n - 1 if args.i is None else 1)
     gens = range(1, args.n) if args.i is None else [args.i]
     for i in gens:
         _require(1 <= i <= args.n - 1, "--i out of range")

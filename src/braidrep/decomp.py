@@ -11,13 +11,9 @@ components are solved for top-down:
 
     w_t = ( E^t v - sum_{i>=1} mu_{t,i}(n, l-t) F^(i) w_{t+i} ) / mu_{t,0}(n, l-t).
 
-Each w_t is held as a numerator over a multiset of binomials beta_a.  The
-split is linear in v, so it is solved only for pure tensors, each once, in
-a bounded cache; a vector's split is their combination over one common
-multiset per t, reduced by the binomials that divide every coefficient.
-The beta_a are pairwise coprime, so that reduced form depends on w_t alone
-and equals what the solve on v itself gives.  A pure tensor met for the
-first time pays one solve: on a cold cache a k-term vector costs k solves.
+Each w_t is held as a numerator over a multiset of binomials beta_a, and
+the split is formed by linearity from cached pure-tensor solves
+(``decompose``).
 
 The splitting maps of one strand up,
 
@@ -32,28 +28,16 @@ psi(alpha_k w) = lambda_k F^(k-1) w with
 
     lambda_k = s^{-2n-k} q^{4l-k-3} - s^{-k} q^{k-1}.
 
-The direct-sum splitting map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1}
-is checked as the integral matrix N = D alpha, where D = beta(U) prod_k lambda_k
-and U is the union of every pure tensor's binomial multisets, by the
-identities psi N = D and N sigma_i = sigma_{i+1} N over the Laurent ring.
+``check_splitting`` checks that identity and alpha_k sigma_i = sigma_{i+1}
+alpha_k on the integral basis of each W_{n,l-k}, over the Laurent ring with
+no denominator; together they make the direct-sum map
+alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an equivariant section.
 
 Irreducibility at an exact rational point (q0, s0) is certified by a
-commutant of dimension 1.  The commutant always contains the identity, so an
-upper bound of 1 is exact.  The bound comes from a cyclic vector mod a large
-prime p (Parker's MeatAxe; Holt and Rees 1994): if the Krylov vectors
-u, b u, ..., b^(d-1) u of a random algebra element b have rank d, the
-centraliser of b is F_p[b], and the commutant lies inside it.  The equations
-[sum_k c_k b^k, rho(sigma_i)] u = 0 are a subset of the commutant's, so d
-minus their rank bounds the mod-p commutant dimension, and with it the
-rational one, from above.  The generator entries are reduced mod p straight
-from their Laurent polynomials, with q0, s0 and their inverses as residues;
-no rational number is formed.  The bound over Q holds because every entry
-is p-integral (p divides no numerator or denominator of q0 or s0): the
-reduction is then a ring map, so the rank mod p of the commutant's
-equations is at most their rank over Q.  A larger bound, no cyclic vector,
-or a point that is not p-integral, falls back to the exact rank over Q of
-X rho(sigma_i) = rho(sigma_i) X, by fraction-free Bareiss elimination on
-integer rows.
+commutant of dimension 1: an upper bound mod a large prime from a cyclic
+vector (``matrix_commutant_dimension``), on generators reduced mod p
+straight from their Laurent entries (``_generators_modp``), with an exact
+fraction-free fallback over Q.
 """
 
 from __future__ import annotations
@@ -66,14 +50,13 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul, or_
 
-from .braid import BraidWord, sigma_matrix
-from .hwspace import _generator_rows, hw_basis, rho_matrix
-from .linalg import (fraction_rank, mat_diff_witness, mat_identity, mat_mul,
-                     modp_rank)
-from .report import CheckReport, matrix_report
+from .braid import BraidWord, apply_letter
+from .hwspace import _generator_rows, hw_basis, label_str, rho_matrix
+from .linalg import fraction_rank, mat_diff_witness, mat_identity, modp_rank
+from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
-from .verma import E, F, TensorVec, act_tensor, weight_basis
+from .verma import E, F, TensorVec, act_tensor
 
 
 class GuardedSpecializationError(ValueError):
@@ -252,20 +235,25 @@ def decompose(vec):
     return HWDecomposition(n, l, tuple(nums), tuple(facs), denom)
 
 
+def _vector_report(check, params, cases):
+    """Report on lhs == rhs for each (k, label, lhs, rhs); a failure names the first."""
+    for k, label, lhs, rhs in cases:
+        if lhs != rhs:
+            return CheckReport(check, params, False, {
+                "k": k, "label": label_str(label), "diff": str(lhs - rhs)})
+    return CheckReport(check, params)
+
+
 def ef1_eigencheck(n, l):
     """E F^(1) acts on the k-th summand by [k+1]_q mu_{1,k}, all distinct."""
+    eigenvalues = [qint(k + 1) * mu(1, k, n, l) for k in range(l + 1)]
     reports = []
-    eigenvalues = []
-    for k in range(l + 1):
-        expected = qint(k + 1) * mu(1, k, n, l)
-        eigenvalues.append(expected)
-        ok = True
-        for el in hw_basis(n, l - k):
-            v = act_tensor(F(k), el.vector) if k else el.vector
-            image = act_tensor(E, act_tensor(F(1), v))
-            if image != expected * v:
-                ok = False
-        reports.append(CheckReport("ef1-eigenvalue", {"n": n, "l": l, "k": k}, ok))
+    for k, expected in enumerate(eigenvalues):
+        basis = hw_basis(n, l - k)
+        images = [act_tensor(F(k), el.vector) if k else el.vector for el in basis]
+        reports.append(_vector_report("ef1-eigenvalue", {"n": n, "l": l, "k": k}, (
+            (k, el.label, act_tensor(E, act_tensor(F(1), v)), expected * v)
+            for el, v in zip(basis, images))))
     distinct = all(not (eigenvalues[a] - eigenvalues[b]).is_zero()
                    for a in range(l + 1) for b in range(a + 1, l + 1))
     reports.append(CheckReport("ef1-distinct", {"n": n, "l": l}, distinct))
@@ -312,11 +300,8 @@ def psi_map(vec):
     slot; the embedded lower-strand highest-weight space (leading slot 0,
     second slot part of a longer zero prefix) is exactly the kernel.
     """
-    out = {}
-    for idx, coeff in vec.coeffs.items():
-        if idx[0] == 1:
-            out[idx[1:]] = coeff
-    return TensorVec(vec.n - 1, out)
+    return TensorVec(vec.n - 1, {idx[1:]: coeff for idx, coeff in vec.coeffs.items()
+                                 if idx[0] == 1})
 
 
 def shifted_generator(i):
@@ -329,35 +314,30 @@ def shifted_generator(i):
     return i + 1
 
 
-def splitting_columns(n, l):
-    """D and the integral columns N_v = D alpha(v), v over weight_basis(n, l-1)."""
-    decs = [decompose(TensorVec.pure(idx)) for idx in weight_basis(n, l - 1)]
-    common = reduce(or_, (f for dec in decs for f in dec.factors), Counter())
-    lambdas = [lambda_const(k, n, l) for k in range(1, l + 1)]
-    den = _beta_product(common, n) * reduce(mul, lambdas)
-    cofactors = [reduce(mul, lambdas[:t] + lambdas[t + 1:], LaurentPoly.one())
-                 for t in range(l)]
-    cols = [TensorVec.combination(n + 1, [
-        (_beta_product(common - factors, n) * cofactors[t], alpha_map(t + 1, num))
-        for t, (num, factors) in enumerate(zip(dec.numerators, dec.factors))])
-        for dec in decs]
-    return den, cols
-
-
 def check_splitting(n, l):
-    """psi N = D and N sigma_i = sigma_{i+1} N for N = D alpha on V_{n,l-1}."""
-    den, cols = splitting_columns(n, l)
-    basis = weight_basis(n, l - 1)
-    split = [[col.coeff(idx) for col in cols] for idx in weight_basis(n + 1, l)]
-    images = [psi_map(col) for col in cols]
-    section = [[image.coeff(idx) for image in images] for idx in basis]
-    reports = [matrix_report("splitting-section", {"n": n, "l": l},
-                             section, mat_identity(len(basis), den))]
+    """psi alpha_k = lambda_k F^(k-1) and alpha_k sigma_i = sigma_{i+1} alpha_k.
+
+    Both are checked on every w in hw_basis(n, l-k), k = 1..l, over the
+    Laurent ring; being linear, they hold on all of W_{n,l-k}.  They imply
+    that the direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1}
+    on V_{n,l-1} is an equivariant section of psi.  With v = sum_t F^(t) w_t
+    (criterion 8, checked by the eigen suite), psi alpha(v) = sum_t F^(t) w_t
+    = v; and sigma_i commutes with F^(t) and keeps each W_{n,l-1-t}, so
+    alpha(sigma_i v) = sum_t alpha_{t+1}(sigma_i w_t) / lambda_{t+1}
+    = sigma_{i+1} alpha(v).
+    """
+    images = [(k, el, alpha_map(k, el.vector))
+              for k in range(1, l + 1) for el in hw_basis(n, l - k)]
+    reports = [_vector_report("splitting-section", {"n": n, "l": l}, (
+        (k, el.label, psi_map(image), lambda_const(k, n, l)
+         * (act_tensor(F(k - 1), el.vector) if k > 1 else el.vector))
+        for k, el, image in images))]
     for i in range(1, n):
-        lhs = mat_mul(split, sigma_matrix(n, l - 1, i))
-        rhs = mat_mul(sigma_matrix(n + 1, l, shifted_generator(i)), split)
-        reports.append(matrix_report("splitting-equivariance",
-                                     {"n": n, "l": l, "i": i}, lhs, rhs))
+        params = {"n": n, "l": l, "i": i}
+        reports.append(_vector_report("splitting-equivariance", params, (
+            (k, el.label, alpha_map(k, apply_letter(el.vector, i)),
+             apply_letter(image, shifted_generator(i)))
+            for k, el, image in images)))
     dims_ok = comb(n + l - 1, l) == sum(comb(n + l - k - 2, l - k)
                                         for k in range(l + 1))
     reports.append(CheckReport("splitting-dimensions", {"n": n, "l": l}, dims_ok))
@@ -395,6 +375,18 @@ def full_twist_scalar(n, l):
     return scalar
 
 
+def check_full_twist(n, l):
+    """The full twist acts on W_{n,l} by the ribbon value q^(2l(l-1)) s^(-2nl).
+
+    (Reshetikhin and Turaev, Comm. Math. Phys. 127, 1990.)  The witness is
+    the scalar found.
+    """
+    scalar = full_twist_scalar(n, l)
+    expected = LaurentPoly.monomial(2 * l * (l - 1), -2 * n * l)
+    return [CheckReport("full-twist-scalar", {"n": n, "l": l},
+                        scalar == expected, str(scalar))]
+
+
 # -- irreducibility ---------------------------------------------------------------
 
 
@@ -430,12 +422,8 @@ def validate_specialization(n, l, q0, s0):
 
 
 def _specialized_generators(n, l, q0, s0):
-    mats = []
-    for i in range(1, n):
-        rep = rho_matrix(n, l, [i])
-        mats.append([[specialize(entry, q0, s0) for entry in row]
-                     for row in rep.entries])
-    return mats
+    return [[[specialize(entry, q0, s0) for entry in row]
+             for row in rho_matrix(n, l, [i]).entries] for i in range(1, n)]
 
 
 def _generators_modp(n, l, q0, s0):

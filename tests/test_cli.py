@@ -11,9 +11,11 @@ from math import comb
 
 import pytest
 
+from braidrep import decomp as decomp_mod
 from braidrep import hwspace as hw_mod
-from braidrep.cli import (MAX_WEIGHT_SPACE_DIM, UsageError, _require_weight_space,
-                          _weight_space_dim_capped, main)
+from braidrep.braid import BraidWord
+from braidrep.cli import (MAX_WEIGHT_SPACE_DIM, SUITES, UsageError,
+                          _require_weight_space, _weight_space_dim_capped, main)
 from braidrep.hwspace import IntegralityError
 from braidrep.ring import InexactDivisionError
 from braidrep.verma import TensorVec
@@ -149,6 +151,21 @@ class TestInputBound:
         assert out == ""
         assert named in err and str(MAX_WEIGHT_SPACE_DIM) in err
 
+    @pytest.mark.parametrize("suite, n, named", [
+        ("lkb", 14, "13 generator matrices of C(n,2)^2 = C(14, 2)^2"),
+        ("burau", 47, "46 generator matrices of n^2 = 47^2"),
+    ])
+    def test_check_suite_takes_its_command_bound(self, suite, n, named, capsys):
+        # V_{n,0} has dimension 1, so only the generator bound refuses these
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["check", "--suite", suite, "--n", str(n), "--l", "0"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: check: ") and named in err
+        SUITES[suite].bound("check", n - 1)     # one strand fewer is allowed
+
     def test_capped_dimension_decides_like_the_binomial(self):
         for n in range(2, 14):
             for l in range(14):
@@ -199,6 +216,18 @@ class TestCheckCommand:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert all(r["pass"] for r in json.loads(out))
+
+    def test_wrong_twist_scalar_fails(self, capsys, monkeypatch):
+        # negative control: Delta^4 acts by a scalar, but by the square of
+        # the expected q^4 s^-12 on W_{3,2}
+        twist = decomp_mod.full_twist_word
+        monkeypatch.setattr(decomp_mod, "full_twist_word",
+                            lambda n: BraidWord(n, twist(n).letters * 2))
+        code, out, _ = run_cli(
+            ["check", "--suite", "twist", "--n", "3", "--l", "2"], capsys)
+        assert code == 1
+        (report,) = json.loads(out)
+        assert not report["pass"] and report["witness"] == "q^8*s^-24"
 
     def test_unknown_suite(self, capsys):
         for args, message in [(["nonsense", "--n", "3"], "unknown suite"),
@@ -361,6 +390,19 @@ class TestSubprocessEntry:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+    def test_run_checks_bounds_the_generator_suites_at_nmax(self):
+        # V_{100001,0} and V_{100000,1} pass the weight-space bound; the
+        # burau and lkb rows at nmax would not
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, RUN_CHECKS, "--nmax", "100000",
+                               "--lmax", "0"],
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: run_checks: ")
+        assert "generator matrices" in proc.stderr
 
     def test_run_checks_accepts_the_smallest_grid(self):
         proc = subprocess.run([sys.executable, RUN_CHECKS, "--nmax", "2", "--lmax", "0"],

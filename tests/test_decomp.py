@@ -8,16 +8,19 @@ from math import comb
 import pytest
 
 from braidrep import decomp
+from braidrep.braid import BraidWord, apply_letter
 from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
                              _commutant_dim_modp,
                              _generators_modp, _integerize, _pure_decomposition,
                              _specialized_generators, alpha_map, c_coeff,
-                             check_splitting, commutant_dimension, decompose,
-                             ef1_eigencheck, full_twist_scalar, full_twist_word,
+                             check_full_twist, check_splitting,
+                             commutant_dimension, decompose, ef1_eigencheck,
+                             full_twist_scalar, full_twist_word,
                              lambda_const, matrix_commutant_dimension, mu,
                              psi_map, random_specialization,
-                             splitting_columns, validate_specialization)
-from braidrep.hwspace import hw_basis, is_highest_weight, rho_matrix
+                             validate_specialization)
+from braidrep.hwspace import (hw_basis, is_highest_weight, label_str,
+                              rho_matrix)
 from braidrep.linalg import mat_mul
 from braidrep.lkb import burau_matrices
 from braidrep.report import all_passed
@@ -256,6 +259,17 @@ class TestEF1:
     def test_eigencheck(self, n, l):
         assert all_passed(ef1_eigencheck(n, l))
 
+    def test_wrong_eigenvalue_names_the_first_vector(self, monkeypatch):
+        # negative control: [k+1]_q + 1 is no eigenvalue; the first mismatch
+        # is at k = 0 on the first basis vector of W_{3,2}
+        monkeypatch.setattr(decomp, "qint", lambda k: qint(k) + 1)
+        reports = ef1_eigencheck(3, 2)
+        w = hw_basis(3, 2)[0]
+        assert reports[0].witness == {
+            "k": 0, "label": label_str(w.label),
+            "diff": str(-mu(1, 0, 3, 2) * w.vector)}
+        assert not any(r.passed for r in reports[:3])
+
     def test_specific_eigenvalue(self):
         # k = 0 at (3, 2): [1]_q mu_{1,0} = s^3 q^-4 - s^-3 q^4
         expected = LaurentPoly({(-4, 3): 1, (4, -3): -1})
@@ -327,17 +341,22 @@ class TestSplittingMaps:
             assert lambda_const(k, n, l) == route2
 
     @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3),
-                                     (5, 3)])
+                                     (5, 3), (4, 4), (5, 4)])
     def test_splitting(self, n, l):
         assert all_passed(check_splitting(n, l))
 
     @pytest.mark.parametrize("n,l", [(2, 3), (3, 2), (3, 3)])
-    def test_columns_match_ratfunc_oracle(self, n, l):
-        # every integral column is D times the fraction-field splitting map
-        den, cols = splitting_columns(n, l)
-        for idx, col in zip(weight_basis(n, l - 1), cols):
-            expected = ratfunc_splitting_oracle(TensorVec.pure(idx))
-            assert col.map_coeffs(lambda c: RatFunc(c, den)) == expected
+    def test_ratfunc_oracle_is_an_equivariant_section(self, n, l):
+        # the direct-sum map, formed over RatFunc apart from check_splitting,
+        # satisfies psi alpha = 1 and alpha sigma_i = sigma_{i+1} alpha on
+        # every pure tensor of V_{n,l-1}
+        for idx in weight_basis(n, l - 1):
+            v = TensorVec.pure(idx)
+            image = ratfunc_splitting_oracle(v)
+            assert psi_map(image) == v
+            for i in range(1, n):
+                assert (ratfunc_splitting_oracle(apply_letter(v, i))
+                        == apply_letter(image, i + 1)), (idx, i)
 
     def test_forms_no_fraction(self, monkeypatch):
         def no_fraction(self, *args, **kwargs):
@@ -346,7 +365,7 @@ class TestSplittingMaps:
         monkeypatch.setattr(RatFunc, "__init__", no_fraction)
         assert all_passed(check_splitting(3, 3))
 
-    @pytest.mark.parametrize("n,l", [(2, 3), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("n,l", [(2, 3), (3, 2), (4, 3), (5, 4)])
     def test_unshifted_generator_fails(self, n, l, monkeypatch):
         # negative control: the inclusion must send sigma_i to sigma_{i+1}
         monkeypatch.setattr(decomp, "shifted_generator", lambda i: i)
@@ -363,6 +382,36 @@ class TestSplittingMaps:
         reports = {r.check: r for r in check_splitting(3, 2)}
         section = reports["splitting-section"]
         assert not section.passed and section.witness is not None
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (4, 4)])
+    def test_section_witness_names_the_first_mismatch(self, n, l, monkeypatch):
+        # doubling lambda_k leaves psi(alpha_1 w) = lambda_1 w wrong by
+        # -lambda_1 w at the first basis vector w of W_{n,l-1}
+        lam = decomp.lambda_const
+        monkeypatch.setattr(decomp, "lambda_const",
+                            lambda k, n, l: 2 * lam(k, n, l))
+        section, *equivariance, dims = check_splitting(n, l)
+        assert not section.passed
+        first = hw_basis(n, l - 1)[0]
+        assert section.witness == {
+            "k": 1, "label": label_str(first.label),
+            "diff": str(-lam(1, n, l) * first.vector)}
+        assert all(r.passed and r.witness is None for r in equivariance)
+        assert dims.passed and dims.witness is None
+
+    def test_equivariance_witness_names_k_and_the_vector(self, monkeypatch):
+        # sigma_1 in place of sigma_2: the first mismatch is at k = 1 on the
+        # first basis vector, and the witness is the difference of the sides
+        monkeypatch.setattr(decomp, "shifted_generator", lambda i: i)
+        reports = check_splitting(3, 2)
+        witness = reports[1].witness
+        w = hw_basis(3, 1)[0]
+        alpha = alpha_map(1, w.vector)
+        diff = alpha_map(1, apply_letter(w.vector, 1)) - apply_letter(alpha, 1)
+        assert witness == {"k": 1, "label": label_str(w.label), "diff": str(diff)}
+
+    def test_passing_reports_carry_no_witness(self):
+        assert all(r.passed and r.witness is None for r in check_splitting(4, 3))
 
     def test_dimension_bookkeeping(self):
         for n in range(2, 6):
@@ -425,6 +474,25 @@ class TestFullTwist:
         with pytest.raises(ArithmeticError,
                            match=r"not scalar at \(1, 2\) for n=3 l=2"):
             full_twist_scalar(3, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_closed_form(self, n):
+        # the ribbon value q^(2l(l-1)) s^(-2nl) on every W_{n,l}, l = 0..3
+        for l in range(4):
+            (report,) = check_full_twist(n, l)
+            assert report.passed, (n, l)
+            assert full_twist_scalar(n, l) == mono(2 * l * (l - 1), -2 * n * l)
+            assert report.witness == str(full_twist_scalar(n, l))
+
+    def test_wrong_twist_fails_the_closed_form(self, monkeypatch):
+        # negative control: Delta^4 is central, so its matrix is scalar, but
+        # the scalar is the square of the expected one
+        twist = decomp.full_twist_word
+        monkeypatch.setattr(decomp, "full_twist_word",
+                            lambda n: BraidWord(n, twist(n).letters * 2))
+        (report,) = check_full_twist(3, 2)
+        assert not report.passed
+        assert report.witness == str(mono(8, -24))
 
     def test_3_2_value_two_routes(self):
         # route B: multiply generator matrices of the word

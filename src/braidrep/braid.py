@@ -49,6 +49,35 @@ class BraidWord:
     def inverse(self):
         return BraidWord(self.n, tuple(-k for k in reversed(self.letters)))
 
+    def reduced(self):
+        """The same braid with its cancellable inverse pairs deleted.
+
+        A pair k ... -k cancels when every letter between them commutes with
+        sigma_k, that is has index i with |i - |k|| >= 2.  This is free
+        reduction in the partially commutative group of the generators
+        (Cartier and Foata, LNM 85, 1969), done in one pass: a letter
+        cancels the last kept letter that does not commute with it when that
+        letter is its inverse, and is kept otherwise.  The last kept letter
+        of each generator index is on top of its own stack, so the pass is
+        linear in the word.  A deletion cannot open a new pair:
+        the cancelling letter has the deleted letter's index and commutes
+        with every kept letter after it.  The result is never longer than
+        the word, is its own reduction and has no cancellable pair left.
+        """
+        kept = {}                                # position -> letter, in order
+        last = [[] for _ in range(self.n + 1)]   # kept positions by index
+        for pos, k in enumerate(self.letters):
+            i = abs(k)
+            tops = [last[j][-1] for j in (i - 1, i, i + 1) if last[j]]
+            blocker = max(tops, default=None)
+            if blocker is not None and kept[blocker] == -k:
+                del kept[blocker]
+                last[i].pop()
+            else:
+                kept[pos] = k
+                last[i].append(pos)
+        return BraidWord(self.n, tuple(kept.values()))
+
     def __str__(self):
         return " ".join(str(k) for k in self.letters)
 
@@ -99,7 +128,11 @@ def apply_letter(vec, k, perturb=False):
 
 
 def apply_word(word, vec):
-    """Apply a braid word letter by letter, first letter first."""
+    """Apply a braid word letter by letter, first letter first.
+
+    Every letter is applied, cancelling pairs included, on purpose: this is
+    the reference path that the tests compare ``rho_matrix`` with.
+    """
     if word.n != vec.n:
         raise ValueError("word on %d strands applied to %d-strand vector"
                          % (word.n, vec.n))

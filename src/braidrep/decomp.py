@@ -28,10 +28,11 @@ psi(alpha_k w) = lambda_k F^(k-1) w with
 
     lambda_k = s^{-2n-k} q^{4l-k-3} - s^{-k} q^{k-1}.
 
-``check_splitting`` checks that identity and alpha_k sigma_i = sigma_{i+1}
-alpha_k on the integral basis of each W_{n,l-k}, over the Laurent ring with
-no denominator; together they make the direct-sum map
-alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an equivariant section.
+``check_splitting`` checks that identity, E alpha_k = 0 and
+alpha_k sigma_i = sigma_{i+1} alpha_k on the integral basis of each W_{n,l-k},
+over the Laurent ring with no denominator; the first and last make the
+direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an
+equivariant section.
 
 Irreducibility at an exact rational point (q0, s0) is certified by a
 commutant of dimension 1: an upper bound mod a large prime from a cyclic
@@ -315,10 +316,17 @@ def shifted_generator(i):
 
 
 def check_splitting(n, l):
-    """psi alpha_k = lambda_k F^(k-1) and alpha_k sigma_i = sigma_{i+1} alpha_k.
+    """Section, highest-weight and equivariance identities of each alpha_k.
 
-    Both are checked on every w in hw_basis(n, l-k), k = 1..l, over the
-    Laurent ring; being linear, they hold on all of W_{n,l-k}.  They imply
+    psi alpha_k = lambda_k F^(k-1), E alpha_k = 0 and alpha_k sigma_i =
+    sigma_{i+1} alpha_k are checked on every w in hw_basis(n, l-k),
+    k = 1..l, over the Laurent ring; being linear, they hold on all of
+    W_{n,l-k}.  The splitting-section report holds the first two, on the
+    same images.
+    E alpha_k(w) = 0 says that alpha_k lands in W_{n+1,l}; it is the only
+    identity that sees the coefficients c_{k,j} with j >= 2, since psi drops
+    their terms (leading slot at least j) and each term F^(k-j)(v_j (x) w)
+    commutes with sigma_{i+1} on its own.  The first and last identities imply
     that the direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1}
     on V_{n,l-1} is an equivariant section of psi.  With v = sum_t F^(t) w_t
     (criterion 8, checked by the eigen suite), psi alpha(v) = sum_t F^(t) w_t
@@ -328,10 +336,12 @@ def check_splitting(n, l):
     """
     images = [(k, el, alpha_map(k, el.vector))
               for k in range(1, l + 1) for el in hw_basis(n, l - k)]
+    zero = TensorVec.zero(n + 1)
     reports = [_vector_report("splitting-section", {"n": n, "l": l}, (
-        (k, el.label, psi_map(image), lambda_const(k, n, l)
-         * (act_tensor(F(k - 1), el.vector) if k > 1 else el.vector))
-        for k, el, image in images))]
+        case for k, el, image in images for case in (
+            (k, el.label, psi_map(image), lambda_const(k, n, l)
+             * (act_tensor(F(k - 1), el.vector) if k > 1 else el.vector)),
+            (k, el.label, act_tensor(E, image), zero))))]
     for i in range(1, n):
         params = {"n": n, "l": l, "i": i}
         reports.append(_vector_report("splitting-equivariance", params, (

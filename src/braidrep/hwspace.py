@@ -302,14 +302,18 @@ def rho_matrix(n, l, word):
 
     Words act left to right (first letter applied first); columns are the
     images of the ordered basis vectors, so rho(w1...wk) = rho(wk)...rho(w1).
-    Column c is the c-th column of the first letter's generator matrix,
-    pushed through the later letters one sparse matrix-vector product at a
-    time.  Each generator matrix is built once per (n, l, k) on the full
-    tensor space and residual-checked there (``_generator_rows``).  W_{n,l}
-    is invariant under B_n and has a free basis over the Laurent ring, so
-    those matrices are integral and a product of them is the matrix of the
-    word on W_{n,l}, with entries in the ring: no division and no further
-    check is needed.
+    The word is validated as given and then multiplied as
+    ``word.reduced()``: rho is a representation of B_n, so a pair
+    sigma_k ... sigma_k^-1 whose middle letters commute with sigma_k
+    contributes nothing and costs two products; a word that reduces to
+    nothing gives the identity.  Column c is the c-th column of the first
+    letter's generator matrix, pushed through the later letters one sparse
+    matrix-vector product at a time.  Each generator matrix is built once
+    per (n, l, k) on the full tensor space and residual-checked there
+    (``_generator_rows``).  W_{n,l} is invariant under B_n and has a free
+    basis over the Laurent ring, so those matrices are integral and a
+    product of them is the matrix of the word on W_{n,l}, with entries in
+    the ring: no division and no further check is needed.
     """
     if isinstance(word, (list, tuple)):
         word = BraidWord(n, tuple(word))
@@ -317,7 +321,7 @@ def rho_matrix(n, l, word):
         raise ValueError("word strand count %d does not match n=%d" % (word.n, n))
     basis = hw_basis(n, l)
     d = len(basis)
-    gens = [_generator_rows(n, l, k) for k in word.letters]
+    gens = [_generator_rows(n, l, k) for k in word.reduced().letters]
     cols = []
     for c in range(d):
         if not gens:

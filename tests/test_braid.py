@@ -1,5 +1,7 @@
 """Braiding operator, braid words, and the relation/equivariance checkers."""
 
+import random
+
 import pytest
 
 from braidrep import braid
@@ -7,6 +9,7 @@ from braidrep.braid import (BraidWord, apply_letter, apply_word,
                             check_braid_relations, check_equivariance,
                             check_yang_baxter, rmatrix_pair,
                             rmatrix_pair_inverse, sigma_matrix)
+from braidrep.decomp import full_twist_word
 from braidrep.linalg import mat_identity, mat_mul, poly_matrix_inverse
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly, RatFunc
@@ -35,6 +38,49 @@ class TestBraidWord:
     def test_inverse(self):
         w = BraidWord(4, (1, -2, 3))
         assert w.inverse().letters == (-3, 2, -1)
+
+    @pytest.mark.parametrize("n,word,expected", [
+        (4, (1, 3, -1), (3,)),
+        (4, (1, 2, -2, 3, -1), (3,)),
+        (5, (2, 4, 1, -4, -2, 3), (2, 1, -2, 3)),
+        (4, (1, 3, -3, -1), ()),
+        (3, (1, 2, -1), (1, 2, -1)),
+        (3, (1, -2, 1), (1, -2, 1)),
+        (2, (1, 1, -1, -1), ()),
+    ])
+    def test_reduced_hand_words(self, n, word, expected):
+        w = BraidWord(n, word).reduced()
+        assert (w.n, w.letters) == (n, expected)
+
+    @staticmethod
+    def cancellable_pairs(letters):
+        """Pairs (i, j), i < j, with w[i] = -w[j] and every letter between
+        them commuting with w[j]: the definition, checked pair by pair."""
+        return [(i, j) for j in range(len(letters)) for i in range(j)
+                if letters[i] == -letters[j]
+                and all(abs(abs(x) - abs(letters[j])) >= 2
+                        for x in letters[i + 1:j])]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reduced_properties(self, n):
+        rng = random.Random(n)
+        letters = [k for i in range(1, n) for k in (i, -i)]
+        for length in range(25):
+            for _ in range(20):
+                word = BraidWord(n, [rng.choice(letters) for _ in range(length)])
+                red = word.reduced()
+                assert len(red.letters) <= length
+                assert red.reduced() == red
+                assert self.cancellable_pairs(red.letters) == []
+                # a word with no cancellable pair comes back unchanged
+                if not self.cancellable_pairs(word.letters):
+                    assert red == word
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_full_twist_is_reduced(self, n):
+        full = full_twist_word(n)
+        assert full.reduced() == full
+        assert full.inverse().reduced() == full.inverse()
 
 
 class TestRMatrix:

@@ -83,6 +83,14 @@ class TestMatrixCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_cancelling_word_prints_the_identity(self, fmt, capsys):
+        # every letter of 1 3 -1 -3 cancels across the commuting generator
+        outs = [run_cli(["matrix", "--n", "4", "--l", "2", "--word", word,
+                         "--format", fmt], capsys) for word in ("1 3 -1 -3", "")]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
     def test_bad_word(self, capsys):
         code, _, err = run_cli(
             ["matrix", "--n", "3", "--l", "1", "--word", "7"], capsys)

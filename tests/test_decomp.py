@@ -410,6 +410,21 @@ class TestSplittingMaps:
         diff = alpha_map(1, apply_letter(w.vector, 1)) - apply_letter(alpha, 1)
         assert witness == {"k": 1, "label": label_str(w.label), "diff": str(diff)}
 
+    @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (3, 3)])
+    def test_negated_c_at_j2_fails_section(self, n, l, monkeypatch):
+        # negative control: psi never sees the j = 2 term of alpha_2, and
+        # equivariance holds for any c_{k,j}, so only E alpha_2 = 0 fails
+        c = decomp.c_coeff
+        monkeypatch.setattr(decomp, "c_coeff", lambda k, j, n, l: (
+            -c(k, j, n, l) if j == 2 else c(k, j, n, l)))
+        section, *equivariance, dims = check_splitting(n, l)
+        assert not section.passed
+        first = hw_basis(n, l - 2)[0]
+        assert section.witness == {
+            "k": 2, "label": label_str(first.label),
+            "diff": str(act_tensor(E, alpha_map(2, first.vector)))}
+        assert all(r.passed for r in equivariance) and dims.passed
+
     def test_passing_reports_carry_no_witness(self):
         assert all(r.passed and r.witness is None for r in check_splitting(4, 3))
 

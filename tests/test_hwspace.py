@@ -13,6 +13,7 @@ from braidrep.hwspace import (ABLabel, a_index, a_label, check_phi,
                               e_inverse_on_B, expand_in_hw_basis, hw_basis,
                               is_highest_weight, label_str, pair_label, phi,
                               project_A, rho_matrix, wmax_eigenvalue)
+from braidrep.linalg import mat_identity, mat_mul
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly
 from braidrep.verma import E, K, TensorVec, act_tensor, weight_basis
@@ -302,6 +303,38 @@ class TestRho:
             assert all(type(x) is LaurentPoly for row in m.entries for x in row)
         ident = rho_matrix(n, l, [])
         assert all(type(x) is LaurentPoly for row in ident.entries for x in row)
+
+    @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (5, 3)])
+    def test_generator_times_inverse_is_identity(self, n, l):
+        # rho_matrix cancels [i, -i] before multiplying, so the inverse pair
+        # is checked on the one-letter matrices through mat_mul
+        ident = mat_identity(len(hw_basis(n, l)), LaurentPoly.one())
+        for i in range(1, n):
+            fwd = rho_matrix(n, l, [i]).row_lists()
+            inv = rho_matrix(n, l, [-i]).row_lists()
+            assert mat_mul(fwd, inv) == ident, i
+            assert mat_mul(inv, fwd) == ident, i
+
+    @pytest.mark.parametrize("n,l,word,cancels", [
+        (n, l, word, cancels) for n, l in [(4, 2), (5, 3)]
+        for word, cancels in [((1, 3, -1), True), ((1, 2, -2, 3, -1), True),
+                              ((2, 4, 1, -4, -2, 3), True), ((1, 2, -1), False),
+                              ((1, -2, 1), False)]
+        if max(map(abs, word)) < n])
+    def test_reduced_word_matches_tensor_path(self, n, l, word, cancels):
+        # Oracle: apply_word applies every letter, cancelling pairs included.
+        braid_word = BraidWord(n, word)
+        assert (len(braid_word.reduced().letters) < len(word)) == cancels
+        basis = hw_basis(n, l)
+        cols = [expand_in_hw_basis(apply_word(braid_word, el.vector), n, l)
+                for el in basis]
+        want = [[col[r] for col in cols] for r in range(len(basis))]
+        assert rho_matrix(n, l, word).row_lists() == want
+
+    @pytest.mark.parametrize("word", [[5, -5], [1, 5, -5, -1], [-4, 2, 4]])
+    def test_out_of_range_letter_in_a_cancelling_pair_raises(self, word):
+        with pytest.raises(ValueError, match="out of range"):
+            rho_matrix(3, 2, word)
 
 
 class TestStructure:

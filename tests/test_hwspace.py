@@ -277,10 +277,14 @@ class TestRho:
             words = [tuple(rng.choice(letters) for _ in range(length))
                      for length in range(11)]
         # Fill the generator cache at another n and another l first, so a
-        # cache that ignored either would serve those matrices below.
+        # cache that ignored either would serve those matrices below.  One
+        # letter per call: rho_matrix cancels a word such as [1, -1] whole.
         hwspace._generator_rows.cache_clear()
-        rho_matrix(3 if n == 2 else 2, l, [1, -1])
-        rho_matrix(n, 1 if l == 0 else 0, letters)
+        for k in (1, -1):
+            rho_matrix(3 if n == 2 else 2, l, [k])
+        for k in letters:
+            rho_matrix(n, 1 if l == 0 else 0, [k])
+        assert hwspace._generator_rows.cache_info().currsize == 2 + len(letters)
         basis = hw_basis(n, l)
         for word in words:
             cols = [expand_in_hw_basis(apply_word(BraidWord(n, word), el.vector), n, l)

@@ -145,9 +145,11 @@ def sigma_matrix(n, l, k, perturb=False):
     """Matrix of sigma_k (or its inverse) on the degree-l weight space of n strands.
 
     Built once per (n, l, k, perturb) in ``_sigma_rows``; each call hands
-    out fresh row lists, so a caller may change them.
+    out fresh dense row lists, so a caller may change them.
     """
-    return [list(row) for row in _sigma_rows(n, l, k, perturb)]
+    rows = _sigma_rows(n, l, k, perturb)
+    zero = LaurentPoly.zero()
+    return [[row.get(c, zero) for c in range(len(rows))] for row in rows]
 
 
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
@@ -155,28 +157,30 @@ def sigma_matrix(n, l, k, perturb=False):
 # default scripts/run_checks.py sweep 50; 64 holds either.
 @lru_cache(maxsize=64)
 def _sigma_rows(n, l, k, perturb):
-    """Rows of sigma_matrix as tuples; all the zero entries are one shared zero."""
+    """Rows of sigma_matrix as {col: entry} dicts of the nonzeros; read only."""
     basis = weight_basis(n, l)
-    cols = [apply_letter(TensorVec.pure(idx), k, perturb=perturb).coeffs
-            for idx in basis]
-    zero = LaurentPoly.zero()
-    return tuple(tuple(col.get(idx, zero) for col in cols) for idx in basis)
+    return tuple(_rows_of_columns([apply_letter(TensorVec.pure(idx), k, perturb=perturb)
+                                   for idx in basis], basis))
+
+
+def _rows_of_columns(cols, target):
+    """{col: entry} rows of the matrix whose c-th column is the vector cols[c]."""
+    position = {idx: r for r, idx in enumerate(target)}
+    rows = [{} for _ in target]
+    for c, col in enumerate(cols):
+        for idx, x in col.coeffs.items():
+            rows[position[idx]][c] = x
+    return rows
 
 
 def operator_matrix(gen, n, l):
-    """Matrix of an algebra generator from the degree-l into its target block."""
+    """{col: entry} rows of a generator from the degree-l block into its target block."""
     basis = weight_basis(n, l)
-    if gen.kind in ("K", "Kinv"):
-        target = basis
-    elif gen.kind == "E":
-        if l == 0:
-            return [], basis
-        target = weight_basis(n, l - 1)
-    else:
-        target = weight_basis(n, l + gen.power)
-    cols = [act_tensor(gen, TensorVec.pure(idx)).coeffs for idx in basis]
-    zero = LaurentPoly.zero()
-    return [[col.get(idx, zero) for col in cols] for idx in target], target
+    if gen.kind == "E" and l == 0:
+        return [], basis
+    target = weight_basis(n, l + {"E": -1, "F": gen.power}.get(gen.kind, 0))
+    return _rows_of_columns([act_tensor(gen, TensorVec.pure(idx)) for idx in basis],
+                            target), target
 
 
 # -- structural checks ---------------------------------------------------------
@@ -185,7 +189,7 @@ def operator_matrix(gen, n, l):
 def check_braid_relations(n, l, perturb=False):
     """Exact matrix checks of the defining braid relations on V_{n,l}."""
     reports = []
-    mats = {i: sigma_matrix(n, l, i, perturb=perturb) for i in range(1, n)}
+    mats = {i: _sigma_rows(n, l, i, perturb) for i in range(1, n)}
     for i in range(1, n - 1):
         lhs = mat_mul(mat_mul(mats[i], mats[i + 1]), mats[i])
         rhs = mat_mul(mat_mul(mats[i + 1], mats[i]), mats[i + 1])
@@ -201,8 +205,8 @@ def check_braid_relations(n, l, perturb=False):
 
 def check_yang_baxter(l, perturb=False):
     """(R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R) on the degree-l block of V^3."""
-    r1 = sigma_matrix(3, l, 1, perturb=perturb)
-    r2 = sigma_matrix(3, l, 2, perturb=perturb)
+    r1 = _sigma_rows(3, l, 1, perturb)
+    r2 = _sigma_rows(3, l, 2, perturb)
     lhs = mat_mul(mat_mul(r1, r2), r1)
     rhs = mat_mul(mat_mul(r2, r1), r2)
     return [matrix_report("yang-baxter", {"l": l}, lhs, rhs)]
@@ -211,21 +215,14 @@ def check_yang_baxter(l, perturb=False):
 def check_equivariance(n, l):
     """The braid action commutes with K, E and F^(1) on V_{n,l}."""
     reports = []
-    gens = {"K": K, "E": E, "F1": F(1)}
-    for name, gen in gens.items():
+    for name, gen, shift in (("K", K, 0), ("E", E, -1), ("F1", F(1), 1)):
         op, _ = operator_matrix(gen, n, l)
         for i in range(1, n):
             params = {"n": n, "l": l, "i": i, "x": name}
-            sig_src = sigma_matrix(n, l, i)
-            if name == "K":
-                sig_tgt = sig_src
-            elif name == "E":
-                if l == 0:
-                    reports.append(CheckReport("equivariance", params))
-                    continue
-                sig_tgt = sigma_matrix(n, l - 1, i)
-            else:
-                sig_tgt = sigma_matrix(n, l + 1, i)
-            reports.append(matrix_report("equivariance", params,
-                                         mat_mul(sig_tgt, op), mat_mul(op, sig_src)))
+            if l + shift < 0:
+                reports.append(CheckReport("equivariance", params))
+                continue
+            reports.append(matrix_report(
+                "equivariance", params, mat_mul(_sigma_rows(n, l + shift, i, False), op),
+                mat_mul(op, _sigma_rows(n, l, i, False))))
     return reports

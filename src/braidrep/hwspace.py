@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord, apply_word
-from .linalg import mat_identity, mat_mul
+from .linalg import mat_mul, sparse_rows
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, dot
 from .verma import E, TensorVec, act_tensor, weight_basis
@@ -357,26 +357,25 @@ def check_phi(n, l):
     """(Phi - id)^2 = 0, Phi^{-1} = 2 - Phi, and E Phi kills exactly the A-part."""
     mat, basis = phi_matrix(n, l)
     d = len(basis)
-    ident = mat_identity(d, LaurentPoly.one())
-    zero = LaurentPoly.zero()
-    sq = mat_mul(mat, mat)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    rows = sparse_rows(mat)
+    ident = [{r: one} for r in range(d)]
     # (Phi - 1)^2 = Phi^2 - 2 Phi + 1 and Phi (2 - Phi) = 2 Phi - Phi^2, formed
     # only where the entry of Phi, Phi^2 or 1 is nonzero: both are 0 elsewhere
-    nil = [[zero] * d for _ in range(d)]
-    inv = [[zero] * d for _ in range(d)]
-    for r in range(d):
-        for c in {c for row in (mat[r], sq[r]) for c, x in enumerate(row) if x} | {r}:
-            nil[r][c] = sq[r][c] - mat[r][c] * 2 + ident[r][c]
-            inv[r][c] = mat[r][c] * 2 - sq[r][c]
+    nil, inv = [], []
+    for p, p2, i in zip(rows, mat_mul(rows, rows), ident):
+        cols = p.keys() | p2.keys() | i.keys()
+        nil.append({c: x for c in cols
+                    if (x := p2.get(c, zero) - p.get(c, zero) * 2 + i.get(c, zero))})
+        inv.append({c: x for c in cols if (x := p.get(c, zero) * 2 - p2.get(c, zero))})
     reports = [
-        matrix_report("phi-nilpotent", {"n": n, "l": l}, nil,
-                      [[zero] * d for _ in range(d)]),
+        matrix_report("phi-nilpotent", {"n": n, "l": l}, nil, [{}] * d),
         matrix_report("phi-inverse", {"n": n, "l": l}, inv, ident),
     ]
     # E Phi must vanish on the A-part, and Phi must fix the B-part pointwise
     # (so E Phi = E there, which is injective on B)
     e_ok = all(is_highest_weight(el.vector) for el in hw_basis(n, l)) and all(
-        mat[r][c] == ident[r][c] for c, idx in enumerate(basis)
+        mat[r][c] == (one if r == c else zero) for c, idx in enumerate(basis)
         if classify_index(idx) == "B" for r in range(d))
     reports.append(CheckReport("phi-e-structure", {"n": n, "l": l}, e_ok))
     return reports

@@ -1,8 +1,9 @@
 """Small exact linear-algebra helpers shared across the package.
 
-Matrices are plain lists of lists.  Entries are anything with ring
-arithmetic (LaurentPoly, its LKB sibling, RatFunc, Fraction); the helpers
-never introduce floating point.
+Matrices are lists of rows: {col: entry} dicts of the nonzero entries, or
+dense lists at the edges.  Entries are anything with ring arithmetic
+(LaurentPoly, its LKB sibling, RatFunc, Fraction); the helpers never
+introduce floating point.
 """
 
 from __future__ import annotations
@@ -21,45 +22,57 @@ def mat_identity(d, one):
     return [[one if r == c else zero for c in range(d)] for r in range(d)]
 
 
-def mat_mul(a, b):
-    """Matrix product that skips zero entries (Gustavson's row-by-row product).
+def sparse_rows(mat):
+    """Rows as {col: entry} dicts of the nonzero entries; dict rows pass through."""
+    return [row if isinstance(row, dict) else {c: x for c, x in enumerate(row) if x}
+            for row in mat]
 
-    The exact checks multiply mostly-zero matrices (a braid generator on
-    V_{n,l} has at most l+1 nonzeros per column), so a dense triple loop
-    would spend most multiplies on a zero operand.  Each entry is one
-    ``dot`` over the pairs that meet at it.  Missing entries are a zero of
-    ``a``'s entry class, so LaurentPoly, LKBPoly, Fraction and RatFunc
-    matrices keep their entry class.
+
+def mat_mul(a, b):
+    """Matrix product over the nonzero entries (Gustavson's row-by-row product).
+
+    Rows are {col: entry} dicts of nonzeros, and so are the product's: each
+    entry is one ``dot`` over the pairs that meet at it, and an entry that
+    cancels is dropped, so no multiply meets a zero and no zero is scanned.
+    Dense rows are an adapter at the edge: shapes are checked, and the dense
+    product holds a zero of ``a``'s entry class where the sparse one has none.
     """
-    inner, cols = len(b), len(b[0])
-    if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
-        raise ValueError("cannot multiply matrices of incompatible shapes")
-    zero = a[0][0] - a[0][0]
-    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    dense = bool(a) and not isinstance(a[0], dict)
+    if dense:
+        inner, cols = len(b), len(b[0])
+        if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
+            raise ValueError("cannot multiply matrices of incompatible shapes")
+        zero = a[0][0] - a[0][0]
+        a, b = sparse_rows(a), sparse_rows(b)
     out = []
     for arow in a:
         pairs = {}
-        for x, b_row in zip(arow, b_rows):
-            if x:
-                for c, y in b_row:
-                    pairs.setdefault(c, []).append((x, y))
-        out.append([dot(pairs[c]) if c in pairs else zero for c in range(cols)])
-    return out
+        for k, x in arow.items():
+            for c, y in b[k].items():
+                pairs.setdefault(c, []).append((x, y))
+        out.append({c: v for c, p in pairs.items() if (v := dot(p))})
+    return [[row.get(c, zero) for c in range(cols)] for row in out] if dense else out
 
 
 def mat_diff_witness(a, b):
     """First (row, col, difference) where two matrices disagree, else None.
 
-    Matrices of different shapes raise ValueError instead of comparing.
-    Whole rows are compared first, which runs in C; only a row that differs
-    is scanned entry by entry.
+    Rows are {col: entry} dicts or dense sequences; a missing entry equals
+    an explicit zero.  Dense matrices of different shapes raise ValueError.
+    Whole rows are compared first, in C; only a row that differs is scanned.
     """
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)
+                               if not isinstance(ra, dict)):
         raise ValueError("cannot compare matrices of different shapes")
     for r, (ra, rb) in enumerate(zip(a, b)):
         if ra == rb:
             continue
-        for c, (x, y) in enumerate(zip(ra, rb)):
+        if not isinstance(ra, dict):
+            ra, rb = dict(enumerate(ra)), dict(enumerate(rb))
+        for c in sorted(ra.keys() | rb.keys()):
+            x, y = ra.get(c), rb.get(c)
+            x = y - y if x is None else x
+            y = x - x if y is None else y
             if x != y:
                 return (r, c, x - y)
     return None

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_diff_witness, mat_identity, mat_mul
+from .linalg import mat_diff_witness, mat_mul, sparse_rows
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, unpack
 from .hwspace import hw_basis, pair_label, rho_matrix
@@ -180,7 +180,7 @@ def fork_iso_check(n, theta_map=theta):
 def check_lkb_braid_relations(n):
     """Braid relations and far commutation for the LKB inverse generators."""
     reports = []
-    mats = {i: lkb_sigma_inverse(n, i).row_lists() for i in range(1, n)}
+    mats = {i: sparse_rows(lkb_sigma_inverse(n, i).entries) for i in range(1, n)}
     for i in range(1, n - 1):
         lhs = mat_mul(mat_mul(mats[i], mats[i + 1]), mats[i])
         rhs = mat_mul(mat_mul(mats[i + 1], mats[i]), mats[i + 1])
@@ -192,9 +192,9 @@ def check_lkb_braid_relations(n):
                 "lkb-braid-commute", {"n": n, "i": i, "j": j},
                 mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])))
     for i in range(1, n):
-        prod = mat_mul(lkb_sigma(n, i).row_lists(), mats[i])
+        prod = mat_mul(sparse_rows(lkb_sigma(n, i).entries), mats[i])
         reports.append(matrix_report("lkb-inverse-pair", {"n": n, "i": i}, prod,
-                                     mat_identity(len(prod), LKBPoly.one())))
+                                     [{r: LKBPoly.one()} for r in range(len(prod))]))
     return reports
 
 

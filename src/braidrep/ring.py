@@ -289,10 +289,11 @@ class LaurentPoly:
         return RatFunc(self, other)
 
     def __eq__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.terms == coerced.terms
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.terms == other.terms
 
     __hash__ = None
 

@@ -290,28 +290,36 @@ def _act_e(vec):
     return result
 
 
+# Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
+# pass of the benchmark's check grid makes 223 distinct (m, idx) and the
+# default scripts/run_checks.py sweep 179; 256 holds either.
+@lru_cache(maxsize=256)
+def _f_image(m, idx):
+    """F^(m) on the pure tensor v_idx, as ((new_idx, coeff), ...)."""
+    image = []
+    for parts in _compositions(m, len(idx)):
+        tail = m
+        factor = LaurentPoly.one()
+        shift_q = shift_s = 0
+        for a, p in zip(idx, parts):
+            tail -= p
+            if p:
+                factor = factor * f_single_coeff(p, a)
+            # the K^{-tail} eigenvalue at v_{a + p}, s^-tail q^{2 tail (a + p)},
+            # and the q-twist q^{-p tail}
+            shift_q += tail * (2 * a + p)
+            shift_s -= tail
+        image.append((tuple(a + p for a, p in zip(idx, parts)),
+                      factor.shifted(shift_q, shift_s)))
+    return tuple(image)
+
+
 def _act_f(vec, m):
-    n = vec.n
     pairs = {}
     for idx, coeff in vec.coeffs.items():
-        for parts in _compositions(m, n):
-            new_idx = tuple(a + p for a, p in zip(idx, parts))
-            tail = m
-            factor = None
-            shift_q = shift_s = 0
-            for i in range(n):
-                tail -= parts[i]
-                if parts[i]:
-                    single = f_single_coeff(parts[i], idx[i])
-                    factor = single if factor is None else factor * single
-                # the K^{-tail} eigenvalue at v_{idx[i] + parts[i]},
-                # s^-tail q^{2 tail (idx[i] + parts[i])}, and the q-twist
-                # q^{-parts[i] tail}
-                shift_q += tail * (2 * idx[i] + parts[i])
-                shift_s -= tail
-            pairs.setdefault(new_idx, []).append(
-                (coeff, factor.shifted(shift_q, shift_s)))
-    return TensorVec.from_products(n, pairs)
+        for new_idx, c in _f_image(m, idx):
+            pairs.setdefault(new_idx, []).append((coeff, c))
+    return TensorVec.from_products(vec.n, pairs)
 
 
 def act_tensor(gen, vec):

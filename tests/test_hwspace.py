@@ -225,9 +225,11 @@ class TestRho:
         assert rho_matrix(4, 2, [1, 3]) == rho_matrix(4, 2, [3, 1])
 
     def test_inverse_letters(self):
-        m = rho_matrix(3, 2, [1, 2, -2, -1])
-        ident = rho_matrix(3, 2, [])
-        assert m == ident
+        # the identity by the braid relation, with no pair that cancels freely:
+        # the product of all six generator matrices must give the identity
+        word = BraidWord(3, (1, 2, 1, -2, -1, -2))
+        assert word.reduced() == word
+        assert rho_matrix(3, 2, word) == rho_matrix(3, 2, [])
 
     def test_entries_integral(self):
         m = rho_matrix(4, 2, [1, -2, 3])

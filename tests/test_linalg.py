@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.linalg import (_bareiss_pivots, fraction_rank, mat_diff_witness,
-                              mat_mul)
+                              mat_mul, sparse_rows)
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
@@ -164,6 +164,85 @@ def test_diff_witness_shape_mismatch_raises():
         mat_diff_witness([[Q, S]], [[Q]])
     with pytest.raises(ValueError):
         mat_diff_witness([[Q]], [[Q], [S]])
+
+
+# -- dict rows, the form the check suites keep, against dense rows --------------
+
+
+def _ratfunc(rnd):
+    den = LaurentPoly.zero()
+    while not den:
+        den = random_poly(rnd, max_terms=2, max_exp=1)
+    return RatFunc(random_poly(rnd, max_terms=2, max_exp=1), den)
+
+
+SPARSE_KINDS = {
+    "laurent": (_laurent, LaurentPoly.zero()),
+    "fraction": (_fraction, Fraction(0)),
+    "ratfunc": (_ratfunc, RatFunc(LaurentPoly.zero())),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_KINDS))
+def test_dict_rows_match_list_rows(kind):
+    make, zero = SPARSE_KINDS[kind]
+    rnd = random.Random(18)
+
+    def nonzero():
+        x = zero
+        while not x:
+            x = make(rnd)
+        return x
+
+    for _ in range(20):
+        rows, inner, cols = rnd.randint(1, 6), rnd.randint(2, 6), rnd.randint(1, 6)
+        a = sparse_matrix(rnd, rows, inner, make, zero)
+        b = sparse_matrix(rnd, inner, cols, make, zero)
+        # one more column of b on which row 0 of a cancels: x1 x2 - x2 x1
+        x1, x2 = nonzero(), nonzero()
+        a[0][0], a[0][1] = x1, x2
+        for k, row in enumerate(b):
+            row.append(x2 if k == 0 else -x1 if k == 1 else zero)
+        dense = mat_mul(a, b)
+        sparse = mat_mul(sparse_rows(a), sparse_rows(b))
+        assert sparse == sparse_rows(dense_product(a, b))
+        assert cols not in sparse[0] and not dense[0][cols]
+        assert all(x and type(x) is type(zero) for row in sparse for x in row.values())
+        assert [[row.get(c, zero) for c in range(cols + 1)] for row in sparse] == dense
+
+
+def test_diff_witness_missing_entry_equals_explicit_zero():
+    z = LaurentPoly.zero()
+    assert mat_diff_witness([{0: Q, 1: z}, {}], [{0: Q}, {1: z}]) is None
+    assert mat_diff_witness([{1: z}, {0: S, 2: z}], [{}, {2: Q}]) == (1, 0, S)
+    assert mat_diff_witness([{}, {2: Q}], [{1: z}, {0: S, 2: z}]) == (1, 0, -S)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_diff_witness_on_dict_rows_is_the_dense_witness(seed):
+    rnd = random.Random(100 + seed)
+    rows, cols = rnd.randint(2, 6), rnd.randint(2, 6)
+    a = sparse_matrix(rnd, rows, cols, _laurent, LaurentPoly.zero())
+
+    def with_explicit_zeros(mat):
+        out = sparse_rows(mat)
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if not x and rnd.random() < 0.5:
+                    out[r][c] = LaurentPoly.zero()
+        return out
+
+    assert mat_diff_witness(with_explicit_zeros(a), sparse_rows(a)) is None
+    b = copy_entries(a)
+    # mismatches in several rows, some of them where a has no entry
+    for r in rnd.sample(range(rows), min(3, rows)):
+        c = rnd.randrange(cols)
+        b[r][c] = b[r][c] + Q * S
+    for lhs, rhs in ((a, b), (b, a)):
+        want = first_mismatch(lhs, rhs)
+        assert want is not None
+        assert mat_diff_witness(with_explicit_zeros(lhs), sparse_rows(rhs)) == want
+        assert mat_diff_witness(sparse_rows(lhs), with_explicit_zeros(rhs)) == want
 
 
 # -- fraction_rank: Bareiss elimination against Gaussian elimination over Q ------

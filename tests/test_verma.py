@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from braidrep import verma
 from braidrep.braid import apply_letter
 from braidrep.ring import LaurentPoly, RatFunc, qbinom
 from braidrep.verma import (E, F, K, KINV, AlgebraGen, TensorVec, act_single,
@@ -261,3 +262,32 @@ class TestProductSites:
             assert image == act_tensor(F(m), poly_part) + act_tensor(F(m), frac_part)
             assert any(isinstance(c, RatFunc) for c in image.coeffs.values())
             assert_no_stored_zero(image)
+
+
+class TestFImageCache:
+    """F^(m) acts through cached images of pure tensors, keyed by (m, idx)."""
+
+    @pytest.mark.parametrize("n,l", [(4, 3), (5, 2)])
+    def test_image_is_the_sum_of_the_pure_tensor_images(self, rnd, n, l):
+        verma._f_image.cache_clear()
+        for m in (1, 2, 3):
+            for _ in range(3):
+                v = random_vec(rnd, n, l, nterms=6)
+                want = TensorVec.zero(n)
+                for idx, c in v.coeffs.items():
+                    want = want + act_tensor(F(m), TensorVec.pure(idx)) * c
+                image = act_tensor(F(m), v)
+                assert image == want
+                assert_no_stored_zero(image)
+
+    @pytest.mark.parametrize("n,l", [(4, 3), (5, 2)])
+    def test_divided_powers_multiply_with_a_warm_cache(self, rnd, n, l):
+        # F^(a) F^(b) = qbinom(a + b, a) F^(a + b); the cache already holds
+        # images of the same pure tensors under other m, so a cache that
+        # ignored m would serve them here
+        verma._f_image.cache_clear()
+        for _ in range(2):
+            v = random_vec(rnd, n, l, nterms=6)
+            for a, b in ((1, 1), (1, 2), (2, 1)):
+                assert act_tensor(F(a), act_tensor(F(b), v)) \
+                    == qbinom(a + b, a) * act_tensor(F(a + b), v)

@@ -15,7 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from braidrep.cli import UsageError, _require_weight_space
-from braidrep.hwspace import label_str, rho_matrix
+from braidrep.hwspace import hw_basis, label_str, rho_matrix
 
 
 def main():
@@ -38,8 +38,7 @@ def main():
     payload = {
         "n": args.n,
         "l": args.l,
-        "basis": [label_str(lab)
-                  for lab in rho_matrix(args.n, args.l, []).basis],
+        "basis": [label_str(el.label) for el in hw_basis(args.n, args.l)],
         "generators": {str(i): rho_matrix(args.n, args.l, [i]).to_json()["rows"]
                        for i in gens},
     }

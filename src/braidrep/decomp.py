@@ -52,7 +52,7 @@ from math import comb, lcm
 from operator import mul, or_
 
 from .braid import BraidWord, apply_letter
-from .hwspace import _generator_rows, hw_basis, label_str, rho_matrix
+from .hwspace import _generator_columns, hw_basis, label_str, rho_matrix
 from .linalg import fraction_rank, mat_diff_witness, mat_identity, modp_rank
 from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
@@ -439,7 +439,7 @@ def _specialized_generators(n, l, q0, s0):
 def _generators_modp(n, l, q0, s0):
     """The generators rho(sigma_i) at (q0, s0), reduced mod p, or None.
 
-    Each nonzero entry of the cached generator rows is a Laurent polynomial
+    Each nonzero entry of the cached generator columns is a Laurent polynomial
     with integer coefficients, evaluated straight to an int mod p from the
     residues of q0 and s0 and of their inverses (``pow`` with a negative
     exponent).  That is the reduction mod p of the rational entry whenever
@@ -453,18 +453,18 @@ def _generators_modp(n, l, q0, s0):
     residues = {}        # packed exponent key -> q^e_q s^e_s mod p
     mats = []
     for i in range(1, n):
-        rows = _generator_rows(n, l, i)
-        mat = [[0] * len(rows) for _ in rows]
-        for out, row in zip(mat, rows):
-            for c, entry in row:
+        cols = _generator_columns(n, l, i)
+        mat = [[0] * len(cols) for _ in cols]
+        for c, col in enumerate(cols):
+            for r, entry in col.items():
                 total = 0
                 for key, coeff in entry.terms.items():
-                    r = residues.get(key)
-                    if r is None:
+                    x = residues.get(key)
+                    if x is None:
                         eq, es = unpack(key)
-                        r = residues[key] = pow(q, eq, p) * pow(s, es, p) % p
-                    total += coeff * r
-                out[c] = total % p
+                        x = residues[key] = pow(q, eq, p) * pow(s, es, p) % p
+                    total += coeff * x
+                mat[r][c] = total % p
         mats.append(mat)
     return mats
 

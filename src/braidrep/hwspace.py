@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .braid import BraidWord, apply_word
-from .linalg import mat_mul, sparse_rows
+from .braid import BraidWord, _rows_of_columns, apply_word
+from .linalg import mat_mul
 from .report import CheckReport, matrix_report
-from .ring import LaurentPoly, dot
+from .ring import LaurentPoly
 from .verma import E, TensorVec, act_tensor, weight_basis
 
 
@@ -271,30 +271,18 @@ def expand_in_hw_basis(vec, n, l):
 # The four benchmark workloads and the default scripts/run_checks.py sweep
 # touch 74 distinct (n, l, k) between them; 128 holds all of them.
 @lru_cache(maxsize=128)
-def _generator_rows(n, l, k):
-    """Nonzero (col, entry) pairs of each row of rho_{n,l}(sigma_k).
+def _generator_columns(n, l, k):
+    """Columns of rho_{n,l}(sigma_k), each a {row: entry} dict of its nonzeros.
 
-    Built once on the full tensor space: each basis vector is pushed through
-    the letter and expanded with ``expand_in_hw_basis``, whose residual
-    check certifies that the image lies in W_{n,l} with Laurent coefficients.
+    Built once on the full tensor space: column c is the c-th basis vector
+    pushed through the letter and expanded with ``expand_in_hw_basis``, whose
+    residual check certifies that the image lies in W_{n,l} with Laurent
+    coefficients.
     """
     word = BraidWord(n, (k,))
-    cols = [expand_in_hw_basis(apply_word(word, el.vector), n, l)
-            for el in hw_basis(n, l)]
-    return tuple(tuple((c, col[r]) for c, col in enumerate(cols) if col[r])
-                 for r in range(len(cols)))
-
-
-def _apply_rows(rows, column):
-    """Sparse matrix-vector product, one ``dot`` per row; ``column``: row -> entry."""
-    out = {}
-    for r, row in enumerate(rows):
-        pairs = [(x, column[c]) for c, x in row if c in column]
-        if pairs:
-            acc = dot(pairs)
-            if acc:
-                out[r] = acc
-    return out
+    return tuple({r: x for r, x in enumerate(
+                     expand_in_hw_basis(apply_word(word, el.vector), n, l)) if x}
+                 for el in hw_basis(n, l))
 
 
 def rho_matrix(n, l, word):
@@ -307,10 +295,12 @@ def rho_matrix(n, l, word):
     sigma_k ... sigma_k^-1 whose middle letters commute with sigma_k
     contributes nothing and costs two products; a word that reduces to
     nothing gives the identity.  Column c is the c-th column of the first
-    letter's generator matrix, pushed through the later letters one sparse
-    matrix-vector product at a time.  Each generator matrix is built once
-    per (n, l, k) on the full tensor space and residual-checked there
-    (``_generator_rows``).  W_{n,l} is invariant under B_n and has a free
+    letter's generator matrix, pushed through each later letter g as the
+    one-row product ``mat_mul([col], g)``: the row vector times the matrix
+    whose rows are g's columns is g applied to the column.  Only one column
+    is in flight at a time.  Each generator matrix is built once per
+    (n, l, k) on the full tensor space and residual-checked there
+    (``_generator_columns``).  W_{n,l} is invariant under B_n and has a free
     basis over the Laurent ring, so those matrices are integral and a
     product of them is the matrix of the word on W_{n,l}, with entries in
     the ring: no division and no further check is needed.
@@ -321,16 +311,13 @@ def rho_matrix(n, l, word):
         raise ValueError("word strand count %d does not match n=%d" % (word.n, n))
     basis = hw_basis(n, l)
     d = len(basis)
-    gens = [_generator_rows(n, l, k) for k in word.reduced().letters]
+    gens = [_generator_columns(n, l, k) for k in word.reduced().letters]
     cols = []
     for c in range(d):
-        if not gens:
-            column = {c: LaurentPoly.one()}
-        else:
-            column = {r: x for r, row in enumerate(gens[0]) for j, x in row if j == c}
-            for rows in gens[1:]:
-                column = _apply_rows(rows, column)
-        cols.append(column)
+        col = gens[0][c] if gens else {c: LaurentPoly.one()}
+        for g in gens[1:]:
+            col, = mat_mul([col], g)
+        cols.append(col)
     zero = LaurentPoly.zero()
     entries = tuple(tuple(col.get(r, zero) for col in cols) for r in range(d))
     return RepMatrix(n, l, tuple(el.label for el in basis), entries)
@@ -340,25 +327,22 @@ def rho_matrix(n, l, word):
 
 
 def phi_matrix(n, l):
-    """Matrix of Phi on the full weight space, columns = images.
+    """{col: entry} rows of Phi on the full weight space, columns = images.
 
     The image of an A-tensor is the cached highest-weight basis vector of
     its label.
     """
     basis = weight_basis(n, l)
     images = {el.label: el.vector for el in hw_basis(n, l)}
-    cols = [images[a_label(idx)] if classify_index(idx) == "A"
-            else TensorVec.pure(idx) for idx in basis]
-    zero = LaurentPoly.zero()
-    return [[col.coeffs.get(idx, zero) for col in cols] for idx in basis], basis
+    return _rows_of_columns([images[a_label(idx)] if classify_index(idx) == "A"
+                             else TensorVec.pure(idx) for idx in basis], basis), basis
 
 
 def check_phi(n, l):
     """(Phi - id)^2 = 0, Phi^{-1} = 2 - Phi, and E Phi kills exactly the A-part."""
-    mat, basis = phi_matrix(n, l)
+    rows, basis = phi_matrix(n, l)
     d = len(basis)
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    rows = sparse_rows(mat)
     ident = [{r: one} for r in range(d)]
     # (Phi - 1)^2 = Phi^2 - 2 Phi + 1 and Phi (2 - Phi) = 2 Phi - Phi^2, formed
     # only where the entry of Phi, Phi^2 or 1 is nonzero: both are 0 elsewhere
@@ -375,8 +359,8 @@ def check_phi(n, l):
     # E Phi must vanish on the A-part, and Phi must fix the B-part pointwise
     # (so E Phi = E there, which is injective on B)
     e_ok = all(is_highest_weight(el.vector) for el in hw_basis(n, l)) and all(
-        mat[r][c] == (one if r == c else zero) for c, idx in enumerate(basis)
-        if classify_index(idx) == "B" for r in range(d))
+        rows[r].get(c, zero) == (one if r == c else zero)
+        for c, idx in enumerate(basis) if classify_index(idx) == "B" for r in range(d))
     reports.append(CheckReport("phi-e-structure", {"n": n, "l": l}, e_ok))
     return reports
 

@@ -13,7 +13,7 @@ from braidrep.hwspace import (ABLabel, a_index, a_label, check_phi,
                               e_inverse_on_B, expand_in_hw_basis, hw_basis,
                               is_highest_weight, label_str, pair_label, phi,
                               project_A, rho_matrix, wmax_eigenvalue)
-from braidrep.linalg import mat_identity, mat_mul
+from braidrep.linalg import mat_identity, mat_mul, sparse_rows
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly
 from braidrep.verma import E, K, TensorVec, act_tensor, weight_basis
@@ -281,12 +281,12 @@ class TestRho:
         # Fill the generator cache at another n and another l first, so a
         # cache that ignored either would serve those matrices below.  One
         # letter per call: rho_matrix cancels a word such as [1, -1] whole.
-        hwspace._generator_rows.cache_clear()
+        hwspace._generator_columns.cache_clear()
         for k in (1, -1):
             rho_matrix(3 if n == 2 else 2, l, [k])
         for k in letters:
             rho_matrix(n, 1 if l == 0 else 0, [k])
-        assert hwspace._generator_rows.cache_info().currsize == 2 + len(letters)
+        assert hwspace._generator_columns.cache_info().currsize == 2 + len(letters)
         basis = hw_basis(n, l)
         for word in words:
             cols = [expand_in_hw_basis(apply_word(BraidWord(n, word), el.vector), n, l)
@@ -309,6 +309,16 @@ class TestRho:
             assert all(type(x) is LaurentPoly for row in m.entries for x in row)
         ident = rho_matrix(n, l, [])
         assert all(type(x) is LaurentPoly for row in ident.entries for x in row)
+
+    @pytest.mark.parametrize("n,l", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_generator_columns_are_the_expanded_images(self, n, l):
+        # Dict equality also pins that no zero entry is stored.
+        for k in [k for i in range(1, n) for k in (i, -i)]:
+            want = tuple(
+                {r: x for r, x in enumerate(expand_in_hw_basis(
+                    apply_word(BraidWord(n, (k,)), el.vector), n, l)) if x}
+                for el in hw_basis(n, l))
+            assert hwspace._generator_columns(n, l, k) == want, k
 
     @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (5, 3)])
     def test_generator_times_inverse_is_identity(self, n, l):
@@ -348,6 +358,17 @@ class TestStructure:
     def test_phi_checks(self, n, l):
         assert all_passed(check_phi(n, l))
 
+    @pytest.mark.parametrize("n,l", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    def test_phi_matrix_rows_are_the_images(self, n, l):
+        # Column c holds Phi of the c-th weight tensor: its hw_basis vector if
+        # the tensor is an A-tensor, the tensor itself if it is a B-tensor.
+        rows, basis = hwspace.phi_matrix(n, l)
+        assert basis == weight_basis(n, l)
+        images = [phi(a_label(idx)) if classify_index(idx) == "A"
+                  else TensorVec.pure(idx) for idx in basis]
+        assert rows == [{c: x for c, image in enumerate(images) if (x := image.coeff(idx))}
+                        for idx in basis]
+
     @staticmethod
     def e_structure(n, l):
         return next(r for r in check_phi(n, l) if r.check == "phi-e-structure")
@@ -370,11 +391,11 @@ class TestStructure:
         real = hwspace.phi_matrix
 
         def altered(n_, l_):
-            mat, basis = real(n_, l_)
+            rows, basis = real(n_, l_)
             c = next(c for c, idx in enumerate(basis) if classify_index(idx) == "B")
             r = (c + offset) % len(basis)        # the diagonal, or one below it
-            mat[r][c] = mat[r][c] + S
-            return mat, basis
+            rows[r][c] = rows[r].get(c, LaurentPoly.zero()) + S
+            return rows, basis
 
         monkeypatch.setattr(hwspace, "phi_matrix", altered)
         assert not self.e_structure(n, l).passed
@@ -399,8 +420,9 @@ class TestStructure:
         # spot whose first mismatch lies where only the new Phi^2 is nonzero,
         # so that a formation blind to Phi^2 would report another witness.
         real = hwspace.phi_matrix
-        mat, basis = real(n, l)
+        rows, basis = real(n, l)
         d = len(basis)
+        mat = [[row.get(c, LaurentPoly.zero()) for c in range(d)] for row in rows]
         sq = self.dense_phi_identities(mat)[0]
 
         def damaged(spot):
@@ -426,7 +448,7 @@ class TestStructure:
         bad = damaged(spot)
         _, ident, nil, inv = self.dense_phi_identities(bad)
         monkeypatch.setattr(hwspace, "phi_matrix",
-                            lambda n_, l_: ([list(row) for row in bad], basis))
+                            lambda n_, l_: (sparse_rows(bad), basis))
         reports = {rep.check: rep for rep in check_phi(n, l)}
         zero = [[LaurentPoly.zero()] * d] * d
         for name, lhs, rhs in (("phi-nilpotent", nil, zero),

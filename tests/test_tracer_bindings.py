@@ -39,6 +39,12 @@ def test_every_traced_name_resolves_and_is_restored(tracing):
         hwspace.rho_matrix(3, 1, [1])
         t.end_item()
         assert t.stats["hwspace.rho_matrix"][0] == 1
+        assert t.stats["linalg.mat_mul"][0] == 0
+        t.begin_item(1)
+        hwspace.rho_matrix(3, 1, [1, 2])
+        t.end_item()
+        # the second letter costs one one-row product per column
+        assert t.stats["linalg.mat_mul"][0] == len(hwspace.hw_basis(3, 1))
     finally:
         t.uninstall()
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in targets.items())

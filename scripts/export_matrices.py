@@ -2,7 +2,8 @@
 """Write every generator matrix of a representation to a JSON file.
 
 --n and --l are validated as ``braidrep matrix`` validates them: a bad or
-oversized request prints ``error: ...`` and exits 2 before any work.
+oversized request prints ``error: ...`` and exits 2 before any work, and
+so does an --out file that cannot be written.
 
 Usage: python scripts/export_matrices.py --n 4 --l 2 --out matrices_4_2.json
 """
@@ -44,8 +45,12 @@ def main():
     }
     text = json.dumps(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

@@ -12,8 +12,9 @@ lkb-matrix   LKB generator matrices over Z[t, Q]
 twist        scalar of the central full twist
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical check failed,
-2 = usage, validation or exponent-range error.  Output is deterministic:
-fixed orderings everywhere and randomness only through an explicit --seed.
+2 = usage, validation or exponent-range error, or an unwritable --output.
+Output is deterministic: fixed orderings everywhere and randomness only
+through an explicit --seed.
 """
 
 from __future__ import annotations
@@ -401,7 +402,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, OverflowError) as exc:
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

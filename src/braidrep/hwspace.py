@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord, _rows_of_columns, apply_word
-from .linalg import mat_mul
+from .linalg import mat_mul, row_product
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .verma import E, TensorVec, act_tensor, weight_basis
@@ -157,7 +157,7 @@ def phi(label):
                 - LaurentPoly.monomial(0, n - i) * TensorVec.pure(c_n))
     tail_vec = TensorVec.pure(label.tail)
     prefix = (0,) * (j - 2)
-    pairs = {}
+    weights, parts = {}, {}
     for k in range(l + 1):
         if k == 0:
             part = e_inverse_on_B(tail_vec)
@@ -168,12 +168,10 @@ def phi(label):
             if part.is_zero():
                 break
         sign = -1 if (k - 1) % 2 else 1
-        b_k = LaurentPoly.monomial((k - 1) * (2 * l - k - 2), (k - 1) * (j - n - 1),
-                                   sign)
-        mid = (k,)
-        for idx, coeff in part.coeffs.items():
-            pairs.setdefault(prefix + mid + idx, []).append((b_k, coeff))
-    return TensorVec.from_products(n, pairs)
+        weights[k] = LaurentPoly.monomial((k - 1) * (2 * l - k - 2),
+                                          (k - 1) * (j - n - 1), sign)
+        parts[k] = {prefix + (k,) + idx: c for idx, c in part.coeffs.items()}
+    return TensorVec._of(n, row_product(weights, parts))
 
 
 def a_index_of_b(label):

@@ -28,12 +28,25 @@ def sparse_rows(mat):
             for row in mat]
 
 
-def mat_mul(a, b):
-    """Matrix product over the nonzero entries (Gustavson's row-by-row product).
+def row_product(row, rows):
+    """sum_k row[k] * rows[k] over the keys of ``row``, as {key: entry} of nonzeros.
 
-    Rows are {col: entry} dicts of nonzeros, and so are the product's: each
-    entry is one ``dot`` over the pairs that meet at it, and an entry that
-    cancels is dropped, so no multiply meets a zero and no zero is scanned.
+    One row of Gustavson's product (ACM TOMS 4, 1978): each entry is one
+    ``dot`` over the pairs that meet at it, and an entry that cancels is
+    dropped, so no multiply meets a zero and no zero is stored.  ``rows``
+    maps each key of ``row`` to a {key: entry} dict.
+    """
+    pairs = {}
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            pairs.setdefault(c, []).append((x, y))
+    return {c: v for c, p in pairs.items() if (v := dot(p))}
+
+
+def mat_mul(a, b):
+    """Matrix product over the nonzero entries, one ``row_product`` per row.
+
+    Rows are {col: entry} dicts of nonzeros, and so are the product's.
     Dense rows are an adapter at the edge: shapes are checked, and the dense
     product holds a zero of ``a``'s entry class where the sparse one has none.
     """
@@ -44,13 +57,7 @@ def mat_mul(a, b):
             raise ValueError("cannot multiply matrices of incompatible shapes")
         zero = a[0][0] - a[0][0]
         a, b = sparse_rows(a), sparse_rows(b)
-    out = []
-    for arow in a:
-        pairs = {}
-        for k, x in arow.items():
-            for c, y in b[k].items():
-                pairs.setdefault(c, []).append((x, y))
-        out.append({c: v for c, p in pairs.items() if (v := dot(p))})
+    out = [row_product(row, b) for row in a]
     return [[row.get(c, zero) for c in range(cols)] for row in out] if dense else out
 
 

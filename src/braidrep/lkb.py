@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .braid import relation_reports
 from .linalg import mat_diff_witness, mat_mul, sparse_rows
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, unpack
@@ -179,18 +180,8 @@ def fork_iso_check(n, theta_map=theta):
 
 def check_lkb_braid_relations(n):
     """Braid relations and far commutation for the LKB inverse generators."""
-    reports = []
     mats = {i: sparse_rows(lkb_sigma_inverse(n, i).entries) for i in range(1, n)}
-    for i in range(1, n - 1):
-        lhs = mat_mul(mat_mul(mats[i], mats[i + 1]), mats[i])
-        rhs = mat_mul(mat_mul(mats[i + 1], mats[i]), mats[i + 1])
-        reports.append(matrix_report("lkb-braid-adjacent", {"n": n, "i": i},
-                                     lhs, rhs))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            reports.append(matrix_report(
-                "lkb-braid-commute", {"n": n, "i": i, "j": j},
-                mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])))
+    reports = relation_reports("lkb-braid", {"n": n}, mats)
     for i in range(1, n):
         prod = mat_mul(sparse_rows(lkb_sigma(n, i).entries), mats[i])
         reports.append(matrix_report("lkb-inverse-pair", {"n": n, "i": i}, prod,

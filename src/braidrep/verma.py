@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .ring import LaurentPoly, RatFunc, dot, qbinom
+from .linalg import row_product
+from .ring import LaurentPoly, RatFunc, qbinom
 
 
 @dataclass(frozen=True)
@@ -102,23 +103,19 @@ class TensorVec:
         return cls(len(idx), {tuple(idx): coeff})
 
     @classmethod
-    def from_products(cls, n, pairs_by_idx):
-        """The vector with coefficient ``dot(pairs)`` at each idx -> pairs entry."""
-        result = cls(n)
-        for idx, pairs in pairs_by_idx.items():
-            coeff = dot(pairs)
-            if coeff:
-                result.coeffs[idx] = coeff
+    def _of(cls, n, coeffs):
+        """Wrap a {idx: coeff} dict of nonzeros, taking it over unchecked."""
+        result = cls.__new__(cls)
+        result.n = n
+        result.coeffs = coeffs
         return result
 
     @classmethod
     def combination(cls, n, terms):
-        """sum scale * vec over (scale, vec) pairs, through ``from_products``."""
-        pairs = {}
-        for scale, vec in terms:
-            for idx, coeff in vec.coeffs.items():
-                pairs.setdefault(idx, []).append((coeff, scale))
-        return cls.from_products(n, pairs)
+        """sum scale * vec over an iterable of (scale, vec) terms."""
+        terms = list(terms)
+        return cls._of(n, row_product(dict(enumerate(scale for scale, _ in terms)),
+                                      [vec.coeffs for _, vec in terms]))
 
     # -- predicates / structure ---------------------------------------------
 
@@ -158,10 +155,7 @@ class TensorVec:
         return result
 
     def __neg__(self):
-        result = TensorVec.__new__(TensorVec)
-        result.n = self.n
-        result.coeffs = {idx: -c for idx, c in self.coeffs.items()}
-        return result
+        return TensorVec._of(self.n, {idx: -c for idx, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -263,14 +257,6 @@ def act_single(gen, j):
 # -- tensor action ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _compositions(total, parts):
-    if parts == 1:
-        return ((total,),)
-    return tuple((first,) + rest for first in range(total + 1)
-                 for rest in _compositions(total - first, parts - 1))
-
-
 def _act_k(vec, sign):
     return TensorVec(vec.n, {idx: coeff.shifted(-2 * sign * sum(idx), sign * vec.n)
                              for idx, coeff in vec.coeffs.items()})
@@ -295,9 +281,9 @@ def _act_e(vec):
 # default scripts/run_checks.py sweep 179; 256 holds either.
 @lru_cache(maxsize=256)
 def _f_image(m, idx):
-    """F^(m) on the pure tensor v_idx, as ((new_idx, coeff), ...)."""
-    image = []
-    for parts in _compositions(m, len(idx)):
+    """F^(m) on the pure tensor v_idx, as a {new_idx: coeff} dict; read only."""
+    image = {}
+    for parts in weight_basis(len(idx), m):
         tail = m
         factor = LaurentPoly.one()
         shift_q = shift_s = 0
@@ -309,17 +295,13 @@ def _f_image(m, idx):
             # and the q-twist q^{-p tail}
             shift_q += tail * (2 * a + p)
             shift_s -= tail
-        image.append((tuple(a + p for a, p in zip(idx, parts)),
-                      factor.shifted(shift_q, shift_s)))
-    return tuple(image)
+        image[tuple(a + p for a, p in zip(idx, parts))] = factor.shifted(shift_q, shift_s)
+    return image
 
 
 def _act_f(vec, m):
-    pairs = {}
-    for idx, coeff in vec.coeffs.items():
-        for new_idx, c in _f_image(m, idx):
-            pairs.setdefault(new_idx, []).append((coeff, c))
-    return TensorVec.from_products(vec.n, pairs)
+    return TensorVec._of(vec.n, row_product(
+        vec.coeffs, {idx: _f_image(m, idx) for idx in vec.coeffs}))
 
 
 def act_tensor(gen, vec):

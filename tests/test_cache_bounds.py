@@ -31,8 +31,6 @@ UNBOUNDED = {
         "one entry per (n, l); the CLI bounds each at MAX_WEIGHT_SPACE_DIM indices",
     "verma.f_single_coeff":
         "one polynomial per (m, j) with m + j <= l",
-    "verma._compositions":
-        "one entry per (total, parts) up to (l, n), none larger than a weight basis",
 }
 
 

@@ -356,6 +356,14 @@ class TestDeterminism:
         assert out == ""
         assert json.loads(target.read_text())["labels"] == ["w[0]@3", "w[0,0]@2"]
 
+    def test_unwritable_output_file_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "x.json"
+        code, out, err = run_cli(
+            ["basis", "--n", "2", "--l", "1", "--output", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
@@ -446,6 +454,16 @@ class TestSubprocessEntry:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+    def test_export_script_unwritable_out_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "missing_dir" / "x.json"
+        proc = subprocess.run([sys.executable, EXPORT, "--n", "2", "--l", "1",
+                               "--out", str(target)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_argparse_usage_exit_code(self):
         env = dict(os.environ)

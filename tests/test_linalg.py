@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.linalg import (_bareiss_pivots, fraction_rank, mat_diff_witness,
-                              mat_mul, sparse_rows)
+                              mat_mul, row_product, sparse_rows)
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
@@ -116,6 +116,21 @@ def test_missing_entries_keep_the_entry_class(zero, one):
 def test_shape_mismatch_raises(a, b):
     with pytest.raises(ValueError):
         mat_mul(a, b)
+
+
+@pytest.mark.parametrize("x, y", [
+    (LaurentPoly({(1, 0): 2, (0, 1): -1}), S + 3),
+    (Fraction(3, 2), Fraction(-5, 7)),      # dot multiplies and adds in order
+    (RatFunc(Q * 2 - S, S + 1), RatFunc(S + 3, Q + 2)),
+], ids=["laurent", "fraction", "ratfunc"])
+def test_row_product_drops_cancelled_sums(x, y):
+    # key "cancel" meets x*y and -x*y; key "kept" meets x*y and y*y
+    row = {"a": x, "b": -x, "c": y}
+    rows = {"a": {"cancel": y, "kept": y}, "b": {"cancel": y}, "c": {"kept": y}}
+    got = row_product(row, rows)
+    assert list(got) == ["kept"]
+    assert got["kept"] == x * y + y * y
+    assert type(got["kept"]) is type(x)
 
 
 # -- mat_diff_witness: whole rows first, then the first differing entry -----------

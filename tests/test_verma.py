@@ -1,5 +1,6 @@
 """Verma module action, coproduct, and weight-space enumeration."""
 
+import itertools
 from math import comb
 
 import pytest
@@ -224,12 +225,16 @@ def assert_no_stored_zero(vec):
 class TestProductSites:
     """The sum-of-products sites: cancellation, fraction-field coefficients."""
 
-    def test_from_products_drops_cancelled_sums(self):
-        x, y = LaurentPoly({(1, 0): 2, (0, 1): -1}), S + 3
-        v = TensorVec.from_products(2, {(0, 1): [(x, y), (-x, y)],
-                                        (1, 0): [(x, y), (y, y)]})
-        assert list(v.coeffs) == [(1, 0)]
-        assert v.coeffs[(1, 0)] == x * y + y * y
+    def test_combination_stores_no_cancelled_sum(self):
+        u = TensorVec(2, {(0, 1): S + 3, (1, 0): S})
+        v = TensorVec(2, {(0, 1): S * 2 + 6, (2, 0): 1})
+        two = LaurentPoly.constant(2)
+        w = TensorVec.combination(2, [(two, u), (-LaurentPoly.one(), v)])
+        assert set(w.coeffs) == {(1, 0), (2, 0)}
+        assert_no_stored_zero(w)
+        assert w == 2 * u - v
+        assert TensorVec.combination(2, ((c, vec) for c, vec in [(two, u)])) == 2 * u
+        assert TensorVec.combination(2, iter(())).is_zero()
 
     def test_f_action_cancels_at_an_index(self):
         # F^(1) of a v_(1,0) + b v_(0,1) meets v_(1,1) from both terms;
@@ -266,6 +271,16 @@ class TestProductSites:
 
 class TestFImageCache:
     """F^(m) acts through cached images of pure tensors, keyed by (m, idx)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_image_keys_are_the_compositions_of_m(self, n, m):
+        parts = [p for p in itertools.product(range(m + 1), repeat=n) if sum(p) == m]
+        for idx in itertools.product(range(2), repeat=n):
+            image = verma._f_image(m, idx)
+            assert set(image) == {tuple(a + b for a, b in zip(idx, p))
+                                  for p in parts}
+            assert all(not c.is_zero() for c in image.values())
 
     @pytest.mark.parametrize("n,l", [(4, 3), (5, 2)])
     def test_image_is_the_sum_of_the_pure_tensor_images(self, rnd, n, l):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every ``braidrep check`` suite over a small grid and print a summary table.
 
-Each row is one suite at one (n, l), or the irreducibility certificate at
+Each row is one suite at one (n, l), or the commutant certificate at
 the rational point (q, s) = (2, 3), and names the checks that failed.  For
 each n, one more row is the certificate's negative control: the unreduced
 Burau representation is reducible, so its commutant at (2, 3) must have

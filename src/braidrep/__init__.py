@@ -4,7 +4,7 @@ The package constructs the free integral highest-weight representations
 carried by tensor powers of a generic Verma module, verifies their
 structural properties (free bases, braid relations, the isomorphism of the
 degree-2 piece with the Lawrence-Krammer-Bigelow representation, the
-strand-restriction decomposition, irreducibility certificates) and exports
+strand-restriction decomposition, commutant certificates) and exports
 representation matrices for arbitrary braid words, all over
 Z[q^{+-1}, s^{+-1}] with no floating point anywhere.
 """

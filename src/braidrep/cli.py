@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +58,10 @@ def _require(cond, message):
 #: Largest weight-space dimension C(n+l-1, l) a command accepts.  Exact
 #: arithmetic on V_{n,l} is out of reach long before this size.
 MAX_WEIGHT_SPACE_DIM = 100_000
+
+#: Most decimal digits the numerator or denominator of --q0/--s0 may have:
+#: the output prints them, and Python converts at most 4,300 digits to str.
+MAX_RATIONAL_DIGITS = 4_300
 
 
 def _weight_space_dim_capped(n, l, cap):
@@ -95,10 +100,23 @@ def _require_weight_space(args, command):
 
 
 def _parse_rational(text, flag):
+    """``text`` as a Fraction with at most MAX_RATIONAL_DIGITS digits each way.
+
+    A decimal exponent is bounded before ``Fraction`` expands it: building
+    10^10000000 alone takes seconds.
+    """
+    too_large = UsageError("%s: numerator and denominator are limited to %d digits"
+                           % (flag, MAX_RATIONAL_DIGITS))
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
     try:
-        return Fraction(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_DIGITS:
+            raise too_large
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError("%s expects a rational number, got %r" % (flag, text))
+    if max(abs(value.numerator), value.denominator) >= 10 ** MAX_RATIONAL_DIGITS:
+        raise too_large
+    return value
 
 
 def _matrix_text(rows, labels):

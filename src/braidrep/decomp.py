@@ -1,4 +1,4 @@
-"""Eigen-decomposition of weight spaces and computational irreducibility evidence.
+"""Eigen-decomposition of weight spaces and computational commutant certificates.
 
 Over the fraction field, the degree-l weight space of n strands splits as the
 direct sum of F^(k)-images of highest-weight spaces of degree l-k; on the
@@ -34,11 +34,15 @@ over the Laurent ring with no denominator; the first and last make the
 direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an
 equivariant section.
 
-Irreducibility at an exact rational point (q0, s0) is certified by a
-commutant of dimension 1: an upper bound mod a large prime from a cyclic
-vector (``matrix_commutant_dimension``), on generators reduced mod p
-straight from their Laurent entries (``_generators_modp``), with an exact
-fraction-free fallback over Q.
+A commutant of dimension 1 at an exact rational point (q0, s0) is certified
+by an upper bound mod a large prime from a cyclic vector
+(``matrix_commutant_dimension``), on generators reduced mod p straight from
+their Laurent entries (``_generators_modp``), with an exact fraction-free
+fallback over Q.  It proves End = scalars at the point, and by
+semicontinuity over Q(q,s).  It does not prove irreducibility, which is the
+paper's theorem: at (n, l, q0, s0) = (5, 2, 2, 2) and (6, 2, 3, 3) the
+commutant is 1, yet a rational sigma_1-eigenvector spans an invariant
+subspace of dimension 5 of 10 and 9 of 15.
 """
 
 from __future__ import annotations
@@ -567,8 +571,9 @@ def _random_element(pm, rng, p):
 def commutant_dimension(n, l, q0, s0, seed=0):
     """Dimension of the commutant of the degree-l representation at (q0, s0).
 
-    Dimension 1 certifies irreducibility at the point and hence generic
-    irreducibility over the fraction field.  The certificate runs on the
+    Dimension 1 proves End = scalars at the point and, by semicontinuity,
+    over Q(q,s).  It does not prove irreducibility: W_{5,2} is reducible
+    at (q0, s0) = (2, 2) (module docstring).  The certificate runs on the
     generators reduced mod p (``_generators_modp``); only a bound other
     than 1, or a point that is not p-integral, forms the rational matrices
     for ``matrix_commutant_dimension``.

@@ -12,17 +12,21 @@ trivial case l = 0 (everything is A).  An A-tensor is encoded by the label
 (j, tail): the leading 1 sits in slot j-1 and ``tail`` is the rest of the
 index, of total degree l-1.
 
-The basis-adjusting automorphism Phi fixes B pointwise and sends the
-A-tensor with label (j, tail) to
+E maps B isomorphically onto V_{n,l-1} (``e_inverse_on_B`` inverts it), so
+each A-tensor a has exactly one completion in ker E with A-part exactly a,
+
+    Phi(a) = a - E_B^{-1}(E a),
+
+and Phi fixes B pointwise.  The images of the A-tensors are a free basis of
+the highest-weight space W_{n,l} = ker(E) cap V_{n,l}, and conjugating the
+braid action by Phi (computationally: apply the braid, then project onto A
+along B) yields the integral representation matrices.  For l >= 1 and the
+label (j, tail), Phi(a) equals the closed form (checked in the tests)
 
     sum_{k >= 0} b_k  v_0^{(j-2)} (x) v_k (x) E^{k-1} v_tail,
     b_k = (-1)^{k-1} s^{(k-1)(j-n-1)} q^{(k-1)(2l-k-2)},
 
-where the k = 0 term uses the unique B-preimage of v_tail under E.  The
-image of the A-part under Phi is a free basis of the highest-weight space
-W_{n,l} = ker(E) cap V_{n,l}, and conjugating the braid action by Phi
-(computationally: apply the braid, then project onto A along B) yields the
-integral representation matrices.
+with E_B^{-1} v_tail as the k = 0 term.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord, _rows_of_columns, apply_word
-from .linalg import mat_mul, row_product
+from .linalg import mat_mul
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .verma import E, TensorVec, act_tensor, weight_basis
@@ -116,7 +120,7 @@ def e_inverse_on_B(vec):
     """
     n = vec.n
     result = TensorVec.zero(n)
-    residual = vec
+    residual = TensorVec._of(n, dict(vec.coeffs))   # cleared in place
     while not residual.is_zero():
         idx, coeff = min(
             residual.coeffs.items(),
@@ -130,53 +134,21 @@ def e_inverse_on_B(vec):
             raise IntegralityError("expected a monic monomial pivot, got %s" % unit)
         c = coeff.shifted(-mono[0][0], -mono[0][1])
         result._add_term(lifted, c)
-        residual = residual - c * image
+        for i, x in image.coeffs.items():
+            residual._add_term(i, -(c * x))
     return result
 
 
 def phi(label):
     """Image of a basis label under the basis-adjusting automorphism.
 
-    B-labels are fixed; A-labels expand by the alternating sum described in
-    the module docstring.  Strand count and degree are recovered from the
-    label itself.
+    B-labels are fixed and an A-label's tensor a maps to a - E_B^{-1}(E a).
+    Strand count and degree are recovered from the label itself.
     """
     if label.kind == "B":
-        return TensorVec.pure(a_index_of_b(label))
-    if not label.tail:  # degree 0
-        return TensorVec.pure((0,) * (label.j - 1))
-    n = label.j - 1 + len(label.tail)
-    l = 1 + sum(label.tail)
-    j = label.j
-    if l == 1:
-        # c_i - s^{n-i} c_n with i = j - 1
-        i = j - 1
-        c_i = (0,) * (i - 1) + (1,) + (0,) * (n - i)
-        c_n = (0,) * (n - 1) + (1,)
-        return (TensorVec.pure(c_i)
-                - LaurentPoly.monomial(0, n - i) * TensorVec.pure(c_n))
-    tail_vec = TensorVec.pure(label.tail)
-    prefix = (0,) * (j - 2)
-    weights, parts = {}, {}
-    for k in range(l + 1):
-        if k == 0:
-            part = e_inverse_on_B(tail_vec)
-        elif k == 1:
-            part = tail_vec
-        else:
-            part = act_tensor(E, part)        # E^{k-1} v_tail
-            if part.is_zero():
-                break
-        sign = -1 if (k - 1) % 2 else 1
-        weights[k] = LaurentPoly.monomial((k - 1) * (2 * l - k - 2),
-                                          (k - 1) * (j - n - 1), sign)
-        parts[k] = {prefix + (k,) + idx: c for idx, c in part.coeffs.items()}
-    return TensorVec._of(n, row_product(weights, parts))
-
-
-def a_index_of_b(label):
-    """Pure-tensor index of a B-label (leading entry at slot j)."""
-    return (0,) * (label.j - 1) + label.tail
+        return TensorVec.pure((0,) * (label.j - 1) + label.tail)
+    a = TensorVec.pure(a_index(label, label.j - 1 + len(label.tail)))
+    return a - e_inverse_on_B(act_tensor(E, a))
 
 
 @dataclass(frozen=True)
@@ -194,16 +166,7 @@ def hw_basis(n, l):
     """
     if n < 2 or l < 0:
         raise ValueError("hw_basis needs n >= 2 and l >= 0")
-    labels = []
-    if l == 0:
-        labels.append(ABLabel("A", n + 1, ()))
-    elif l == 1:
-        # the tensor with its 1 in the last slot belongs to the B-part
-        labels = [ABLabel("A", i + 1, (0,) * (n - i)) for i in range(1, n)]
-    else:
-        for j in range(2, n + 1):
-            for tail in weight_basis(n - j + 1, l - 1):
-                labels.append(ABLabel("A", j, tail))
+    labels = [a_label(idx) for idx in weight_basis(n, l) if classify_index(idx) == "A"]
     labels.sort(key=lambda lab: (len(lab.tail), lab.tail))
     elements = tuple(HWBasisElement(lab, phi(lab)) for lab in labels)
     assert len(elements) == comb(n + l - 2, l)

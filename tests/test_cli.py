@@ -14,8 +14,9 @@ import pytest
 from braidrep import decomp as decomp_mod
 from braidrep import hwspace as hw_mod
 from braidrep.braid import BraidWord
-from braidrep.cli import (MAX_WEIGHT_SPACE_DIM, SUITES, UsageError,
-                          _require_weight_space, _weight_space_dim_capped, main)
+from braidrep.cli import (MAX_RATIONAL_DIGITS, MAX_WEIGHT_SPACE_DIM, SUITES,
+                          UsageError, _parse_rational, _require_weight_space,
+                          _weight_space_dim_capped, main)
 from braidrep.hwspace import IntegralityError
 from braidrep.ring import InexactDivisionError
 from braidrep.verma import TensorVec
@@ -173,6 +174,32 @@ class TestInputBound:
         assert out == ""
         assert err.startswith("error: check: ") and named in err
         SUITES[suite].bound("check", n - 1)     # one strand fewer is allowed
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--q0", "1e200000"), ("--q0", "1e10000000"), ("--s0", "1e-5000")])
+    def test_oversized_rational_exits_before_any_work(self, flag, value, capsys):
+        point = {"--q0": "2", "--s0": "3", flag: value}
+        start = time.perf_counter()
+        code, out, err = run_cli(["irreducible", "--n", "3", "--l", "2",
+                                  "--q0", point["--q0"], "--s0", point["--s0"]],
+                                 capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s: " % flag)
+        assert str(MAX_RATIONAL_DIGITS) in err
+
+    def test_rational_digit_limit_is_inclusive(self, capsys):
+        # 10^4299 has 4,300 digits and 10^4300 one more
+        code, out, _ = run_cli(["irreducible", "--n", "3", "--l", "2",
+                                "--q0", "1e4000", "--s0", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["q0"] == "1" + "0" * 4000
+        assert _parse_rational("1e4299", "--q0") == 10 ** 4299
+        for text in ("1e4300", "1e-4300", "15e4299"):
+            with pytest.raises(UsageError, match="limited to %d digits"
+                               % MAX_RATIONAL_DIGITS):
+                _parse_rational(text, "--q0")
 
     def test_capped_dimension_decides_like_the_binomial(self):
         for n in range(2, 14):

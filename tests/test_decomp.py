@@ -524,11 +524,16 @@ class TestFullTwist:
                 assert prod[r][c] == expected
 
 
-def rref_kernel_dim(rows, ncols):
-    """Independent plain row-reduction over Fractions (test oracle)."""
+def rref(rows, ncols):
+    """Independent plain row-reduction over Fractions (test oracle).
+
+    Returns the reduced rows and the pivot columns; row r has its pivot 1
+    in column pivot_cols[r].
+    """
     rows = [[Fraction(x) for x in row] for row in rows]
-    pivots = 0
+    pivot_cols = []
     for col in range(ncols):
+        pivots = len(pivot_cols)
         pivot_row = None
         for r in range(pivots, len(rows)):
             if rows[r][col] != 0:
@@ -543,8 +548,12 @@ def rref_kernel_dim(rows, ncols):
             if r != pivots and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivots])]
-        pivots += 1
-    return ncols - pivots
+        pivot_cols.append(col)
+    return rows, pivot_cols
+
+
+def rref_kernel_dim(rows, ncols):
+    return ncols - len(rref(rows, ncols)[1])
 
 
 def sylvester_rows(mats):
@@ -703,3 +712,71 @@ class TestCommutant:
         monkeypatch.setattr(decomp, "_specialized_generators", refuse)
         monkeypatch.setattr(decomp, "fraction_rank", refuse)
         assert commutant_dimension(4, 3, 2, 3) == 1
+
+
+def eigenvectors(mat, lam):
+    """A basis of the rational kernel of mat - lam, one vector per free column."""
+    d = len(mat)
+    rows, pivots = rref([[x - (lam if r == c else 0) for c, x in enumerate(row)]
+                         for r, row in enumerate(mat)], d)
+    basis = []
+    for free in (c for c in range(d) if c not in pivots):
+        x = [Fraction(0)] * d
+        x[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -rows[r][free]
+        basis.append(x)
+    return basis
+
+
+def spin_dimension(mats, v):
+    """Dimension of the smallest subspace that holds v and every mats[i] image.
+
+    Each matrix is invertible, so that subspace is invariant under the group
+    they generate.  Columns are images: (M x)[r] = sum_c M[r][c] x[c].
+    """
+    echelon = []                       # (pivot column, row with 1 there)
+    queue = [v]
+    while queue:
+        w = queue.pop()
+        for col, row in echelon:
+            if w[col]:
+                f = w[col]
+                w = [x - f * y for x, y in zip(w, row)]
+        col = next((c for c, x in enumerate(w) if x), None)
+        if col is None:
+            continue
+        echelon.append((col, [x / w[col] for x in w]))
+        queue += [[sum(m[r][c] * x for c, x in enumerate(w) if x)
+                   for r in range(len(w))] for m in mats]
+    return len(echelon)
+
+
+class TestCommutantGap:
+    """A commutant of dimension 1 at a point does not make W_{n,l} irreducible there.
+
+    At these points off the guard loci, s0 = q0^(l-1), the commutant is the
+    scalars, yet an exact rational eigenvector of rho(sigma_1) for
+    lambda_1 = -s0^-2 spans a proper invariant subspace.  End = scalars
+    holds at the point and generically; irreducibility is the paper's
+    theorem, not what ``commutant_dimension`` certifies.
+    """
+
+    @pytest.mark.parametrize("n, l, q0, s0, spin, dim", [
+        (5, 2, 2, 2, 5, 10),
+        (6, 2, 3, 3, 9, 15),
+        (3, 4, 2, 8, 2, 5),
+    ])
+    def test_trivial_commutant_at_a_reducible_point(self, n, l, q0, s0, spin, dim):
+        assert validate_specialization(n, l, q0, s0) == (q0, s0)
+        assert commutant_dimension(n, l, q0, s0) == 1
+        mats = _specialized_generators(n, l, q0, s0)
+        assert len(mats[0]) == dim
+        v = eigenvectors(mats[0], Fraction(-1, s0 * s0))[0]
+        assert spin_dimension(mats, v) == spin < dim
+
+    def test_lambda_1_eigenvectors_span_everything_at_a_certified_point(self):
+        mats = _specialized_generators(5, 2, 2, 3)
+        vectors = eigenvectors(mats[0], Fraction(-1, 9))
+        assert len(vectors) == 3
+        assert [spin_dimension(mats, v) for v in vectors] == [10] * 3

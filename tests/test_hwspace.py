@@ -84,13 +84,58 @@ class TestEInverse:
                               for idx in rnd.sample(idxs, min(4, len(idxs)))})
             if v.is_zero():
                 continue
+            before = dict(v.coeffs)
             eta = e_inverse_on_B(v)
+            assert v.coeffs == before        # the residual is cleared on a copy
             assert act_tensor(E, eta) == v
             assert all(classify_index(idx) == "B" for idx in eta.coeffs)
             assert all(isinstance(c, LaurentPoly) for c in eta.coeffs.values())
 
 
+def closed_form_phi(label):
+    """Phi of an A-label by the b_k sum of the hwspace module docstring.
+
+    sum_k b_k v_0^{(j-2)} (x) v_k (x) E^{k-1} v_tail, with E_B^{-1} v_tail as
+    the k = 0 term and b_k = (-1)^{k-1} s^{(k-1)(j-n-1)} q^{(k-1)(2l-k-2)};
+    the degree-0 label is the lone tensor v_0^{(n)}.
+    """
+    n = label.j - 1 + len(label.tail)
+    if not label.tail:
+        return TensorVec.pure((0,) * n)
+    l, j = 1 + sum(label.tail), label.j
+    tail_vec = TensorVec.pure(label.tail)
+    total = TensorVec.zero(n)
+    part = e_inverse_on_B(tail_vec)
+    for k in range(l + 1):
+        if k == 1:
+            part = tail_vec
+        elif k >= 2:
+            part = act_tensor(E, part)         # E^{k-1} v_tail
+        b_k = mono((k - 1) * (2 * l - k - 2), (k - 1) * (j - n - 1),
+                   -1 if (k - 1) % 2 else 1)
+        shifted = TensorVec(n, {(0,) * (j - 2) + (k,) + idx: c
+                                for idx, c in part.coeffs.items()})
+        total = total + b_k * shifted
+    return total
+
+
 class TestPhi:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_closed_form_at_every_a_label(self, n):
+        for l in range(5):
+            for idx in weight_basis(n, l):
+                if classify_index(idx) == "A":
+                    lab = a_label(idx)
+                    assert phi(lab) == closed_form_phi(lab), lab
+
+    def test_closed_form_oracle_sees_a_wrong_weight(self):
+        # the k = 2 term of w(1,2) at n = 3 is b_2 E v_(1,0) = -s^-1 v_(2,0,0);
+        # with b_2 of the opposite sign the sum is no longer Phi
+        lab = pair_label(1, 2, 3)
+        assert closed_form_phi(lab).coeff((2, 0, 0)) == mono(0, -1, -1)
+        bad = closed_form_phi(lab) + mono(0, -1, 2) * TensorVec.pure((2, 0, 0))
+        assert phi(lab) != bad
+
     def test_degree_one(self):
         # c_i - s^{n-i} c_n
         n = 4
@@ -193,6 +238,19 @@ class TestHwBasis:
     def test_validation(self):
         with pytest.raises(ValueError):
             hw_basis(1, 1)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_labels_are_the_j_tail_enumeration(self, n):
+        # the leading 1 in slot j-1 followed by any tail of degree l-1 on the
+        # remaining n-j+1 slots; at l = 1 this leaves out the last slot's 1
+        for l in range(5):
+            if l == 0:
+                expected = [ABLabel("A", n + 1, ())]
+            else:
+                expected = [ABLabel("A", j, tail) for j in range(2, n + 1)
+                            for tail in weight_basis(n - j + 1, l - 1)]
+            expected.sort(key=lambda lab: (len(lab.tail), lab.tail))
+            assert [el.label for el in hw_basis(n, l)] == expected
 
 
 class TestRho:

@@ -1,0 +1,47 @@
+"""Every name a library module imports is used in that module.
+
+No linter ships with the package, so this walks each module's syntax tree
+with the standard library's ``ast``.  ``__init__`` is left out: its imports
+are the package's public re-exports.
+"""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "braidrep")
+MODULES = sorted(name for name in os.listdir(SRC)
+                 if name.endswith(".py") and name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by the module's imports that no other node refers to."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds "a"
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_library_module_is_checked():
+    assert {"hwspace.py", "cli.py", "ring.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module)) as handle:
+        assert unused_imports(handle.read()) == []
+
+
+def test_an_unused_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom math import comb, lcm as least\n"
+              "print(comb(4, 2), os.sep)\n")
+    assert unused_imports(source) == [(3, "least")]

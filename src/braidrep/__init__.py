@@ -17,9 +17,8 @@ from .verma import (E, F, K, KINV, AlgebraGen, TensorVec, act_single,
 from .braid import (BraidWord, apply_word, check_braid_relations,
                     check_equivariance, check_yang_baxter, rmatrix_pair,
                     rmatrix_pair_inverse, sigma_matrix)
-from .hwspace import (ABLabel, HWBasisElement, RepMatrix, e_inverse_on_B,
-                      hw_basis, is_highest_weight, label_str, phi, project_A,
-                      rho_matrix)
+from .hwspace import (HWBasisElement, RepMatrix, e_inverse_on_B, hw_basis,
+                      is_highest_weight, label_str, phi, rho_matrix)
 from .lkb import (LKBMatrix, LKBPoly, burau_matrices, check_burau,
                   fork_iso_check, lkb_sigma, lkb_sigma_inverse, theta)
 from .decomp import (GuardedSpecializationError, HWDecomposition, alpha_map,

@@ -102,15 +102,19 @@ def _require_weight_space(args, command):
 def _parse_rational(text, flag):
     """``text`` as a Fraction with at most MAX_RATIONAL_DIGITS digits each way.
 
-    A decimal exponent is bounded before ``Fraction`` expands it: building
-    10^10000000 alone takes seconds.
+    Each run of digits and a decimal exponent are bounded before ``Fraction``
+    sees them: int() refuses a longer run, and building 10^10000000 alone
+    takes seconds.
     """
     too_large = UsageError("%s: numerator and denominator are limited to %d digits"
                            % (flag, MAX_RATIONAL_DIGITS))
+    if any(len(run.replace("_", "")) > MAX_RATIONAL_DIGITS
+           for run in re.findall(r"\d+(?:_\d+)*", text)):
+        raise too_large
     exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_DIGITS:
+        raise too_large
     try:
-        if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_DIGITS:
-            raise too_large
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError("%s expects a rational number, got %r" % (flag, text))

@@ -57,7 +57,7 @@ from operator import mul, or_
 
 from .braid import BraidWord, apply_letter
 from .hwspace import _generator_columns, hw_basis, label_str, rho_matrix
-from .linalg import fraction_rank, mat_diff_witness, mat_identity, modp_rank
+from .linalg import fraction_rank, mat_diff_witness, modp_rank, sparse_rows
 from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
@@ -382,7 +382,8 @@ def full_twist_scalar(n, l):
     """
     m = rho_matrix(n, l, full_twist_word(n))
     scalar = m.entries[0][0]
-    witness = mat_diff_witness(m.row_lists(), mat_identity(m.size, scalar))
+    witness = mat_diff_witness(sparse_rows(m.entries),
+                               [{r: scalar} for r in range(m.size)])
     if witness is not None:
         raise ArithmeticError("full twist is not scalar at (%d, %d) for n=%d l=%d"
                               % (witness[0], witness[1], n, l))

@@ -8,9 +8,7 @@ total degree l) splits as A + B:
 
 with the usual adjustments at l = 1 (the tensor with the lone 1 in the last
 slot is counted as B so that E maps B isomorphically onto V_{n,0}) and the
-trivial case l = 0 (everything is A).  An A-tensor is encoded by the label
-(j, tail): the leading 1 sits in slot j-1 and ``tail`` is the rest of the
-index, of total degree l-1.
+trivial case l = 0 (everything is A).
 
 E maps B isomorphically onto V_{n,l-1} (``e_inverse_on_B`` inverts it), so
 each A-tensor a has exactly one completion in ker E with A-part exactly a,
@@ -18,10 +16,14 @@ each A-tensor a has exactly one completion in ker E with A-part exactly a,
     Phi(a) = a - E_B^{-1}(E a),
 
 and Phi fixes B pointwise.  The images of the A-tensors are a free basis of
-the highest-weight space W_{n,l} = ker(E) cap V_{n,l}, and conjugating the
-braid action by Phi (computationally: apply the braid, then project onto A
-along B) yields the integral representation matrices.  For l >= 1 and the
-label (j, tail), Phi(a) equals the closed form (checked in the tests)
+the highest-weight space W_{n,l} = ker(E) cap V_{n,l}.  Each basis vector is
+named by its A-tensor a, as a multi-index: it is the only basis vector with
+a term at a, so a highest-weight vector's coordinate on it is the vector's
+coefficient at a.  Conjugating the braid action by Phi (computationally:
+apply the braid, then read the coefficients off at the A-tensors) yields the
+integral representation matrices.  For l >= 1 and an A-tensor whose leading
+1 sits in slot j-1 followed by ``tail``, Phi(a) equals the closed form
+(checked in the tests)
 
     sum_{k >= 0} b_k  v_0^{(j-2)} (x) v_k (x) E^{k-1} v_tail,
     b_k = (-1)^{k-1} s^{(k-1)(j-n-1)} q^{(k-1)(2l-k-2)},
@@ -46,27 +48,6 @@ class IntegralityError(ArithmeticError):
     """A computation that must stay inside the Laurent ring left it."""
 
 
-@dataclass(frozen=True)
-class ABLabel:
-    """Label of an A- or B-basis tensor of a weight space.
-
-    For kind "A": the leading 1 is in slot j-1 (1-based) and ``tail`` lists
-    the indices of slots j..n.  For kind "B": j is the slot of the leading
-    entry (which is > 1, or the lone trailing 1 when l = 1) and ``tail``
-    lists the indices from that slot on.  The degenerate A-label of the
-    one-dimensional space at l = 0 has an empty tail and j = n + 1.
-    """
-
-    kind: str
-    j: int
-    tail: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(self.tail))
-        if self.kind not in ("A", "B"):
-            raise ValueError("label kind must be 'A' or 'B'")
-
-
 def classify_index(idx):
     """Return 'A' or 'B' for a pure-tensor multi-index."""
     total = sum(idx)
@@ -78,35 +59,23 @@ def classify_index(idx):
     return "A" if first == 1 else "B"
 
 
-def a_label(idx):
-    """Label of an A-classified multi-index."""
-    n = len(idx)
-    if sum(idx) == 0:
-        return ABLabel("A", n + 1, ())
-    p = next(i for i, v in enumerate(idx) if v)
-    return ABLabel("A", p + 2, idx[p + 1:])
+def _lead(idx):
+    """Slot of the first nonzero entry; the zero index reads as its last slot."""
+    return next((i for i, v in enumerate(idx) if v), len(idx) - 1)
 
 
-def a_index(label, n):
-    """Multi-index of an A-label inside an n-fold tensor power."""
-    if not label.tail:
-        return (0,) * n
-    return (0,) * (label.j - 2) + (1,) + label.tail
+def label_str(idx):
+    """CLI-facing name of the basis vector of the A-tensor ``idx``.
 
-
-def label_str(label):
-    """CLI-facing name: w(i,j) at degree 2, w[tail]@j otherwise."""
-    if sum(label.tail) + 1 == 2 and 1 in label.tail:
-        i = label.j - 1
-        j = label.j + label.tail.index(1)
-        return "w(%d,%d)" % (i, j)
-    return "w[%s]@%d" % (",".join(str(a) for a in label.tail), label.j)
-
-
-def project_A(vec):
-    """Projection of a weight space onto its A-part along its B-part."""
-    kept = {idx: c for idx, c in vec.coeffs.items() if classify_index(idx) == "A"}
-    return TensorVec(vec.n, kept)
+    With the leading 1 in slot j-1 (1-based) and ``tail`` the indices of
+    slots j..n, the name is w(j-1,k) when the tail is a lone 1 in slot k,
+    and w[tail]@j otherwise.  The zero index of degree 0 reads as w[]@n+1.
+    """
+    p = _lead(idx)
+    tail = idx[p + 1:]
+    if sum(tail) == 1:
+        return "w(%d,%d)" % (p + 1, p + 2 + tail.index(1))
+    return "w[%s]@%d" % (",".join(str(a) for a in tail), p + 2)
 
 
 def e_inverse_on_B(vec):
@@ -125,7 +94,7 @@ def e_inverse_on_B(vec):
         idx, coeff = min(
             residual.coeffs.items(),
             key=lambda item: (next((v for v in item[0] if v), 0), item[0]))
-        p = next((i for i, v in enumerate(idx) if v), n - 1)
+        p = _lead(idx)
         lifted = idx[:p] + (idx[p] + 1,) + idx[p + 1:]
         image = act_tensor(E, TensorVec.pure(lifted))
         unit = image.coeff(idx)
@@ -139,36 +108,31 @@ def e_inverse_on_B(vec):
     return result
 
 
-def phi(label):
-    """Image of a basis label under the basis-adjusting automorphism.
-
-    B-labels are fixed and an A-label's tensor a maps to a - E_B^{-1}(E a).
-    Strand count and degree are recovered from the label itself.
-    """
-    if label.kind == "B":
-        return TensorVec.pure((0,) * (label.j - 1) + label.tail)
-    a = TensorVec.pure(a_index(label, label.j - 1 + len(label.tail)))
+def phi(idx):
+    """Highest-weight basis vector of the A-tensor a = ``idx``: a - E_B^{-1}(E a)."""
+    a = TensorVec.pure(idx)
     return a - e_inverse_on_B(act_tensor(E, a))
 
 
 @dataclass(frozen=True)
 class HWBasisElement:
-    label: ABLabel
+    label: tuple          # the A-tensor multi-index
     vector: TensorVec
 
 
 @lru_cache(maxsize=None)
 def hw_basis(n, l):
-    """Ordered basis of the highest-weight space W_{n,l}.
+    """Ordered basis of the highest-weight space W_{n,l}, one vector per A-tensor.
 
-    Order is by tail length first, then lexicographically on the tail, so
-    the last element is the maximal vector Phi(v_1 (x) v_{l-1} (x) v_0...).
+    Order is by tail length first (the leading 1 furthest right), then
+    lexicographically on the tail, so the last element is the maximal
+    vector Phi(v_1 (x) v_{l-1} (x) v_0...).
     """
     if n < 2 or l < 0:
         raise ValueError("hw_basis needs n >= 2 and l >= 0")
-    labels = [a_label(idx) for idx in weight_basis(n, l) if classify_index(idx) == "A"]
-    labels.sort(key=lambda lab: (len(lab.tail), lab.tail))
-    elements = tuple(HWBasisElement(lab, phi(lab)) for lab in labels)
+    labels = sorted((idx for idx in weight_basis(n, l) if classify_index(idx) == "A"),
+                    key=lambda idx: (-_lead(idx), idx))
+    elements = tuple(HWBasisElement(idx, phi(idx)) for idx in labels)
     assert len(elements) == comb(n + l - 2, l)
     return elements
 
@@ -185,7 +149,7 @@ class RepMatrix:
 
     n: int
     l: int
-    basis: tuple          # ABLabel, in hw_basis order
+    basis: tuple          # A-tensor labels, in hw_basis order
     entries: tuple        # rows of LaurentPoly, entries[r][c]
 
     @property
@@ -205,22 +169,17 @@ class RepMatrix:
 def expand_in_hw_basis(vec, n, l):
     """Coefficients of a highest-weight vector on the hw_basis of (n, l).
 
-    Reading off the A-components is exact because distinct basis vectors
-    have distinct A-leading tensors; the residual against the full
-    expansion is then checked to vanish, which certifies membership in the
-    highest-weight space.
+    Each coefficient is read off at its basis vector's label: that vector
+    has A-part exactly its label, and no other basis vector has a term
+    there.  The residual against the full expansion is then checked to
+    vanish, which certifies membership in the highest-weight space.
     """
     basis = hw_basis(n, l)
-    position = {el.label: c for c, el in enumerate(basis)}
-    coeffs = [LaurentPoly.zero()] * len(basis)
-    for idx, c in project_A(vec).coeffs.items():
-        lab = a_label(idx)
-        if lab not in position:
-            raise ValueError("index %r is not an A-basis tensor of W_{%d,%d}"
-                             % (idx, n, l))
+    zero = LaurentPoly.zero()
+    coeffs = [vec.coeffs.get(el.label, zero) for el in basis]
+    for c in coeffs:
         if not isinstance(c, LaurentPoly):
             raise IntegralityError("non-integral coefficient %s" % c)
-        coeffs[position[lab]] = c
     residual = vec - TensorVec.combination(n, [(c, el.vector)
                                                for c, el in zip(coeffs, basis) if c])
     if not residual.is_zero():
@@ -290,13 +249,13 @@ def rho_matrix(n, l, word):
 def phi_matrix(n, l):
     """{col: entry} rows of Phi on the full weight space, columns = images.
 
-    The image of an A-tensor is the cached highest-weight basis vector of
-    its label.
+    The image of an A-tensor is its cached highest-weight basis vector; a
+    B-tensor is fixed.
     """
     basis = weight_basis(n, l)
     images = {el.label: el.vector for el in hw_basis(n, l)}
-    return _rows_of_columns([images[a_label(idx)] if classify_index(idx) == "A"
-                             else TensorVec.pure(idx) for idx in basis], basis), basis
+    return _rows_of_columns([images[idx] if idx in images else TensorVec.pure(idx)
+                             for idx in basis], basis), basis
 
 
 def check_phi(n, l):
@@ -304,18 +263,15 @@ def check_phi(n, l):
     rows, basis = phi_matrix(n, l)
     d = len(basis)
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    ident = [{r: one} for r in range(d)]
-    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1 and Phi (2 - Phi) = 2 Phi - Phi^2, formed
-    # only where the entry of Phi, Phi^2 or 1 is nonzero: both are 0 elsewhere
-    nil, inv = [], []
-    for p, p2, i in zip(rows, mat_mul(rows, rows), ident):
-        cols = p.keys() | p2.keys() | i.keys()
-        nil.append({c: x for c in cols
-                    if (x := p2.get(c, zero) - p.get(c, zero) * 2 + i.get(c, zero))})
-        inv.append({c: x for c in cols if (x := p.get(c, zero) * 2 - p2.get(c, zero))})
+    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1, and Phi (2 - Phi) - 1 is its negation;
+    # formed only where the entry of Phi, Phi^2 or 1 is nonzero: it is 0 elsewhere
+    res = [{c: x for c in p.keys() | p2.keys() | {r}
+            if (x := p2.get(c, zero) - p.get(c, zero) * 2 + (one if c == r else zero))}
+           for r, (p, p2) in enumerate(zip(rows, mat_mul(rows, rows)))]
     reports = [
-        matrix_report("phi-nilpotent", {"n": n, "l": l}, nil, [{}] * d),
-        matrix_report("phi-inverse", {"n": n, "l": l}, inv, ident),
+        matrix_report("phi-nilpotent", {"n": n, "l": l}, res, [{}] * d),
+        matrix_report("phi-inverse", {"n": n, "l": l},
+                      [{c: -x for c, x in row.items()} for row in res], [{}] * d),
     ]
     # E Phi must vanish on the A-part, and Phi must fix the B-part pointwise
     # (so E Phi = E there, which is injective on B)
@@ -354,10 +310,10 @@ def check_wmax(n, l):
 
 
 def pair_label(a, b, n):
-    """Basis label of the degree-2 element with 1s in slots a < b."""
+    """Label (A-tensor) of the degree-2 basis vector with 1s in slots a < b."""
     idx = [0] * n
     idx[a - 1] = idx[b - 1] = 1
-    return a_label(tuple(idx))
+    return tuple(idx)
 
 
 def expected_sigma_w(n, i):

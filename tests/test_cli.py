@@ -176,7 +176,8 @@ class TestInputBound:
         SUITES[suite].bound("check", n - 1)     # one strand fewer is allowed
 
     @pytest.mark.parametrize("flag, value", [
-        ("--q0", "1e200000"), ("--q0", "1e10000000"), ("--s0", "1e-5000")])
+        ("--q0", "1e200000"), ("--q0", "1e10000000"), ("--s0", "1e-5000"),
+        ("--q0", "1" + "0" * 4300 + "/3"), ("--s0", "1" + "0" * 4301 + "2")])
     def test_oversized_rational_exits_before_any_work(self, flag, value, capsys):
         point = {"--q0": "2", "--s0": "3", flag: value}
         start = time.perf_counter()
@@ -196,7 +197,9 @@ class TestInputBound:
         assert code == 0
         assert json.loads(out)["params"]["q0"] == "1" + "0" * 4000
         assert _parse_rational("1e4299", "--q0") == 10 ** 4299
-        for text in ("1e4300", "1e-4300", "15e4299"):
+        assert _parse_rational("1" + "0" * 4299, "--q0") == 10 ** 4299
+        for text in ("1e4300", "1e-4300", "15e4299",
+                     "1" + "0" * 4300 + "/3", "1" + "0" * 4301 + "2"):
             with pytest.raises(UsageError, match="limited to %d digits"
                                % MAX_RATIONAL_DIGITS):
                 _parse_rational(text, "--q0")

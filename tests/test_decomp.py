@@ -315,11 +315,12 @@ class TestSplittingMaps:
             alpha_map(0, TensorVec.pure((0, 0)))
 
     def test_psi_on_basis(self):
-        # leading-slot labels map to their tails, embedded labels to zero
+        # labels with their leading 1 in slot 1 map to their tails, embedded
+        # labels to zero
         for el in hw_basis(4, 2):
             image = psi_map(el.vector)
-            if el.label.j == 2:
-                assert image == TensorVec.pure(el.label.tail)
+            if el.label[0] == 1:
+                assert image == TensorVec.pure(el.label[1:])
             else:
                 assert image.is_zero()
 

@@ -8,11 +8,11 @@ import pytest
 from braidrep import hwspace
 from braidrep.braid import BraidWord, apply_word
 from braidrep.decomp import full_twist_word
-from braidrep.hwspace import (ABLabel, a_index, a_label, check_phi,
-                              check_sigma_w, check_wmax, classify_index,
-                              e_inverse_on_B, expand_in_hw_basis, hw_basis,
-                              is_highest_weight, label_str, pair_label, phi,
-                              project_A, rho_matrix, wmax_eigenvalue)
+from braidrep.hwspace import (check_phi, check_sigma_w, check_wmax,
+                              classify_index, e_inverse_on_B,
+                              expand_in_hw_basis, hw_basis, is_highest_weight,
+                              label_str, pair_label, phi, rho_matrix,
+                              wmax_eigenvalue)
 from braidrep.linalg import mat_identity, mat_mul, sparse_rows
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly
@@ -55,13 +55,6 @@ class TestClassification:
                 else:
                     assert a_count == comb(n + l - 2, l)
 
-    def test_label_roundtrip(self):
-        for n, l in [(3, 2), (4, 3), (2, 1)]:
-            for idx in weight_basis(n, l):
-                if classify_index(idx) == "A":
-                    lab = a_label(idx)
-                    assert a_index(lab, n) == idx
-
 
 class TestEInverse:
     def test_zero_tail(self):
@@ -92,18 +85,40 @@ class TestEInverse:
             assert all(isinstance(c, LaurentPoly) for c in eta.coeffs.values())
 
 
-def closed_form_phi(label):
-    """Phi of an A-label by the b_k sum of the hwspace module docstring.
+def j_tail(idx):
+    """(j, tail) of an A-tensor: its leading 1 in slot j-1, ``tail`` on slots j..n.
+
+    The zero index of degree 0 maps to (n + 1, ()).  This is the (j, tail)
+    naming of the highest-weight basis, kept as an oracle for ``label_str``,
+    the ``hw_basis`` order and ``closed_form_phi``.
+    """
+    if not any(idx):
+        return len(idx) + 1, ()
+    p = next(i for i, v in enumerate(idx) if v)
+    assert idx[p] == 1, idx
+    return p + 2, idx[p + 1:]
+
+
+def j_tail_str(j, tail):
+    """Printed name of (j, tail): w(i,j) at degree 2, w[tail]@j otherwise."""
+    if sum(tail) + 1 == 2 and 1 in tail:
+        return "w(%d,%d)" % (j - 1, j + tail.index(1))
+    return "w[%s]@%d" % (",".join(str(a) for a in tail), j)
+
+
+def closed_form_phi(idx):
+    """Phi of an A-tensor by the b_k sum of the hwspace module docstring.
 
     sum_k b_k v_0^{(j-2)} (x) v_k (x) E^{k-1} v_tail, with E_B^{-1} v_tail as
     the k = 0 term and b_k = (-1)^{k-1} s^{(k-1)(j-n-1)} q^{(k-1)(2l-k-2)};
-    the degree-0 label is the lone tensor v_0^{(n)}.
+    the degree-0 index is the lone tensor v_0^{(n)}.
     """
-    n = label.j - 1 + len(label.tail)
-    if not label.tail:
+    n = len(idx)
+    j, tail = j_tail(idx)
+    if not tail:
         return TensorVec.pure((0,) * n)
-    l, j = 1 + sum(label.tail), label.j
-    tail_vec = TensorVec.pure(label.tail)
+    l = 1 + sum(tail)
+    tail_vec = TensorVec.pure(tail)
     total = TensorVec.zero(n)
     part = e_inverse_on_B(tail_vec)
     for k in range(l + 1):
@@ -113,8 +128,8 @@ def closed_form_phi(label):
             part = act_tensor(E, part)         # E^{k-1} v_tail
         b_k = mono((k - 1) * (2 * l - k - 2), (k - 1) * (j - n - 1),
                    -1 if (k - 1) % 2 else 1)
-        shifted = TensorVec(n, {(0,) * (j - 2) + (k,) + idx: c
-                                for idx, c in part.coeffs.items()})
+        shifted = TensorVec(n, {(0,) * (j - 2) + (k,) + i: c
+                                for i, c in part.coeffs.items()})
         total = total + b_k * shifted
     return total
 
@@ -125,8 +140,7 @@ class TestPhi:
         for l in range(5):
             for idx in weight_basis(n, l):
                 if classify_index(idx) == "A":
-                    lab = a_label(idx)
-                    assert phi(lab) == closed_form_phi(lab), lab
+                    assert phi(idx) == closed_form_phi(idx), idx
 
     def test_closed_form_oracle_sees_a_wrong_weight(self):
         # the k = 2 term of w(1,2) at n = 3 is b_2 E v_(1,0) = -s^-1 v_(2,0,0);
@@ -140,14 +154,13 @@ class TestPhi:
         # c_i - s^{n-i} c_n
         n = 4
         for i in range(1, n):
-            lab = ABLabel("A", i + 1, (0,) * (n - i))
             c_i = [0] * n
             c_i[i - 1] = 1
             c_n = [0] * n
             c_n[-1] = 1
             expected = TensorVec.pure(tuple(c_i)) \
                 - mono(0, n - i) * TensorVec.pure(tuple(c_n))
-            assert phi(lab) == expected
+            assert phi(tuple(c_i)) == expected
 
     def test_degree_two_closed_form(self):
         # a_{i,j} - s^{j-i} q^{-2} b_j - s^{i-j} b_i
@@ -166,39 +179,17 @@ class TestPhi:
                     - mono(0, i - j) * TensorVec.pure(tuple(b_i))
                 assert phi(lab) == expected
 
-    def test_b_fixed(self):
-        lab = ABLabel("B", 2, (2, 0))
-        assert phi(lab) == TensorVec.pure((0, 2, 0))
-
     def test_image_is_highest_weight(self):
         for n, l in [(3, 3), (4, 2), (2, 4)]:
             for el in hw_basis(n, l):
                 assert is_highest_weight(el.vector)
 
     def test_leading_coefficient_one(self):
-        # Phi(a) = a + B-part
+        # Phi(a) = a + B-part: the A-part of each basis vector is its label
         for el in hw_basis(4, 3):
-            idx = a_index(el.label, 4)
-            assert el.vector.coeff(idx).is_one()
-            rest = el.vector - TensorVec.pure(idx)
+            assert el.vector.coeff(el.label).is_one()
+            rest = el.vector - TensorVec.pure(el.label)
             assert all(classify_index(i) == "B" for i in rest.coeffs)
-
-
-class TestProjection:
-    def test_kills_b(self):
-        assert project_A(TensorVec.pure((0, 2, 0))).is_zero()
-        assert project_A(TensorVec.pure((2, 0))).is_zero()
-
-    def test_fixes_a(self):
-        v = TensorVec.pure((1, 1, 0))
-        assert project_A(v) == v
-
-    def test_idempotent_and_inverts_phi(self, rnd):
-        for n, l in [(3, 2), (4, 3)]:
-            for el in hw_basis(n, l):
-                pa = project_A(el.vector)
-                assert project_A(pa) == pa
-                assert pa == TensorVec.pure(a_index(el.label, n))
 
 
 class TestHwBasis:
@@ -227,13 +218,12 @@ class TestHwBasis:
 
     def test_order_ends_at_wmax(self):
         for n, l in [(3, 2), (4, 3)]:
-            top = hw_basis(n, l)[-1].label
-            assert top.j == 2
-            assert top.tail == (l - 1,) + (0,) * (n - 2)
+            assert hw_basis(n, l)[-1].label == (1, l - 1) + (0,) * (n - 2)
 
     def test_label_strings(self):
         assert label_str(pair_label(1, 2, 3)) == "w(1,2)"
-        assert label_str(ABLabel("A", 3, (0, 2))) == "w[0,2]@3"
+        assert label_str((0, 1, 0, 2)) == "w[0,2]@3"
+        assert label_str((0, 0, 0)) == "w[]@4"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -242,15 +232,19 @@ class TestHwBasis:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_labels_are_the_j_tail_enumeration(self, n):
         # the leading 1 in slot j-1 followed by any tail of degree l-1 on the
-        # remaining n-j+1 slots; at l = 1 this leaves out the last slot's 1
+        # remaining n-j+1 slots; at l = 1 this leaves out the last slot's 1.
+        # Ordered by (len(tail), tail), and printed by the (j, tail) rule.
         for l in range(5):
             if l == 0:
-                expected = [ABLabel("A", n + 1, ())]
+                expected = [(n + 1, ())]
             else:
-                expected = [ABLabel("A", j, tail) for j in range(2, n + 1)
+                expected = [(j, tail) for j in range(2, n + 1)
                             for tail in weight_basis(n - j + 1, l - 1)]
-            expected.sort(key=lambda lab: (len(lab.tail), lab.tail))
-            assert [el.label for el in hw_basis(n, l)] == expected
+            expected.sort(key=lambda jt: (len(jt[1]), jt[1]))
+            basis = hw_basis(n, l)
+            assert [j_tail(el.label) for el in basis] == expected
+            assert [label_str(el.label) for el in basis] \
+                == [j_tail_str(j, tail) for j, tail in expected]
 
 
 class TestRho:
@@ -422,7 +416,7 @@ class TestStructure:
         # the tensor is an A-tensor, the tensor itself if it is a B-tensor.
         rows, basis = hwspace.phi_matrix(n, l)
         assert basis == weight_basis(n, l)
-        images = [phi(a_label(idx)) if classify_index(idx) == "A"
+        images = [phi(idx) if classify_index(idx) == "A"
                   else TensorVec.pure(idx) for idx in basis]
         assert rows == [{c: x for c, image in enumerate(images) if (x := image.coeff(idx))}
                         for idx in basis]

@@ -35,14 +35,18 @@ direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an
 equivariant section.
 
 A commutant of dimension 1 at an exact rational point (q0, s0) is certified
-by an upper bound mod a large prime from a cyclic vector
-(``matrix_commutant_dimension``), on generators reduced mod p straight from
-their Laurent entries (``_generators_modp``), with an exact fraction-free
-fallback over Q.  It proves End = scalars at the point, and by
-semicontinuity over Q(q,s).  It does not prove irreducibility, which is the
-paper's theorem: at (n, l, q0, s0) = (5, 2, 2, 2) and (6, 2, 3, 3) the
-commutant is 1, yet a rational sigma_1-eigenvector spans an invariant
-subspace of dimension 5 of 10 and 9 of 15.
+by an upper bound mod a large prime (``_commutant_dim_modp``), on generators
+reduced mod p straight from their Laurent entries (``_generators_modp``),
+with an exact fraction-free fallback over Q.  For an algebra element b and a
+vector u, rank d - 1 of the rows b^k a_i u - a_i b^k u (k < d) proves b
+nonderogatory (its minimal polynomial would give a second relation among
+the rows, whose row 0 is zero) and leaves only the identity in F_p[b], which
+holds the commutant: one elimination certifies.  It proves End = scalars at
+the point, and by semicontinuity over Q(q,s).  It does not prove
+irreducibility, which is the paper's theorem: at (n, l, q0, s0) =
+(5, 2, 2, 2) and (6, 2, 3, 3) the commutant is 1, yet a rational
+sigma_1-eigenvector spans an invariant subspace of dimension 5 of 10 and 9
+of 15.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ from operator import mul, or_
 
 from .braid import BraidWord, apply_letter
 from .hwspace import _generator_columns, hw_basis, label_str, rho_matrix
-from .linalg import fraction_rank, mat_diff_witness, modp_rank, sparse_rows
+from .linalg import (fraction_rank, mat_diff_witness, modp_rank, row_product,
+                     sparse_rows)
 from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
@@ -483,22 +488,23 @@ def _integerize(mat):
 def matrix_commutant_dimension(mats, seed=0):
     """Exact dimension of the joint commutant of square rational matrices.
 
-    Each matrix is scaled to an integer one (by the lcm of its
-    denominators, which leaves the commutant unchanged).  Fast path: a
-    random algebra element b with a cyclic vector u mod a large prime p
-    (Krylov vectors u, b u, ..., b^(d-1) u of rank d) has centraliser
-    F_p[b], which holds the commutant mod p.  The conditions that
-    sum_k c_k b^k commute with each matrix on u are a subset of the
-    commutant's, so d minus their rank bounds the commutant dimension mod p
-    from above.  The integer entries reduce mod p, so the rank mod p of the
-    commutant's equations is at most their rank over Q, and the bound holds
-    over Q too.  It is at least 1 (the identity commutes), so a bound of 1
-    is exact.  Otherwise fall back to the rank over Q of the full Sylvester
-    system X A = A X, whose rows are integers: ``fraction_rank`` computes it
-    by fraction-free Bareiss elimination, with no rational number and no
-    prime, so the fallback is exact.
+    One or more square matrices of one size, else ValueError before any
+    work.  Each is scaled to an integer one (by the lcm of its denominators,
+    which leaves the commutant unchanged).  Fast path: for a random algebra
+    element b and vector u mod a large prime p, the conditions that
+    sum_k c_k b^k commute with each matrix on u have rank at most d - 1;
+    rank d - 1 proves b nonderogatory, so F_p[b] holds the commutant mod p,
+    and leaves the identity as their only solution (``_commutant_dim_modp``).
+    The integer entries reduce mod p, so the rank mod p of the commutant's
+    equations is at most their rank over Q, and the bound of 1 holds over Q
+    too, where the identity makes it exact.  Otherwise fall back to the rank
+    over Q of the full Sylvester system X A = A X, whose rows are integers:
+    ``fraction_rank`` computes it by fraction-free Bareiss elimination, with
+    no rational number and no prime, so the fallback is exact.
     """
-    d = len(mats[0])
+    d = len(mats[0]) if mats else 0
+    if not d or any(len(m) != d or any(len(row) != d for row in m) for m in mats):
+        raise ValueError("the commutant needs one or more square matrices of one size")
     if d == 1:
         return 1
     imats = [_integerize(m) for m in mats]
@@ -519,54 +525,68 @@ def matrix_commutant_dimension(mats, seed=0):
 
 
 def _commutant_dim_modp(imats, seed):
-    """Upper bound mod p on the commutant dimension, or None.
+    """Upper bound mod p on the dimension of the commutant C of integer matrices.
 
-    Draws an algebra element b and a vector u until the Krylov vectors
-    u, b u, ..., b^(d-1) u have rank d (at most 8 draws, else None).  Then
-    u is cyclic for b, the centraliser of b is F_p[b], and every X in the
-    commutant is some sum_k c_k b^k.  The returned value is d minus the rank
-    of the constraints sum_k c_k (b^k a_i u - a_i b^k u) = 0, one block per
-    generator a_i; they are a subset of [X, a_i] = 0, so the bound holds.
-    Blocks are added only until the rank reaches d - 1, its maximum, since
-    c = (1, 0, ..., 0), the identity, always solves them.
+    Each draw takes an algebra element b, a vector u, the Krylov vectors
+    b^k u (k < d) and the rows rows[k] = b^k a_i u - a_i b^k u, one block per
+    generator a_i, added until the rank is d - 1.  Then 1 is returned:
+    - C lies in the centraliser Z(b), as b lies in the algebra of the a_i;
+    - rows[0] is zero; if the minimal polynomial of b had degree m < d, its
+      coefficients gamma (gamma_m = 1, m >= 1) would give
+      sum_k gamma_k rows[k] = mu(b) a u - a mu(b) u = 0, and the rank would
+      be at most d - 2;
+    - so b is nonderogatory, Z(b) = F_p[b] with b^0, ..., b^(d-1)
+      independent, and each X in C is some sum_k c_k b^k with
+      sum_k c_k rows[k] = 0, which only the multiples of the identity solve.
+    Below rank d - 1 the Krylov vectors are ranked: if u is cyclic for b,
+    Z(b) = F_p[b] again and d minus the rank bounds C, the rows being a
+    subset of [X, a_i] = 0; if not, the next draw follows (8, else None).
     """
     p = _CERT_PRIME
     d = len(imats[0])
-    pm = [[[x % p for x in row] for row in m] for m in imats]
+    pm = [sparse_rows([[x % p for x in row] for row in m]) for m in imats]
     rng = random.Random(seed)
     for _ in range(8):
         b = _random_element(pm, rng, p)
-        krylov = [[rng.randrange(p) for _ in range(d)]]
-        for _ in range(d - 1):
-            krylov.append(_matvec(b, krylov[-1], p))
+        krylov = _krylov(b, [rng.randrange(p) for _ in range(d)], p)
+        rows = [[] for _ in range(d)]
+        for a in pm:
+            for row, bau, bku in zip(rows, _krylov(b, _matvec(a, krylov[0], p), p),
+                                     krylov):
+                row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
+            rank = modp_rank(rows, len(rows[0]), p)
+            if rank == d - 1:
+                return 1
         if modp_rank(krylov, d, p) == d:
-            break
-    else:
-        return None
-    rows = [[] for _ in range(d)]
-    for a in pm:
-        bau = _matvec(a, krylov[0], p)                    # b^k a u
-        for row, bku in zip(rows, krylov):
-            row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
-            bau = _matvec(b, bau, p)
-        rank = modp_rank(rows, len(rows[0]), p)
-        if rank == d - 1:
-            break
-    return d - rank
+            return d - rank
+    return None
 
 
-def _matvec(m, v, p):
-    return [sum(map(mul, row, v)) % p for row in m]
+def _krylov(b, u, p):
+    """The vectors u, b u, ..., b^(d-1) u mod p."""
+    out = [u]
+    for _ in range(len(u) - 1):
+        out.append([sum(map(mul, row, out[-1])) % p for row in b])
+    return out
+
+
+def _matvec(a, v, p):
+    """a v mod p, with the rows of a as {col: x} dicts of its nonzeros."""
+    at = v.__getitem__
+    return [sum(map(mul, row.values(), map(at, row))) % p for row in a]
 
 
 def _random_element(pm, rng, p):
-    """A random combination of the generators and one product of two of them."""
+    """A random combination of the generators and one product of two of them, dense."""
     i, j = rng.randrange(len(pm)), rng.randrange(len(pm))
-    product = list(zip(*[_matvec(pm[i], col, p) for col in zip(*pm[j])]))
-    terms = pm + [product]
-    coeffs = [rng.randrange(1, p) for _ in terms]
-    return [[sum(map(mul, coeffs, entries)) % p for entries in zip(*rows)]
-            for rows in zip(*terms)]
+    product = [{c: x % p for c, x in row_product(row, pm[j]).items()} for row in pm[i]]
+    coeffs = [rng.randrange(1, p) for _ in range(len(pm) + 1)]
+    b = [[0] * len(pm[0]) for _ in pm[0]]
+    for coeff, m in zip(coeffs, pm + [product]):
+        for brow, row in zip(b, m):
+            for c, x in row.items():
+                brow[c] += coeff * x
+    return [[x % p for x in row] for row in b]
 
 
 def commutant_dimension(n, l, q0, s0, seed=0):

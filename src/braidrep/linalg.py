@@ -188,27 +188,29 @@ def _bareiss_pivots(rows, ncols):
 
 
 def modp_rank(rows, ncols, p):
-    """Rank over F_p of integer rows (lower bound for the rational rank)."""
-    rows = [[x % p for x in r] for r in rows]
-    rows = [r for r in rows if any(r)]
+    """Rank over F_p of the first ncols entries of integer rows.
+
+    A lower bound for the rational rank.  Gaussian elimination that drops
+    each pivot column, and the zero columns before it, once eliminated:
+    every remaining row keeps only its tail past the pivot, and only the
+    tails are updated.  A row that reduces to zero is dropped.
+    """
+    rows = [r for r in ([x % p for x in row[:ncols]] for row in rows) if any(r)]
     rank = 0
-    col = 0
-    while rows and col < ncols:
-        pivot = next((i for i, r in enumerate(rows) if r[col]), None)
-        if pivot is None:
+    while rows:
+        col = 0
+        while (i := next((k for k, r in enumerate(rows) if r[col]), None)) is None:
             col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        prow = rows[0]
-        inv = pow(prow[col], p - 2, p)
+        prow = rows.pop(i)
+        inv = pow(prow[col], -1, p)
+        tail = prow[col + 1:]
         reduced = []
-        for r in rows[1:]:
-            if r[col]:
-                f = (r[col] * inv) % p
-                r = [(x - f * y) % p for x, y in zip(r, prow)]
+        for r in rows:
+            f = r[col] * inv % p
+            r = ([(x - f * y) % p for x, y in zip(r[col + 1:], tail)] if f
+                 else r[col + 1:])
             if any(r):
                 reduced.append(r)
         rows = reduced
         rank += 1
-        col += 1
     return rank

@@ -430,11 +430,11 @@ class LaurentPoly:
         With v0 = a/b and v1 = c/d, the terms are summed over the integers
         with exponents shifted to be nonnegative, and divided once at the end.
         """
-        v0, v1 = Fraction(v0), Fraction(v1)
+        v0, v1 = _fraction(v0), _fraction(v1)
         if v0 == 0 or v1 == 0:
             raise ZeroSubstitutionError("variables may only take nonzero values")
-        if not self.terms:
-            return Fraction(0)
+        if len(self.terms) < 2 and self.terms.keys() <= {0}:
+            return Fraction(self.terms.get(0, 0))       # a constant
         a, b = v0.numerator, v0.denominator
         c, d = v1.numerator, v1.denominator
         terms = [(*unpack(key), coeff) for key, coeff in self.terms.items()]
@@ -704,9 +704,14 @@ def qbinom(n, j):
     return qfactorial(n).divexact(qfactorial(n - j) * qfactorial(j))
 
 
+def _fraction(x):
+    """x as a Fraction; a Fraction passes through without a rebuild."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def specialize(value, q0, s0):
     """Evaluate a LaurentPoly or RatFunc at exact rational (q0, s0)."""
-    q0, s0 = Fraction(q0), Fraction(s0)
+    q0, s0 = _fraction(q0), _fraction(s0)
     if q0 == 0 or s0 == 0:
         raise ZeroSubstitutionError("q and s are units; zero is not allowed")
     if isinstance(value, (LaurentPoly, RatFunc)):

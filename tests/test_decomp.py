@@ -1,6 +1,7 @@
 """Weight-space decomposition, splitting maps, irreducibility certificates."""
 
 import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -21,7 +22,7 @@ from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationErr
                              validate_specialization)
 from braidrep.hwspace import (hw_basis, is_highest_weight, label_str,
                               rho_matrix)
-from braidrep.linalg import mat_mul
+from braidrep.linalg import mat_mul, modp_rank
 from braidrep.lkb import burau_matrices
 from braidrep.report import all_passed
 from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
@@ -707,12 +708,84 @@ class TestCommutant:
         assert matrix_commutant_dimension(mats) == 2
         assert rref_kernel_dim(sylvester_rows(mats), n * n) == 2
 
+    def test_certified_point_costs_one_elimination(self, monkeypatch):
+        # constraint rank d - 1 certifies: the Krylov vectors are not ranked
+        ranks = []
+        monkeypatch.setattr(decomp, "modp_rank",
+                            lambda *args: ranks.append(len(args[0])) or modp_rank(*args))
+        assert commutant_dimension(4, 3, 2, 3) == 1
+        assert ranks == [10]
+
+    @pytest.mark.parametrize("mats", [
+        [],
+        [[[1, 2]]],
+        [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+        [[[1, 2], [3]]],
+    ], ids=["no-matrix", "not-square", "two-sizes", "ragged"])
+    def test_malformed_input_raises(self, mats, monkeypatch):
+        monkeypatch.setattr(decomp, "_integerize", self.refuse)
+        with pytest.raises(ValueError):
+            matrix_commutant_dimension(mats)
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("work started on malformed input")
+
     def test_certified_point_forms_no_rational_matrix(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("exact path reached at a certified point")
         monkeypatch.setattr(decomp, "_specialized_generators", refuse)
         monkeypatch.setattr(decomp, "fraction_rank", refuse)
         assert commutant_dimension(4, 3, 2, 3) == 1
+
+
+def small_matrix(rnd, d):
+    return [[rnd.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+
+
+def block_upper(a, b, c):
+    """[[a, c], [0, b]]."""
+    return ([list(ra) + list(rc) for ra, rc in zip(a, c)]
+            + [[0] * len(a) + list(rb) for rb in b])
+
+
+def scalar_matrix(k, d):
+    return [[k if r == c else 0 for c in range(d)] for r in range(d)]
+
+
+SWEEP_KINDS = {
+    "generic": lambda rnd: [small_matrix(rnd, 4) for _ in range(2)],
+    "block-diagonal": lambda rnd: [block_diag(small_matrix(rnd, 2), small_matrix(rnd, 2))
+                                   for _ in range(2)],
+    # reducible, yet with a trivial commutant, like W_{5,2} at (2, 2)
+    "block-upper": lambda rnd: [block_upper(*(small_matrix(rnd, 2) for _ in range(3)))
+                                for _ in range(2)],
+    "scalar-mix": lambda rnd: ([scalar_matrix(rnd.randint(-3, 3), 3)
+                                for _ in range(rnd.randint(1, 2))]
+                               + [small_matrix(rnd, 3) for _ in range(rnd.randint(0, 1))]),
+    "repeated-blocks": lambda rnd: [block_diag(g, g) for g in
+                                    (small_matrix(rnd, 2) for _ in range(2))],
+}
+
+
+class TestCertificateSoundness:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
+    def test_bound_never_below_the_exact_dimension(self, kind, seed):
+        rnd = random.Random("%s %d" % (kind, seed))
+        outcomes = Counter()
+        for _ in range(6):
+            mats = SWEEP_KINDS[kind](rnd)
+            d = len(mats[0])
+            exact = rref_kernel_dim(sylvester_rows(mats), d * d)
+            for draw_seed in range(14):
+                bound = _commutant_dim_modp(mats, draw_seed)
+                assert bound is None or bound >= exact, (mats, draw_seed)
+                outcomes[bound if bound is None or bound == 1 else "above 1"] += 1
+        if kind in ("generic", "block-upper"):
+            assert outcomes[1]
+        if kind == "repeated-blocks":
+            assert not outcomes[1]
 
 
 def eigenvectors(mat, lam):

@@ -1,4 +1,4 @@
-"""The sparse matrix product and the Bareiss rank against reference oracles."""
+"""The sparse matrix product, the Bareiss rank and the mod-p rank against reference oracles."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep.linalg import (_bareiss_pivots, fraction_rank, mat_diff_witness,
-                              mat_mul, row_product, sparse_rows)
+                              mat_mul, modp_rank, row_product, sparse_rows)
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
@@ -366,3 +366,54 @@ def test_last_bareiss_pivot_is_the_determinant():
                 assert abs(pivots[-1]) == abs(det)
                 checked += 1
     assert checked >= 40
+
+
+# -- modp_rank: narrowing elimination against plain Gaussian elimination mod p ---
+
+
+def gauss_rank_modp(rows, ncols, p):
+    """Rank over F_p by Gaussian elimination on full-width rows (the reference)."""
+    rows = [[x % p for x in r[:ncols]] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [7, 101, (1 << 61) - 1])
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (7, 7)], ids=["tall", "wide", "square"])
+def test_modp_rank_matches_gaussian_elimination_mod_p(p, shape):
+    rnd = random.Random("%s %s" % (shape, p))
+    nrows, ncols = shape
+    ranks, zero_lead = set(), 0
+    for _ in range(60):
+        rows = rows_of_rank_at_most(rnd, nrows, ncols, rnd.randint(0, min(shape)),
+                                    _int_entry)
+        if rnd.random() < 0.3:
+            # a leading column that is zero mod p: the first pivot is further on
+            rows = [[p * rnd.randint(-1, 1)] + r[1:] for r in rows]
+            zero_lead += 1
+        # negative entries and entries >= p, equal mod p to the rows above
+        rows = [[x + p * rnd.randint(-2, 2) for x in r] for r in rows]
+        expected = gauss_rank_modp(rows, ncols, p)
+        assert modp_rank(rows, ncols, p) == expected, rows
+        ranks.add(expected)
+    assert zero_lead and len(ranks) >= 3 and max(ranks) == min(shape)
+
+
+def test_modp_rank_small_cases():
+    assert modp_rank([], 3, 7) == 0
+    assert modp_rank([[0, 7, -14], [0, 0, 0]], 3, 7) == 0
+    assert modp_rank([[1, 2, 3], [8, 9, 10], [-6, 2, 3]], 3, 7) == 1
+    # rows are read up to ncols only
+    assert modp_rank([[0, 0, 5], [1, 0, 5]], 2, 7) == 1
+    # the second pivot lies two columns past the first
+    assert modp_rank([[1, 2, 3], [2, 4, 5]], 3, 101) == 2

@@ -35,13 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import comb
 
 from .braid import BraidWord, _rows_of_columns, apply_word
 from .linalg import mat_mul
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
-from .verma import E, TensorVec, act_tensor, weight_basis
+from .verma import E, TensorVec, _e_image, act_tensor, weight_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -81,30 +82,37 @@ def label_str(idx):
 def e_inverse_on_B(vec):
     """The unique B-supported preimage of ``vec`` under E.
 
-    Works one residual term at a time, always clearing a term whose first
-    nonzero entry is minimal: raising that entry by one gives a B-tensor
-    whose E-image hits the target with a monic monomial coefficient, plus
-    junk terms whose first nonzero entry is strictly larger (so they are
-    cleared later, and the loop terminates).
+    Works one residual term at a time, always clearing the term of least
+    (first nonzero entry, index): raising that entry by one gives a B-tensor
+    whose E-image (``_e_image``) hits the target with a monic monomial
+    coefficient, plus junk terms whose first nonzero entry is larger by one
+    (so they are cleared later, and the loop terminates).  The keys met
+    only grow, so a heap of them yields the terms in that order without a
+    rescan of the residual; a term that cancelled is skipped when popped.
     """
     n = vec.n
     result = TensorVec.zero(n)
     residual = TensorVec._of(n, dict(vec.coeffs))   # cleared in place
-    while not residual.is_zero():
-        idx, coeff = min(
-            residual.coeffs.items(),
-            key=lambda item: (next((v for v in item[0] if v), 0), item[0]))
+    heap = [(next((v for v in idx if v), 0), idx) for idx in residual.coeffs]
+    heapify(heap)
+    while heap:
+        lead, idx = heappop(heap)
+        coeff = residual.coeffs.pop(idx, None)
+        if coeff is None:
+            continue
         p = _lead(idx)
-        lifted = idx[:p] + (idx[p] + 1,) + idx[p + 1:]
-        image = act_tensor(E, TensorVec.pure(lifted))
-        unit = image.coeff(idx)
-        mono = unit.as_monomial()
-        if mono is None or mono[1] != 1:
-            raise IntegralityError("expected a monic monomial pivot, got %s" % unit)
-        c = coeff.shifted(-mono[0][0], -mono[0][1])
+        lifted = idx[:p] + (lead + 1,) + idx[p + 1:]
+        image = _e_image(lifted)
+        # the image at idx is a monomial with coefficient 1 (``_e_image``),
+        # so c * image[idx] clears the term just popped
+        (e0, e1), _ = image[idx].as_monomial()
+        c = coeff.shifted(-e0, -e1)
         result._add_term(lifted, c)
-        for i, x in image.coeffs.items():
-            residual._add_term(i, -(c * x))
+        for i, x in image.items():
+            if i != idx:
+                if i not in residual.coeffs:
+                    heappush(heap, (lead + 1, i))
+                residual._add_term(i, -(c * x))
     return result
 
 

@@ -22,7 +22,7 @@ weighted by q^{- sum_i m_i t_i}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .linalg import row_product
@@ -262,20 +262,6 @@ def _act_k(vec, sign):
                              for idx, coeff in vec.coeffs.items()})
 
 
-def _act_e(vec):
-    n = vec.n
-    result = TensorVec.zero(n)
-    for idx, coeff in vec.coeffs.items():
-        for i in range(n):
-            if idx[i] == 0:
-                continue
-            # K-eigenvalues of the factors to the right of position i
-            right = sum(idx[i + 1:])
-            new_idx = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-            result._add_term(new_idx, coeff.shifted(-2 * right, n - 1 - i))
-    return result
-
-
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
 # pass of the benchmark's check grid makes 223 distinct (m, idx) and the
 # default scripts/run_checks.py sweep 179; 256 holds either.
@@ -299,9 +285,26 @@ def _f_image(m, idx):
     return image
 
 
-def _act_f(vec, m):
+# Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
+# pass of the benchmark's check grid touches 482 distinct idx and the default
+# scripts/run_checks.py sweep 329; 512 holds either.
+@lru_cache(maxsize=512)
+def _e_image(idx):
+    """E on the pure tensor v_idx, as a {new_idx: monomial} dict; read only.
+
+    The coproduct term with E in slot i has K in every slot r > i: slot i
+    lowers by one and each slot r > i contributes s q^{-2 idx[r]}.
+    """
+    n = len(idx)
+    return {idx[:i] + (a - 1,) + idx[i + 1:]:
+            LaurentPoly.monomial(-2 * sum(idx[i + 1:]), n - 1 - i)
+            for i, a in enumerate(idx) if a}
+
+
+def _act_images(vec, image):
+    """sum_idx c_idx image(idx), with image(idx) a {new_idx: coeff} dict."""
     return TensorVec._of(vec.n, row_product(
-        vec.coeffs, {idx: _f_image(m, idx) for idx in vec.coeffs}))
+        vec.coeffs, {idx: image(idx) for idx in vec.coeffs}))
 
 
 def act_tensor(gen, vec):
@@ -311,6 +314,6 @@ def act_tensor(gen, vec):
     if gen.kind == "Kinv":
         return _act_k(vec, -1)
     if gen.kind == "E":
-        return _act_e(vec)
-    return _act_f(vec, gen.power)
+        return _act_images(vec, _e_image)
+    return _act_images(vec, partial(_f_image, gen.power))
 

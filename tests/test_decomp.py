@@ -10,7 +10,7 @@ import pytest
 
 from braidrep import decomp
 from braidrep.braid import BraidWord, apply_letter
-from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
+from braidrep.decomp import (_CERT_PRIMES as CERT_PRIMES, GuardedSpecializationError,
                              _commutant_dim_modp,
                              _generators_modp, _integerize, _pure_decomposition,
                              _specialized_generators, alpha_map, c_coeff,
@@ -31,6 +31,8 @@ from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
 from conftest import (random_poly, ratfunc_decomposition_oracle,
                       ratfunc_splitting_oracle)
+
+CERT_PRIME, SECOND_PRIME = CERT_PRIMES
 
 
 def mono(eq, es, c=1):
@@ -448,6 +450,16 @@ class TestOmega:
                 assert is_highest_weight(omega)
 
 
+def is_garside_half(letters, n):
+    """A positive word of n(n-1)/2 letters whose permutation reverses the strands."""
+    if len(letters) != n * (n - 1) // 2 or not all(0 < k < n for k in letters):
+        return False
+    strands = list(range(1, n + 1))
+    for k in letters:
+        strands[k - 1], strands[k] = strands[k], strands[k - 1]
+    return strands == list(range(n, 0, -1))
+
+
 class TestFullTwist:
     def test_two_strands_squares_generator(self):
         for l in (1, 2, 3):
@@ -476,6 +488,22 @@ class TestFullTwist:
         for l in range(4):
             want = rho_matrix(n, l, tuple(range(1, n)) * n).entries
             assert rho_matrix(n, l, word).entries == want, l
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_half_is_delta(self, n):
+        # basis-free: each half is a positive word of n(n-1)/2 letters for the
+        # strand reversal, a reduced word of the longest permutation, so each
+        # is Garside's Delta (Matsumoto, Tits)
+        letters = full_twist_word(n).letters
+        half = n * (n - 1) // 2
+        assert len(letters) == 2 * half
+        for part in (letters[:half], letters[half:]):
+            assert is_garside_half(part, n)
+            # controls: one letter changed, or inverted, breaks it
+            for pos, k in enumerate(part):
+                for other in [j for j in range(1, n) if j != k] + [-k]:
+                    changed = part[:pos] + (other,) + part[pos + 1:]
+                    assert not is_garside_half(changed, n), (pos, other)
 
     def test_non_scalar_matrix_raises_at_the_first_entry(self, monkeypatch):
         real = decomp.rho_matrix
@@ -656,10 +684,12 @@ class TestCommutant:
     ])
     def test_modp_generators_reduce_the_rational_ones(self, n, l, q0, s0):
         # negative exponents of q and s are evaluated through their inverses
-        p = CERT_PRIME
-        expected = [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                     for row in m] for m in _specialized_generators(n, l, q0, s0)]
-        assert _generators_modp(n, l, q0, s0) == expected
+        default = _generators_modp(n, l, q0, s0)
+        assert default == _generators_modp(n, l, q0, s0, CERT_PRIME)
+        for p in CERT_PRIMES:
+            expected = [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                         for row in m] for m in _specialized_generators(n, l, q0, s0)]
+            assert _generators_modp(n, l, q0, s0, p) == expected
 
     @pytest.mark.parametrize("n, l, q0, s0", [
         (4, 3, Fraction(5, 7), Fraction(-3, 4)),
@@ -678,21 +708,37 @@ class TestCommutant:
         assert _generators_modp(n, l, q0, s0) == expected
 
     @pytest.mark.parametrize("q0, s0", [
-        (CERT_PRIME, 3),
-        (2, Fraction(3, CERT_PRIME)),
-        (Fraction(2, CERT_PRIME), Fraction(CERT_PRIME, 5)),
+        (Fraction(CERT_PRIME * SECOND_PRIME), 3),
+        (2, Fraction(3, CERT_PRIME * SECOND_PRIME)),
+        (Fraction(2, CERT_PRIME), Fraction(SECOND_PRIME, 5)),
     ])
     def test_point_off_the_prime_takes_the_exact_path(self, q0, s0, monkeypatch):
+        # off both certificate primes
         q0, s0 = validate_specialization(3, 2, q0, s0)
         built = []
         monkeypatch.setattr(decomp, "_specialized_generators",
                             lambda *args: built.append(args)
                             or _specialized_generators(*args))
-        assert _generators_modp(3, 2, q0, s0) is None
+        for p in CERT_PRIMES:
+            assert _generators_modp(3, 2, q0, s0, p) is None
         assert commutant_dimension(3, 2, q0, s0) == 1
         assert built == [(3, 2, q0, s0)]
         mats = _specialized_generators(3, 2, q0, s0)
         assert rref_kernel_dim(sylvester_rows(mats), 9) == 1
+
+    @pytest.mark.parametrize("n, l, q0, s0", [
+        (3, 2, CERT_PRIME, 3),
+        (3, 2, 2, Fraction(3, CERT_PRIME)),
+        (3, 2, Fraction(2, CERT_PRIME), Fraction(CERT_PRIME, 5)),
+        (5, 3, CERT_PRIME, 3),
+    ])
+    def test_point_off_the_first_prime_certifies_mod_the_second(self, n, l, q0, s0,
+                                                                monkeypatch):
+        q0, s0 = validate_specialization(n, l, q0, s0)
+        assert _generators_modp(n, l, q0, s0, CERT_PRIME) is None
+        monkeypatch.setattr(decomp, "fraction_rank", self.refuse)
+        monkeypatch.setattr(decomp, "_specialized_generators", self.refuse)
+        assert commutant_dimension(n, l, q0, s0) == 1
 
     @pytest.mark.parametrize("n, l", [(4, 3), (4, 4), (5, 3), (6, 2), (7, 2)])
     def test_benchmark_classes_certify(self, n, l):

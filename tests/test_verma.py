@@ -7,6 +7,7 @@ import pytest
 
 from braidrep import verma
 from braidrep.braid import apply_letter
+from braidrep.hwspace import e_inverse_on_B
 from braidrep.ring import LaurentPoly, RatFunc, qbinom
 from braidrep.verma import (E, F, K, KINV, AlgebraGen, TensorVec, act_single,
                             act_tensor, weight_basis)
@@ -306,3 +307,70 @@ class TestFImageCache:
             for a, b in ((1, 1), (1, 2), (2, 1)):
                 assert act_tensor(F(a), act_tensor(F(b), v)) \
                     == qbinom(a + b, a) * act_tensor(F(a + b), v)
+
+
+def e_by_slots(vec):
+    """E through the iterated coproduct, Delta(E) = E (x) K + 1 (x) E, slot by slot.
+
+    The n-fold coproduct is sum_i 1 (x) ... (x) E (x) K (x) ... (x) K: E
+    lowers slot i, and each slot r > i scales by K's eigenvalue on its own
+    factor, s q^(-2 a_r).
+    """
+    result = TensorVec.zero(vec.n)
+    for idx, c in vec.coeffs.items():
+        for i, a in enumerate(idx):
+            if a:
+                coeff = c
+                for b in idx[i + 1:]:
+                    coeff = coeff * LaurentPoly.monomial(-2 * b, 1)
+                result = result + TensorVec.pure(idx[:i] + (a - 1,) + idx[i + 1:], coeff)
+    return result
+
+
+def seeded_vectors(rnd, n, l):
+    """A Laurent, a RatFunc and a mixed vector of V_{n,l}."""
+    den = LaurentPoly.monomial(1, 1) - 3
+    laurent = random_vec(rnd, n, l, nterms=5)
+    frac = TensorVec(n, {idx: RatFunc(random_poly(rnd) + 1, den)
+                         for idx in rnd.sample(weight_basis(n, l),
+                                               min(3, comb(n + l - 1, l)))})
+    return [laurent, frac, laurent + frac]
+
+
+class TestEImageCache:
+    """E acts through cached images of pure tensors, keyed by idx."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+    def test_action_matches_the_slotwise_coproduct(self, rnd, n, l):
+        for v in seeded_vectors(rnd, n, l):
+            image = act_tensor(E, v)
+            assert image == e_by_slots(v)
+            assert_no_stored_zero(image)
+
+    def test_sign_flipped_k_exponent_is_caught(self, rnd, monkeypatch):
+        # control: the images with q^(+2 right) in place of q^(-2 right)
+        real = verma._e_image
+
+        def flipped(idx):
+            return {i: LaurentPoly.monomial(-e0, e1) for i, x in real(idx).items()
+                    for (e0, e1), _ in [x.as_monomial()]}
+
+        monkeypatch.setattr(verma, "_e_image", flipped)
+        for n, l in [(2, 2), (3, 3), (4, 4)]:
+            for v in seeded_vectors(rnd, n, l):
+                assert act_tensor(E, v) != e_by_slots(v)
+
+    def test_images_are_shared_and_left_unchanged(self, rnd):
+        idxs = weight_basis(4, 3)
+        held = {idx: verma._e_image(idx) for idx in idxs}
+        copies = {idx: dict(image) for idx, image in held.items()}
+        for v in seeded_vectors(rnd, 4, 3):
+            act_tensor(E, v)
+        e_inverse_on_B(act_tensor(E, random_vec(rnd, 4, 3)))
+        for idx in idxs:
+            assert verma._e_image(idx) is held[idx]
+            assert held[idx] == copies[idx]
+            assert set(held[idx]) == {idx[:i] + (a - 1,) + idx[i + 1:]
+                                      for i, a in enumerate(idx) if a}
+            assert all(x.as_monomial()[1] == 1 for x in held[idx].values())

@@ -35,18 +35,18 @@ direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an
 equivariant section.
 
 A commutant of dimension 1 at an exact rational point (q0, s0) is certified
-by an upper bound mod a large prime (``_commutant_dim_modp``), on generators
-reduced mod p straight from their Laurent entries (``_generators_modp``),
-with an exact fraction-free fallback over Q.  For an algebra element b and a
-vector u, rank d - 1 of the rows b^k a_i u - a_i b^k u (k < d) proves b
-nonderogatory (its minimal polynomial would give a second relation among
-the rows, whose row 0 is zero) and leaves only the identity in F_p[b], which
-holds the commutant: one elimination certifies.  It proves End = scalars at
-the point, and by semicontinuity over Q(q,s).  It does not prove
-irreducibility, which is the paper's theorem: at (n, l, q0, s0) =
-(5, 2, 2, 2) and (6, 2, 3, 3) the commutant is 1, yet a rational
-sigma_1-eigenvector spans an invariant subspace of dimension 5 of 10 and 9
-of 15.
+by an upper bound mod a word-size prime (``_commutant_dim_modp``), on
+generators reduced mod p straight from their Laurent entries
+(``_generators_modp``), with an exact fraction-free fallback over Q.  For an
+algebra element b and a vector u, rank d - 1 of the rows
+b^k a_i u - a_i b^k u (k < d) proves b nonderogatory (its minimal polynomial
+would give a second relation among the rows, whose row 0 is zero) and leaves
+only the identity in F_p[b], which holds the commutant: one elimination
+certifies a generic point.  It proves End = scalars at the point, and by
+semicontinuity over Q(q,s).  It does not prove irreducibility, which is the
+paper's theorem: at (n, l, q0, s0) = (5, 2, 2, 2) and (6, 2, 3, 3) the
+commutant is 1, yet a rational sigma_1-eigenvector spans an invariant
+subspace of dimension 5 of 10 and 9 of 15.
 """
 
 from __future__ import annotations
@@ -414,8 +414,10 @@ def check_full_twist(n, l):
 # -- irreducibility ---------------------------------------------------------------
 
 
-# Mersenne primes; a point that is not p-integral for the first tries the second
-_CERT_PRIMES = ((1 << 61) - 1, (1 << 89) - 1)
+# The largest prime below 2^30, so residues are one-digit CPython ints and
+# products stay below 2^60 (any prime gives a sound bound); 2^61 - 1 takes a
+# point that is not p-integral for the first.
+_CERT_PRIMES = ((1 << 30) - 35, (1 << 61) - 1)
 
 
 def guard_factors(n, l):
@@ -502,7 +504,8 @@ def matrix_commutant_dimension(mats, seed=0):
     The integer entries reduce mod p, so the rank mod p of the commutant's
     equations is at most their rank over Q, and the bound of 1 holds over Q
     too, where the identity makes it exact.  Otherwise fall back to the rank
-    over Q of the full Sylvester system X A = A X, whose rows are integers:
+    over Q of the full Sylvester system X A = A X, whose integer rows hold at
+    most 2d nonzeros of d^2 and are built as {col: x} dicts of those:
     ``fraction_rank`` computes it by fraction-free Bareiss elimination, with
     no rational number and no prime, so the fallback is exact.
     """
@@ -515,17 +518,24 @@ def matrix_commutant_dimension(mats, seed=0):
     fast = _commutant_dim_modp(imats, seed)
     if fast == 1:
         return 1
-    rows = []
-    for a in imats:
+    return d * d - fraction_rank(_sylvester_rows(imats), d * d)
+
+
+def _sylvester_rows(mats):
+    """The nonzero rows of X A - A X for each A, as {col: x} over the entries of X."""
+    d = len(mats[0])
+    for a in mats:
+        arows, acols = sparse_rows(a), sparse_rows(zip(*a))
         for r in range(d):
             for c in range(d):
-                # (X A - A X)[r, c] = sum_k X[r,k] A[k,c] - A[r,k] X[k,c]
-                row = [0] * (d * d)
-                for k in range(d):
-                    row[r * d + k] += a[k][c]
-                    row[k * d + c] -= a[r][k]
-                rows.append(row)
-    return d * d - fraction_rank(rows, d * d)
+                # (X A - A X)[r, c] = sum_k X[r,k] A[k,c] - A[r,k] X[k,c]; the
+                # two sums meet only at X[r,c]
+                row = {r * d + k: x for k, x in acols[c].items() if k != c}
+                row.update({k * d + c: -x for k, x in arows[r].items() if k != r})
+                if a[c][c] != a[r][r]:
+                    row[r * d + c] = a[c][c] - a[r][r]
+                if row:
+                    yield row
 
 
 def _commutant_dim_modp(imats, seed, p=_CERT_PRIMES[0]):
@@ -533,7 +543,9 @@ def _commutant_dim_modp(imats, seed, p=_CERT_PRIMES[0]):
 
     Each draw takes an algebra element b, a vector u, the Krylov vectors
     b^k u (k < d) and the rows rows[k] = b^k a_i u - a_i b^k u, one block per
-    generator a_i, added until the rank is d - 1.  Then 1 is returned:
+    generator a_i.  The first block is ranked alone, as at a generic point it
+    reaches rank d - 1; if not, all blocks are ranked once together.  At rank
+    d - 1, 1 is returned:
     - C lies in the centraliser Z(b), as b lies in the algebra of the a_i;
     - rows[0] is zero; if the minimal polynomial of b had degree m < d, its
       coefficients gamma (gamma_m = 1, m >= 1) would give
@@ -553,13 +565,14 @@ def _commutant_dim_modp(imats, seed, p=_CERT_PRIMES[0]):
         b = _random_element(pm, rng, p)
         krylov = _krylov(b, [rng.randrange(p) for _ in range(d)], p)
         rows = [[] for _ in range(d)]
-        for a in pm:
+        for i, a in enumerate(pm):
             for row, bau, bku in zip(rows, _krylov(b, _matvec(a, krylov[0], p), p),
                                      krylov):
                 row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
-            rank = modp_rank(rows, len(rows[0]), p)
-            if rank == d - 1:
-                return 1
+            if i in (0, len(pm) - 1):
+                rank = modp_rank(rows, len(rows[0]), p)
+                if rank == d - 1:
+                    return 1
         if modp_rank(krylov, d, p) == d:
             return d - rank
     return None

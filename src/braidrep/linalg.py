@@ -124,21 +124,25 @@ def poly_matrix_inverse(mat):
 def fraction_rank(rows, ncols):
     """Rank over Q of int or Fraction rows, by fraction-free elimination.
 
-    Each row is scaled once by the lcm of its denominators, which leaves the
+    Rows are {col: x} dicts of nonzeros or dense lists.  A row holding a
+    Fraction is scaled once by the lcm of its denominators, which leaves the
     rank unchanged, and the integer rows go to Bareiss elimination
     (``_bareiss_pivots``): no rational number is formed.
     """
     cleared = []
-    for row in filter(any, rows):
-        den = lcm(*(x.denominator for x in row))
-        cleared.append([x.numerator * (den // x.denominator) for x in row])
+    for row in sparse_rows(rows):
+        if any(type(x) is not int for x in row.values()):
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        cleared.append(row)
     return len(_bareiss_pivots(cleared, ncols))
 
 
 def _bareiss_pivots(rows, ncols):
     """Pivots of fraction-free (Bareiss) elimination on integer rows.
 
-    Step k + 1 replaces each entry x of a row by
+    Rows are {col: x} dicts or dense lists; each update touches only
+    nonzeros.  Step k + 1 replaces each entry x of a row by
     (pivot * x - f * y) // previous_pivot, where f is the row's entry in the
     pivot column and y the pivot row's entry in x's column.  By Sylvester's
     identity (Bareiss, Math. Comp. 22, 1968) every entry after k steps is a
@@ -159,24 +163,25 @@ def _bareiss_pivots(rows, ncols):
     The k-th pivot is a k x k minor; for a square nonsingular matrix the
     last is +- its determinant.  The number of pivots is the rank.
     """
-    rows = [(0, r) for r in rows if any(r)]      # (step last updated, row)
+    rows = [(0, r) for r in sparse_rows(rows) if r]     # (step last updated, row)
     pivots = [1]
     for col in range(ncols):
-        candidates = [i for i, (_, r) in enumerate(rows) if r[col]]
+        candidates = [i for i, (_, r) in enumerate(rows) if col in r]
         if not candidates:
             continue
-        step, prow = rows.pop(max(candidates, key=lambda i: rows[i][1].count(0)))
+        step, prow = rows.pop(min(candidates, key=lambda i: len(rows[i][1])))
         k = len(pivots) - 1
-        y = [x * pivots[k] // pivots[step] for x in prow[col:]]
-        pval, y = y[0], y[1:]
-        zeros = [0] * (col + 1)
+        y = {c: x * pivots[k] // pivots[step] for c, x in prow.items()}
+        pval = y.pop(col)
         reduced = []
         for step, r in rows:
-            f = r[col]
+            f = r.get(col)
             if f:
-                r = zeros + [(pval * x - f * b) // pivots[step]
-                             for x, b in zip(r[col + 1:], y)]
-                if not any(r):
+                new = {c: pval * x for c, x in r.items() if c != col}
+                for c, b in y.items():
+                    new[c] = new.get(c, 0) - f * b
+                r = {c: x // pivots[step] for c, x in new.items() if x}
+                if not r:
                     continue
                 step = k + 1
             reduced.append((step, r))

@@ -13,8 +13,8 @@ from braidrep.braid import BraidWord, apply_letter
 from braidrep.decomp import (_CERT_PRIMES as CERT_PRIMES, GuardedSpecializationError,
                              _commutant_dim_modp,
                              _generators_modp, _integerize, _pure_decomposition,
-                             _specialized_generators, alpha_map, c_coeff,
-                             check_full_twist, check_splitting,
+                             _specialized_generators, _sylvester_rows, alpha_map,
+                             c_coeff, check_full_twist, check_splitting,
                              commutant_dimension, decompose, ef1_eigencheck,
                              full_twist_scalar, full_twist_word,
                              lambda_const, matrix_commutant_dimension, mu,
@@ -22,7 +22,7 @@ from braidrep.decomp import (_CERT_PRIMES as CERT_PRIMES, GuardedSpecializationE
                              validate_specialization)
 from braidrep.hwspace import (hw_basis, is_highest_weight, label_str,
                               rho_matrix)
-from braidrep.linalg import mat_mul, modp_rank
+from braidrep.linalg import fraction_rank, mat_mul, modp_rank
 from braidrep.lkb import burau_matrices
 from braidrep.report import all_passed
 from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
@@ -812,6 +812,40 @@ SWEEP_KINDS = {
     "repeated-blocks": lambda rnd: [block_diag(g, g) for g in
                                     (small_matrix(rnd, 2) for _ in range(2))],
 }
+
+
+def is_prime(m):
+    return m > 1 and all(m % k for k in range(2, int(m ** 0.5) + 1))
+
+
+class TestSparseCommutantSystem:
+    def test_first_prime_is_word_sized(self):
+        # below 2^30 every residue is a one-digit CPython int and a product of
+        # two stays below 2^60, so mod-p products take the small-int fast path
+        assert is_prime(CERT_PRIME) and CERT_PRIME < 1 << 30
+        assert not any(is_prime(m) for m in range(CERT_PRIME + 1, 1 << 30))
+        assert SECOND_PRIME == (1 << 61) - 1
+
+    @pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
+    def test_sylvester_rows_are_the_oracle_rows(self, kind):
+        rnd = random.Random("sylvester %s" % kind)
+        for _ in range(6):
+            mats = SWEEP_KINDS[kind](rnd)
+            want = [{c: x for c, x in enumerate(row) if x} for row in sylvester_rows(mats)]
+            assert list(_sylvester_rows(mats)) == [row for row in want if row], mats
+
+    def test_block_diagonal_matrices_take_the_exact_path(self, monkeypatch):
+        exact = []
+        monkeypatch.setattr(decomp, "fraction_rank",
+                            lambda rows, ncols: exact.append(ncols)
+                            or fraction_rank(rows, ncols))
+        rnd = random.Random("exact path")
+        for _ in range(12):
+            mats = SWEEP_KINDS["block-diagonal"](rnd)
+            want = rref_kernel_dim(sylvester_rows(mats), 16)
+            assert want >= 2
+            assert matrix_commutant_dimension(mats) == want, mats
+        assert exact == [16] * 12
 
 
 class TestCertificateSoundness:

@@ -339,6 +339,10 @@ def test_fraction_rank_matches_gaussian_elimination(entry, shape):
         rows = rows_of_rank_at_most(rnd, nrows, ncols, rnd.randint(0, min(shape)), entry)
         expected = gauss_rank(rows, ncols)
         assert fraction_rank(rows, ncols) == expected, rows
+        # the same rows as {col: x} dicts of their nonzeros, which are not changed
+        dict_rows = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        assert fraction_rank(dict_rows, ncols) == expected, rows
+        assert dict_rows == [{c: x for c, x in enumerate(row) if x} for row in rows]
         ranks.add(expected)
     # the samples cover rank-deficient and full-rank matrices alike
     assert len(ranks) >= 3 and max(ranks) == min(shape)
@@ -348,6 +352,10 @@ def test_fraction_rank_of_empty_and_zero_rows():
     assert fraction_rank([], 3) == 0
     assert fraction_rank([[0, 0, 0], [Fraction(0), 0, 0]], 3) == 0
     assert fraction_rank([[Fraction(1, 3), Fraction(-2, 7)], [7, -6]], 2) == 1
+    assert fraction_rank([{}, {}], 3) == 0
+    assert fraction_rank([{0: Fraction(1, 3), 1: Fraction(-2, 7)}, {0: 7, 1: -6}], 2) == 1
+    # columns from ncols on are never pivots
+    assert fraction_rank([{0: 1, 2: 5}, {2: 3}], 2) == 1
 
 
 def test_last_bareiss_pivot_is_the_determinant():
@@ -388,7 +396,7 @@ def gauss_rank_modp(rows, ncols, p):
     return rank
 
 
-@pytest.mark.parametrize("p", [7, 101, (1 << 61) - 1])
+@pytest.mark.parametrize("p", [7, 101, (1 << 30) - 35, (1 << 61) - 1])
 @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (7, 7)], ids=["tall", "wide", "square"])
 def test_modp_rank_matches_gaussian_elimination_mod_p(p, shape):
     rnd = random.Random("%s %s" % (shape, p))

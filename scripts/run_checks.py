@@ -8,12 +8,14 @@ Burau representation is reducible, so its commutant at (2, 3) must have
 dimension at least 2, and the row fails if it certifies 1.  The summary
 line gives the row count, the failed rows and the sweep's wall time.
 
+The splitting suite also runs at l = lmax + 1.
+
 --nmax and --lmax are validated before any row runs: --nmax must be at
 least 2, --lmax at least 0, and the largest spaces the sweep builds,
-V_{nmax+1,lmax} (splitting) and V_{nmax,lmax+1} (equivariance), must be
-within ``braidrep check``'s size limit, and so must the generator
-matrices the lkb and burau rows build at nmax.  A bad request prints
-``error: ...`` and exits 2.
+V_{nmax+1,lmax} (splitting), V_{nmax,lmax+1} (equivariance) and
+V_{nmax+1,lmax+1} (splitting at lmax + 1), must be within ``braidrep
+check``'s size limit, and so must the generator matrices the lkb and burau
+rows build at nmax.  A bad request prints ``error: ...`` and exits 2.
 
 Usage: python scripts/run_checks.py [--nmax 5] [--lmax 3]
 """
@@ -44,6 +46,7 @@ def main():
         for suite in SUITES.values():
             if suite.bound:
                 suite.bound("run_checks", args.nmax)
+        _require_weight_space_dim("run_checks", args.nmax + 1, args.lmax + 1)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -51,13 +54,16 @@ def main():
     sweep_start = time.perf_counter()
     rows = []
     for n in range(2, args.nmax + 1):
-        for l in range(args.lmax + 1):
+        for l in range(args.lmax + 2):
+            top = l > args.lmax
             for name, suite in SUITES.items():
-                if l < suite.min_l:
+                if l < suite.min_l or (top and name != "splitting"):
                     continue
                 start = time.perf_counter()
                 failed = [r.check for r in suite.run(n, l, False) if not r.passed]
                 rows.append((name, n, l, failed, time.perf_counter() - start))
+            if top:
+                continue
             start = time.perf_counter()
             failed = [] if commutant_dimension(n, l, 2, 3) == 1 else ["irreducible"]
             rows.append(("irreducible", n, l, failed, time.perf_counter() - start))

@@ -145,7 +145,7 @@ class HWDecomposition:
     def reconstruct(self):
         """sum_t F^(t) w_t over one common multiset of binomials, divided out exactly.
 
-        Each coefficient of the sum is one ``dot`` over the scaled images.
+        The sum is one ``TensorVec.combination`` (``linalg.row_product``).
         """
         n = self.n
         common = reduce(or_, self.factors, Counter())

@@ -164,9 +164,6 @@ class RepMatrix:
     def size(self):
         return len(self.basis)
 
-    def row_lists(self):
-        return [list(row) for row in self.entries]
-
     def to_json(self):
         return {
             "basis": [label_str(lab) for lab in self.basis],

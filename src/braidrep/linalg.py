@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .ring import RatFunc, dot
+from .ring import LaurentPoly, RatFunc, mul_add
 
 
 class SingularMatrixError(ArithmeticError):
@@ -31,16 +31,33 @@ def sparse_rows(mat):
 def row_product(row, rows):
     """sum_k row[k] * rows[k] over the keys of ``row``, as {key: entry} of nonzeros.
 
-    One row of Gustavson's product (ACM TOMS 4, 1978): each entry is one
-    ``dot`` over the pairs that meet at it, and an entry that cancels is
-    dropped, so no multiply meets a zero and no zero is stored.  ``rows``
-    maps each key of ``row`` to a {key: entry} dict.
+    One row of Gustavson's product (ACM TOMS 4, 1978): each x * y is added
+    where it lands, in place by ``ring.mul_add`` when all entries are of one
+    LaurentPoly class, else as a plain product in order.  An entry that
+    cancels is dropped, so no zero is stored.  ``rows[k]`` is a {key: entry} dict.
     """
-    pairs = {}
+    laurent = _one_laurent_class(row, rows)
+    out = {}
+    get = out.get
     for k, x in row.items():
         for c, y in rows[k].items():
-            pairs.setdefault(c, []).append((x, y))
-    return {c: v for c, p in pairs.items() if (v := dot(p))}
+            out[c] = mul_add(get(c), x, y) if laurent else (
+                out[c] + x * y if c in out else x * y)
+    return {c: v for c, v in out.items() if (v.terms if laurent else v)}
+
+
+def _one_laurent_class(row, rows):
+    """Whether the entries of ``row`` and of the rows it selects are of one LaurentPoly class."""
+    cls = type(next(iter(row.values()), None))
+    if not issubclass(cls, LaurentPoly):
+        return False
+    for k, x in row.items():
+        if type(x) is not cls:
+            return False
+        for y in rows[k].values():
+            if type(y) is not cls:
+                return False
+    return True
 
 
 def mat_mul(a, b):

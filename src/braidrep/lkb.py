@@ -71,9 +71,6 @@ class LKBMatrix:
     def size(self):
         return len(self.basis)
 
-    def row_lists(self):
-        return [list(row) for row in self.entries]
-
     def to_json(self):
         return {
             "vars": list(LKBPoly.variables),

@@ -16,8 +16,8 @@ Canonical forms:
     ``*``, max for ``+``).  Only when that bound passes the limit is the
     exact extent computed, and a result with an e_s out of range raises
     ``OverflowError``; a key never aliases into the other exponent.
-  * ``dot`` forms sum x * y in one term map, with no product or partial sum
-    allocated and the same range guard; ``*`` is its one-pair case.
+  * ``mul_add`` adds x * y into an open term map in place, with the same
+    range guard: no product or partial sum is allocated; ``*`` is one call.
   * ``RatFunc`` divides out the common integer content, pulls the monomial
     factor out of the denominator, and makes the lexicographically-leading
     denominator coefficient positive.  No multivariate gcd is attempted;
@@ -226,42 +226,9 @@ class LaurentPoly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self._sum_of_products(((self, other),))
+        return mul_add(None, self, other)
 
     __rmul__ = __mul__
-
-    @classmethod
-    def _sum_of_products(cls, pairs):
-        """sum x * y over (x, y) pairs of this class, formed in one term map.
-
-        Each product's bound is checked before its terms are added in place.
-        """
-        out = None
-        bound = 0
-        for x, y in pairs:
-            a, b = x.terms, y.terms
-            if len(a) > len(b):
-                a, b = b, a
-            pair_bound = x.s_bound + y.s_bound
-            if pair_bound > MAX_S_EXPONENT:
-                pair_bound = _product_bound(a, b)
-            bound = max(bound, pair_bound)
-            rows = iter(a.items())
-            b_items = b.items()
-            if out is None:
-                # an empty operand reads as coefficient 0 and adds nothing
-                ka, ca = next(rows, (0, 0))
-                out = {ka + kb: ca * cb for kb, cb in b_items} if ca else {}
-                get = out.get
-            for ka, ca in rows:
-                for kb, cb in b_items:
-                    key = ka + kb
-                    acc = get(key, 0) + ca * cb
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return cls._packed(out, bound)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -658,21 +625,58 @@ class RatFunc:
         return cls(ring.from_json(data["num"]), ring.from_json(data["den"]))
 
 
-def dot(pairs):
-    """sum x * y over a nonempty list of (x, y) pairs.
+def mul_add(acc, x, y):
+    """acc + x * y for x, y of one LaurentPoly class, formed in acc's term map.
 
-    Pairs all of one LaurentPoly class go to that class's ``_sum_of_products``,
-    which raises OverflowError exactly when one x * y would; any other
-    entries are multiplied and added in order.
+    ``acc`` is None, to start a sum, or what an earlier call returned and no
+    one else holds; its terms are updated in place, no input's is aliased, a
+    row with coefficient +-1 is added without a multiply, and OverflowError
+    comes, before any term is added, exactly when x * y would raise it.
     """
-    cls = type(pairs[0][0])
-    if issubclass(cls, LaurentPoly):
-        for x, y in pairs:
-            if type(x) is not cls or type(y) is not cls:
-                break
+    a, b = x.terms, y.terms
+    if len(a) > len(b):
+        a, b = b, a
+    bound = x.s_bound + y.s_bound
+    if bound > MAX_S_EXPONENT:
+        bound = _product_bound(a, b)
+    rows = iter(a.items())
+    if acc is None:
+        # an empty operand reads as coefficient 0 and adds nothing
+        ka, ca = next(rows, (0, 0))
+        if ca == 1:
+            out = {ka + kb: cb for kb, cb in b.items()} if ka else dict(b)
         else:
-            return cls._sum_of_products(pairs)
-    return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
+            out = {ka + kb: ca * cb for kb, cb in b.items()} if ca else {}
+        acc = x.__class__.__new__(x.__class__)
+        acc.terms, acc.s_bound = out, bound
+    else:
+        out = acc.terms
+        if bound > acc.s_bound:
+            acc.s_bound = bound
+    get = out.get
+    for ka, ca in rows:
+        if ca == 1:
+            for kb, cb in b.items():
+                key = ka + kb
+                if c := get(key, 0) + cb:
+                    out[key] = c
+                else:
+                    del out[key]
+        elif ca == -1:
+            for kb, cb in b.items():
+                key = ka + kb
+                if c := get(key, 0) - cb:
+                    out[key] = c
+                else:
+                    del out[key]
+        else:
+            for kb, cb in b.items():
+                key = ka + kb
+                if c := get(key, 0) + ca * cb:
+                    out[key] = c
+                else:
+                    del out[key]
+    return acc
 
 
 # -- q-combinatorics --------------------------------------------------------

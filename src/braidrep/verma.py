@@ -264,8 +264,8 @@ def _act_k(vec, sign):
 
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
 # pass of the benchmark's check grid makes 223 distinct (m, idx) and the
-# default scripts/run_checks.py sweep 179; 256 holds either.
-@lru_cache(maxsize=256)
+# default scripts/run_checks.py sweep 309; 512 holds either.
+@lru_cache(maxsize=512)
 def _f_image(m, idx):
     """F^(m) on the pure tensor v_idx, as a {new_idx: coeff} dict; read only."""
     image = {}
@@ -287,7 +287,7 @@ def _f_image(m, idx):
 
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
 # pass of the benchmark's check grid touches 482 distinct idx and the default
-# scripts/run_checks.py sweep 329; 512 holds either.
+# scripts/run_checks.py sweep 455; 512 holds either.
 @lru_cache(maxsize=512)
 def _e_image(idx):
     """E on the pure tensor v_idx, as a {new_idx: monomial} dict; read only.

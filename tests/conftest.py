@@ -24,6 +24,26 @@ def random_poly(rnd, max_terms=4, max_exp=3, max_coeff=6):
     return LaurentPoly(terms)
 
 
+def row_lists(matrix):
+    """The rows of a RepMatrix or LKBMatrix as lists."""
+    return [list(row) for row in matrix.entries]
+
+
+def kernel_operand(rnd, ring):
+    """((e0, e1) -> coeff dict, the same polynomial of ``ring``) for the product kernel.
+
+    Zero, the unit 1, a monomial or a sum of up to five terms, with
+    coefficients +-1 (as in the generator matrices) or +-2..+-5.
+    """
+    kind = rnd.choice(("zero", "one", "monomial", "monomial", "sum", "sum", "sum"))
+    terms = {(0, 0): 1} if kind == "one" else {}
+    for _ in range({"monomial": 1, "sum": rnd.randint(2, 5)}.get(kind, 0)):
+        key = (rnd.randint(-3, 3), rnd.randint(-3, 3))
+        terms[key] = terms.get(key, 0) + rnd.choice((1, -1) * 4 + (2, -2, 3, -3, 4, -4, 5, -5))
+    terms = {key: c for key, c in terms.items() if c}
+    return terms, ring(terms)
+
+
 @pytest.fixture
 def rnd():
     return random.Random(20240817)

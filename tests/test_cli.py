@@ -437,6 +437,17 @@ class TestSubprocessEntry:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and named in proc.stderr
 
+    def test_run_checks_bounds_splitting_one_degree_up(self):
+        # V_{13,7} and V_{12,8} pass the bound; splitting at lmax + 1 builds V_{13,8}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, RUN_CHECKS, "--nmax", "12", "--lmax", "7"],
+                              capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: run_checks: ")
+        assert "V_{13,8} has dimension C(20, 8)" in proc.stderr
+
     def test_run_checks_bounds_the_generator_suites_at_nmax(self):
         # V_{100001,0} and V_{100000,1} pass the weight-space bound; the
         # burau and lkb rows at nmax would not
@@ -454,7 +465,7 @@ class TestSubprocessEntry:
         proc = subprocess.run([sys.executable, RUN_CHECKS, "--nmax", "2", "--lmax", "0"],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert "10 rows, 0 failures" in proc.stdout
+        assert "11 rows, 0 failures" in proc.stdout
 
     def test_export_script_matches_rho_matrix(self):
         n, l = 3, 2

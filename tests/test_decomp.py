@@ -30,7 +30,7 @@ from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
 from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
 from conftest import (random_poly, ratfunc_decomposition_oracle,
-                      ratfunc_splitting_oracle)
+                      ratfunc_splitting_oracle, row_lists)
 
 CERT_PRIME, SECOND_PRIME = CERT_PRIMES
 
@@ -541,8 +541,8 @@ class TestFullTwist:
 
     def test_3_2_value_two_routes(self):
         # route B: multiply generator matrices of the word
-        a = rho_matrix(3, 2, [1]).row_lists()
-        b = rho_matrix(3, 2, [2]).row_lists()
+        a = row_lists(rho_matrix(3, 2, [1]))
+        b = row_lists(rho_matrix(3, 2, [2]))
         prod = None
         for mat in (a, b, a, b, a, b):
             prod = mat if prod is None else mat_mul(mat, prod)

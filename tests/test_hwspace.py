@@ -18,7 +18,7 @@ from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly
 from braidrep.verma import E, K, TensorVec, act_tensor, weight_basis
 
-from conftest import random_poly
+from conftest import random_poly, row_lists
 
 S = LaurentPoly.monomial(0, 1)
 Q = LaurentPoly.monomial(1, 0)
@@ -266,9 +266,9 @@ class TestRho:
     def test_action_convention_composition(self):
         # words act first letter first, so concatenation composes right-to-left
         from braidrep.linalg import mat_mul
-        a = rho_matrix(3, 2, [1]).row_lists()
-        b = rho_matrix(3, 2, [2]).row_lists()
-        ab = rho_matrix(3, 2, [1, 2]).row_lists()
+        a = row_lists(rho_matrix(3, 2, [1]))
+        b = row_lists(rho_matrix(3, 2, [2]))
+        ab = row_lists(rho_matrix(3, 2, [1, 2]))
         assert ab == mat_mul(b, a)
 
     def test_braid_relations_on_w(self):
@@ -302,7 +302,7 @@ class TestRho:
 
         for n, l, word in [(2, 3, [1]), (3, 1, [1]), (3, 2, [2]),
                            (4, 1, [2]), (3, 2, [1, -2])]:
-            value = det(rho_matrix(n, l, word).row_lists())
+            value = det(row_lists(rho_matrix(n, l, word)))
             mono = value.as_monomial()
             assert mono is not None and mono[1] in (1, -1)
 
@@ -344,13 +344,13 @@ class TestRho:
             cols = [expand_in_hw_basis(apply_word(BraidWord(n, word), el.vector), n, l)
                     for el in basis]
             want = [[col[r] for col in cols] for r in range(len(basis))]
-            assert rho_matrix(n, l, word).row_lists() == want, word
+            assert row_lists(rho_matrix(n, l, word)) == want, word
 
     @pytest.mark.parametrize("n,l", [(3, 0), (3, 1), (4, 2)])
     def test_cached_generators_are_not_aliased(self, n, l):
         before = {w: rho_matrix(n, l, w).to_json()
                   for w in ((1,), (1, 1), (2,), (1, -2))}
-        rows = rho_matrix(n, l, [1]).row_lists()
+        rows = row_lists(rho_matrix(n, l, [1]))
         for row in rows:
             row[0] = row[0] + 1
             row.append(LaurentPoly.one())
@@ -378,8 +378,8 @@ class TestRho:
         # is checked on the one-letter matrices through mat_mul
         ident = mat_identity(len(hw_basis(n, l)), LaurentPoly.one())
         for i in range(1, n):
-            fwd = rho_matrix(n, l, [i]).row_lists()
-            inv = rho_matrix(n, l, [-i]).row_lists()
+            fwd = row_lists(rho_matrix(n, l, [i]))
+            inv = row_lists(rho_matrix(n, l, [-i]))
             assert mat_mul(fwd, inv) == ident, i
             assert mat_mul(inv, fwd) == ident, i
 
@@ -397,7 +397,7 @@ class TestRho:
         cols = [expand_in_hw_basis(apply_word(braid_word, el.vector), n, l)
                 for el in basis]
         want = [[col[r] for col in cols] for r in range(len(basis))]
-        assert rho_matrix(n, l, word).row_lists() == want
+        assert row_lists(rho_matrix(n, l, word)) == want
 
     @pytest.mark.parametrize("word", [[5, -5], [1, 5, -5, -1], [-4, 2, 4]])
     def test_out_of_range_letter_in_a_cancelling_pair_raises(self, word):

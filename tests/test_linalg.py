@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from braidrep import linalg
 from braidrep.linalg import (_bareiss_pivots, fraction_rank, mat_diff_witness,
                               mat_mul, modp_rank, row_product, sparse_rows)
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
-from conftest import random_poly
+from conftest import kernel_operand, random_poly
 
 Q = LaurentPoly.monomial(1, 0)
 S = LaurentPoly.monomial(0, 1)
@@ -131,6 +132,103 @@ def test_row_product_drops_cancelled_sums(x, y):
     assert list(got) == ["kept"]
     assert got["kept"] == x * y + y * y
     assert type(got["kept"]) is type(x)
+
+
+def term_sum_of_products(row, rows):
+    """sum_k row[k] * rows[k] on (e0, e1) -> coeff dicts, zero entries dropped (oracle)."""
+    out = {}
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            entry = out.setdefault(c, {})
+            for (a0, a1), ca in x.items():
+                for (b0, b1), cb in y.items():
+                    key = (a0 + b0, a1 + b1)
+                    entry[key] = entry.get(key, 0) + ca * cb
+    out = {c: {key: v for key, v in entry.items() if v} for c, entry in out.items()}
+    return {c: sorted(entry.items()) for c, entry in out.items() if entry}
+
+
+@pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+def test_row_product_matches_the_term_oracle(ring):
+    rnd = random.Random(27)
+    cancelled = 0
+    for _ in range(300):
+        keys = rnd.sample(range(8), rnd.randint(0, 5))
+        row, drow = {}, {}
+        for k in keys:
+            drow[k], row[k] = kernel_operand(rnd, ring)
+        rows, drows = {}, {}
+        for k in keys:
+            # an empty row, or up to four targets out of six
+            picks = rnd.sample(range(6), rnd.randint(0, 4))
+            drows[k], rows[k] = {}, {}
+            for c in picks:
+                drows[k][c], rows[k][c] = kernel_operand(rnd, ring)
+        if keys and rnd.random() < 0.3:
+            # key 8 repeats key k with the sign flipped: its targets cancel
+            k = rnd.choice(keys)
+            drow[8], row[8] = {e: -v for e, v in drow[k].items()}, -row[k]
+            drows[8], rows[8] = drows[k], rows[k]
+        want = term_sum_of_products(drow, drows)
+        got = row_product(row, rows)
+        cancelled += any(c not in want for k in row for c in rows[k])
+        assert set(got) == set(want)
+        for c, entry in got.items():
+            assert type(entry) is ring
+            assert entry.sorted_terms() == want[c]
+            assert all(entry.terms.values()), "a cancelled term was stored as 0"
+    assert cancelled > 20
+
+
+def _ratfunc(rnd):
+    return RatFunc(random_poly(rnd, max_terms=2) + 1, S + rnd.randint(1, 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rnd: Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)),
+    lambda rnd: rnd.randint(-5, 5),
+    _ratfunc,
+    lambda rnd: rnd.choice((random_poly, _ratfunc))(rnd),
+], ids=["fraction", "int", "ratfunc", "mixed"])
+def test_row_product_plain_path(make, monkeypatch):
+    def no_kernel(acc, x, y):
+        raise AssertionError("mul_add met a %s entry" % type(x).__name__)
+
+    def nonzero(rnd):
+        while not (x := make(rnd)):
+            pass
+        return x
+
+    monkeypatch.setattr(linalg, "mul_add", no_kernel)
+    rnd = random.Random(5)
+    for _ in range(150):
+        keys = range(rnd.randint(1, 4))
+        row = {k: nonzero(rnd) for k in keys}
+        rows = [{c: nonzero(rnd) for c in rnd.sample(range(4), rnd.randint(0, 3))}
+                for _ in keys]
+        # a mixed row product keeps at least one fraction-field entry
+        row[0] = row[0] if not isinstance(row[0], LaurentPoly) else _ratfunc(rnd)
+        want = {}
+        for k, x in row.items():
+            for c, y in rows[k].items():
+                want[c] = want[c] + x * y if c in want else x * y
+        got = row_product(row, rows)
+        assert got == {c: v for c, v in want.items() if v}
+        assert all(type(got[c]) is type(want[c]) for c in got)
+        assert [str(v) for v in got.values()] == [str(want[c]) for c in got]
+
+
+def test_row_product_leaves_inputs_unchanged():
+    rnd = random.Random(11)
+    one = LaurentPoly.one()
+    for _ in range(100):
+        row = {k: rnd.choice((one, kernel_operand(rnd, LaurentPoly)[1])) for k in range(3)}
+        rows = [{c: kernel_operand(rnd, LaurentPoly)[1] for c in range(3)} for _ in range(3)]
+        entries = list(row.values()) + [y for r in rows for y in r.values()]
+        before = [dict(p.terms) for p in entries]
+        got = row_product(row, rows)
+        assert [p.terms for p in entries] == before
+        assert all(v.terms is not p.terms for v in got.values() for p in entries)
 
 
 # -- mat_diff_witness: whole rows first, then the first differing entry -----------

@@ -14,6 +14,8 @@ from braidrep.lkb import (LKBPoly, burau_matrices, check_burau,
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly
 
+from conftest import row_lists
+
 T = LKBPoly.monomial(1, 0)
 QQ = LKBPoly.monomial(0, 1)
 
@@ -52,8 +54,8 @@ class TestLKBMatrices:
     def test_sigma_inverts(self):
         for n in (3, 4):
             for i in range(1, n):
-                prod = mat_mul(lkb_sigma(n, i).row_lists(),
-                               lkb_sigma_inverse(n, i).row_lists())
+                prod = mat_mul(row_lists(lkb_sigma(n, i)),
+                               row_lists(lkb_sigma_inverse(n, i)))
                 for r in range(len(prod)):
                     for c in range(len(prod)):
                         assert prod[r][c] == (LKBPoly.one() if r == c
@@ -83,16 +85,16 @@ class TestClosedFormSigma:
     def test_inverts_both_ways(self, n):
         one = mat_identity(len(pair_basis(n)), LKBPoly.one())
         for i in range(1, n):
-            sigma = lkb_sigma(n, i).row_lists()
-            sigma_inv = lkb_sigma_inverse(n, i).row_lists()
+            sigma = row_lists(lkb_sigma(n, i))
+            sigma_inv = row_lists(lkb_sigma_inverse(n, i))
             assert mat_mul(sigma, sigma_inv) == one
             assert mat_mul(sigma_inv, sigma) == one
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_gauss_jordan(self, n):
         for i in range(1, n):
-            assert lkb_sigma(n, i).row_lists() \
-                == poly_matrix_inverse(lkb_sigma_inverse(n, i).row_lists())
+            assert row_lists(lkb_sigma(n, i)) \
+                == poly_matrix_inverse(row_lists(lkb_sigma_inverse(n, i)))
 
     def test_index_range_names_callers_index(self):
         with pytest.raises(ValueError, match="index 3 out of range for n=3"):

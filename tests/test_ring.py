@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidrep.linalg import mat_mul, row_product
 from braidrep.lkb import LKBPoly
 from braidrep.ring import (MAX_S_EXPONENT, InexactDivisionError, LaurentPoly,
-                           PoleError, RatFunc, ZeroSubstitutionError, dot, qbinom,
+                           PoleError, RatFunc, ZeroSubstitutionError, mul_add, qbinom,
                            qfactorial, qint, specialize, unpack)
 
-from conftest import random_poly
+from conftest import kernel_operand, random_poly
 
 Q = LaurentPoly.monomial(1, 0)
 QINV = LaurentPoly.monomial(-1, 0)
@@ -565,27 +566,41 @@ def summed(pairs):
     return sum(products[1:], products[0])
 
 
+def dot(pairs):
+    """sum x * y over a nonempty list of pairs, as one ``row_product`` entry.
+
+    Every pair lands at the key 0; a sum that cancels is dropped there, and
+    reads as None here.
+    """
+    got = row_product(dict(enumerate(x for x, _ in pairs)), [{0: y} for _, y in pairs])
+    assert set(got) <= {0}
+    return got.get(0)
+
+
 def ring_poly(ring, rnd, **kwargs):
     return ring(dict(random_poly(rnd, **kwargs).sorted_terms()))
 
 
 def assert_same_poly(got, want):
+    if want.is_zero() and got is None:
+        return          # a cancelled row_product entry is not stored
     assert type(got) is type(want)
     assert got.sorted_terms() == want.sorted_terms()
     assert got.s_bound == want.s_bound
 
 
 class TestDot:
-    """The fused sum-of-products kernel against sum(x * y)."""
+    """One row_product entry, formed by ``mul_add`` in place, against sum(x * y)."""
 
     @pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
     def test_seeded_oracle(self, ring, rnd):
         for _ in range(300):
             pairs = [(ring_poly(ring, rnd), ring_poly(ring, rnd, max_terms=6))
                      for _ in range(rnd.randint(1, 6))]
-            got = dot(pairs)
-            assert_same_poly(got, summed(pairs))
-            assert got.s_bound == max((x * y).s_bound for x, y in pairs)
+            got, want = dot(pairs), summed(pairs)
+            assert_same_poly(got, want)
+            if got is not None:
+                assert got.s_bound == max((x * y).s_bound for x, y in pairs)
 
     @pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
     def test_one_pair_is_the_product(self, ring, rnd):
@@ -599,14 +614,16 @@ class TestDot:
         y = ring({(2, 1): 1, (0, 0): 5})
         for pairs in ([(x, y), (-x, y)], [(x, y), (y, -x)],
                       [(x, y), (x, x), (-y, x), (-x, x)]):
-            got = dot(pairs)
+            # row_product drops the entry; the dense product shows a typed zero
+            assert dot(pairs) is None
+            (got,), = mat_mul([[x for x, _ in pairs]], [[y] for _, y in pairs])
             assert type(got) is ring
             assert got.is_zero() and got.terms == {}
         # a zero operand, first or later, adds nothing
         zero = ring.zero()
         assert_same_poly(dot([(zero, y), (x, y)]), summed([(zero, y), (x, y)]))
         assert_same_poly(dot([(x, y), (y, zero)]), summed([(x, y), (y, zero)]))
-        assert dot([(zero, zero)]).is_zero()
+        assert dot([(zero, zero)]) is None
 
     def test_monomial_pairs(self, rnd):
         for _ in range(200):
@@ -636,7 +653,7 @@ class TestDot:
             got = dot(pairs)
             assert_same_poly(got, want)
             # no key aliased: every exponent decodes inside the range
-            assert all(abs(e1) <= m for (_, e1), _ in got.sorted_terms())
+            assert all(abs(e1) <= m for (_, e1), _ in (got or want).sorted_terms())
             passed += 1
         assert raised and passed
 
@@ -659,3 +676,73 @@ class TestDot:
             LaurentPoly.one() * LKBPoly.one()
         with pytest.raises(TypeError):
             dot([(Q, Q), (LaurentPoly.one(), LKBPoly.one())])
+
+
+class TestMulAdd:
+    """The in-place sum-of-products kernel against the tuple-key oracle above."""
+
+    @pytest.mark.parametrize("ring", [LaurentPoly, LKBPoly])
+    def test_sums_match_the_tuple_oracle(self, ring, rnd):
+        for _ in range(400):
+            pairs = [(kernel_operand(rnd, ring), kernel_operand(rnd, ring))
+                     for _ in range(rnd.randint(1, 5))]
+            if rnd.random() < 0.3:
+                # a product that cancels an earlier one term by term
+                (dx, x), y = rnd.choice(pairs)
+                pairs.append(((o_neg(dx), -x), y))
+            acc, want = None, {}
+            for (dx, x), (dy, y) in pairs:
+                acc = mul_add(acc, x, y)
+                want = o_add(want, o_mul(dx, dy))
+                assert type(acc) is ring
+                assert acc.sorted_terms() == o_terms(want)
+                assert all(acc.terms.values()), "a cancelled term was stored as 0"
+            assert acc.s_bound == max((x * y).s_bound for (_, x), (_, y) in pairs)
+            (dx, x), (dy, y) = pairs[0]
+            assert (x * y).sorted_terms() == o_terms(o_mul(dx, dy))
+
+    def test_inputs_are_left_unchanged(self, rnd):
+        one = LaurentPoly.one()
+        for _ in range(200):
+            ops = [kernel_operand(rnd, LaurentPoly)[1] for _ in range(4)] + [one]
+            before = [dict(p.terms) for p in ops]
+            acc = None
+            for _ in range(6):
+                x, y = rnd.choice(ops), rnd.choice(ops)
+                acc = mul_add(acc, x, y)
+                assert acc is not x and acc is not y
+                assert all(acc.terms is not p.terms for p in ops)
+            assert [p.terms for p in ops] == before
+        # the unit copies the other operand's terms, on either side
+        y = Q + 2 * S
+        for got in (mul_add(None, one, y), mul_add(None, y, one), one * y, y * one):
+            assert got == y and got.terms is not y.terms
+            mul_add(got, Q, Q)
+        assert y.terms == (Q + 2 * S).terms and one.terms == {0: 1}
+
+    def test_overflow_exactly_when_one_product_leaves_the_range(self):
+        m = MAX_S_EXPONENT
+        one, big = LaurentPoly.one(), LaurentPoly.monomial(0, m)
+        # one product past the limit raises, through * and through row_product
+        for x, y in ((big, S), (S, big), (big + 1, S + Q), (big.bar(), SINV)):
+            with pytest.raises(OverflowError):
+                x * y
+            with pytest.raises(OverflowError):
+                row_product({0: one, 1: x}, [{0: Q}, {0: y}])
+        # a bound past the limit that the terms do not reach raises nowhere
+        loose = (big + 1) - big
+        assert loose.s_bound == m and loose == one
+        assert (loose * S).sorted_terms() == [((0, 1), 1)]
+        assert (big * SINV).sorted_terms() == [((0, m - 1), 1)]
+        (got,) = row_product({0: loose, 1: big}, [{0: S}, {0: SINV}]).values()
+        assert got == S + LaurentPoly.monomial(0, m - 1) and got.s_bound == m - 1
+        # the guard runs before any term is added
+        acc = mul_add(None, Q, S)
+        with pytest.raises(OverflowError):
+            mul_add(acc, big, S)
+        assert acc.terms == (Q * S).terms and acc.s_bound == 1
+        # a sum's bound covers each of its products, so the next product sees it
+        (total,) = row_product({0: one, 1: big}, [{0: one}, {0: one}]).values()
+        assert total.s_bound == m
+        with pytest.raises(OverflowError):
+            total * S

@@ -21,6 +21,8 @@ from braidrep.hwspace import rho_matrix, wmax_eigenvalue
 from braidrep.linalg import mat_mul
 from braidrep.ring import LaurentPoly
 
+from conftest import row_lists
+
 CELLS = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2)]
 
 
@@ -46,19 +48,19 @@ def annihilates(mat, lams):
 
 @pytest.mark.parametrize("n,l", CELLS)
 def test_trace_of_sigma_1(n, l):
-    mat = rho_matrix(n, l, [1]).row_lists()
+    mat = row_lists(rho_matrix(n, l, [1]))
     trace = sum((mat[i][i] for i in range(len(mat))), LaurentPoly.zero())
     assert trace == trace_formula(n, l, eigenvalues(l))
 
 
 @pytest.mark.parametrize("n,l", CELLS)
 def test_minimal_polynomial_of_sigma_1(n, l):
-    assert annihilates(rho_matrix(n, l, [1]).row_lists(), eigenvalues(l))
+    assert annihilates(row_lists(rho_matrix(n, l, [1])), eigenvalues(l))
 
 
 @pytest.mark.parametrize("n,l", CELLS)
 def test_a_negated_eigenvalue_fails_both(n, l):
-    mat = rho_matrix(n, l, [1]).row_lists()
+    mat = row_lists(rho_matrix(n, l, [1]))
     trace = sum((mat[i][i] for i in range(len(mat))), LaurentPoly.zero())
     for k in range(l + 1):
         lams = eigenvalues(l)

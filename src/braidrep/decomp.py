@@ -35,10 +35,11 @@ direct-sum map alpha(v) = sum_t alpha_{t+1}(w_t) / lambda_{t+1} an
 equivariant section.
 
 A commutant of dimension 1 at an exact rational point (q0, s0) is certified
-by an upper bound mod a word-size prime (``_commutant_dim_modp``), on
-generators reduced mod p straight from their Laurent entries
-(``_generators_modp``), with an exact fraction-free fallback over Q.  For an
-algebra element b and a vector u, rank d - 1 of the rows
+by one random draw mod a word-size prime chosen for the point
+(``_cert_prime``, ``_commutant_dim_modp``), on generators reduced mod p
+straight from their Laurent entries (``_generators_modp``); a draw that
+does not certify leaves the exact fraction-free rank over Q to decide.  For
+an algebra element b and a vector u, rank d - 1 of the rows
 b^k a_i u - a_i b^k u (k < d) proves b nonderogatory (its minimal polynomial
 would give a second relation among the rows, whose row 0 is zero) and leaves
 only the identity in F_p[b], which holds the commutant: one elimination
@@ -56,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from operator import mul, or_
 
 from .braid import BraidWord, apply_letter
@@ -415,9 +416,8 @@ def check_full_twist(n, l):
 
 
 # The largest prime below 2^30, so residues are one-digit CPython ints and
-# products stay below 2^60 (any prime gives a sound bound); 2^61 - 1 takes a
-# point that is not p-integral for the first.
-_CERT_PRIMES = ((1 << 30) - 35, (1 << 61) - 1)
+# products stay below 2^60 (any prime gives a sound certificate).
+_CERT_PRIME = (1 << 30) - 35
 
 
 def guard_factors(n, l):
@@ -453,18 +453,34 @@ def _specialized_generators(n, l, q0, s0):
              for row in rho_matrix(n, l, [i]).entries] for i in range(1, n)]
 
 
-def _generators_modp(n, l, q0, s0, p=_CERT_PRIMES[0]):
-    """The generators rho(sigma_i) at (q0, s0), reduced mod the prime p, or None.
+def _cert_prime(q0, s0):
+    """The largest prime p <= 2^30 - 35 that divides no numerator or denominator of q0, s0.
+
+    Then q0, s0, 1/q0 and 1/s0 are all p-integral (``_generators_modp``).
+    The candidates are odd and below 2^30, so trial division by odd
+    k <= sqrt(m) decides primality; it runs only below 2^30 - 35, which is
+    prime, and only on a candidate that divides none of the parts.  Each
+    prime passed over has nine or ten digits and divides one of the four
+    parts, so parts of D digits in all pass over at most about D / 9 primes.
+    """
+    parts = (q0.numerator, q0.denominator, s0.numerator, s0.denominator)
+    m = _CERT_PRIME
+    while any(x % m == 0 for x in parts) or m < _CERT_PRIME and any(
+            m % k == 0 for k in range(3, isqrt(m) + 1, 2)):
+        m -= 2
+    return m
+
+
+def _generators_modp(n, l, q0, s0, p):
+    """The generators rho(sigma_i) at (q0, s0), reduced mod the prime p.
 
     Each nonzero entry of the cached generator columns is a Laurent polynomial
     with integer coefficients, evaluated straight to an int mod p from the
     residues of q0 and s0 and of their inverses (``pow`` with a negative
-    exponent).  That is the reduction mod p of the rational entry whenever
-    q0, s0, 1/q0 and 1/s0 are all p-integral; when p divides a numerator
-    or denominator of q0 or s0 the point is not, and None is returned.
+    exponent).  That is the reduction mod p of the rational entry, as p
+    divides no numerator or denominator of q0 or s0 (``_cert_prime``), so
+    q0, s0, 1/q0 and 1/s0 are all p-integral.
     """
-    if any(x.numerator % p == 0 or x.denominator % p == 0 for x in (q0, s0)):
-        return None
     q, s = (x.numerator * pow(x.denominator, -1, p) % p for x in (q0, s0))
     residues = {}        # packed exponent key -> q^e_q s^e_s mod p
     mats = []
@@ -496,16 +512,16 @@ def matrix_commutant_dimension(mats, seed=0):
 
     One or more square matrices of one size, else ValueError before any
     work.  Each is scaled to an integer one (by the lcm of its denominators,
-    which leaves the commutant unchanged).  Fast path: for a random algebra
-    element b and vector u mod a large prime p, the conditions that
+    which leaves the commutant unchanged).  Fast path: for one random algebra
+    element b and vector u mod a word-size prime p, the conditions that
     sum_k c_k b^k commute with each matrix on u have rank at most d - 1;
     rank d - 1 proves b nonderogatory, so F_p[b] holds the commutant mod p,
     and leaves the identity as their only solution (``_commutant_dim_modp``).
     The integer entries reduce mod p, so the rank mod p of the commutant's
-    equations is at most their rank over Q, and the bound of 1 holds over Q
-    too, where the identity makes it exact.  Otherwise fall back to the rank
-    over Q of the full Sylvester system X A = A X, whose integer rows hold at
-    most 2d nonzeros of d^2 and are built as {col: x} dicts of those:
+    equations is at most their rank over Q, and dimension 1 holds over Q
+    too.  A draw that does not certify falls back to the rank over Q of the
+    full Sylvester system X A = A X, whose integer rows hold at most 2d
+    nonzeros of d^2 and are built as {col: x} dicts of those:
     ``fraction_rank`` computes it by fraction-free Bareiss elimination, with
     no rational number and no prime, so the fallback is exact.
     """
@@ -515,8 +531,7 @@ def matrix_commutant_dimension(mats, seed=0):
     if d == 1:
         return 1
     imats = [_integerize(m) for m in mats]
-    fast = _commutant_dim_modp(imats, seed)
-    if fast == 1:
+    if _commutant_dim_modp(imats, seed) == 1:
         return 1
     return d * d - fraction_rank(_sylvester_rows(imats), d * d)
 
@@ -538,10 +553,10 @@ def _sylvester_rows(mats):
                     yield row
 
 
-def _commutant_dim_modp(imats, seed, p=_CERT_PRIMES[0]):
-    """Upper bound mod the prime p on the dimension of the commutant C of imats.
+def _commutant_dim_modp(imats, seed, p=_CERT_PRIME):
+    """1 if one draw mod the prime p proves the commutant C of imats scalar, else None.
 
-    Each draw takes an algebra element b, a vector u, the Krylov vectors
+    The draw takes an algebra element b, a vector u, the Krylov vectors
     b^k u (k < d) and the rows rows[k] = b^k a_i u - a_i b^k u, one block per
     generator a_i.  The first block is ranked alone, as at a generic point it
     reaches rank d - 1; if not, all blocks are ranked once together.  At rank
@@ -554,27 +569,19 @@ def _commutant_dim_modp(imats, seed, p=_CERT_PRIMES[0]):
     - so b is nonderogatory, Z(b) = F_p[b] with b^0, ..., b^(d-1)
       independent, and each X in C is some sum_k c_k b^k with
       sum_k c_k rows[k] = 0, which only the multiples of the identity solve.
-    Below rank d - 1 the Krylov vectors are ranked: if u is cyclic for b,
-    Z(b) = F_p[b] again and d minus the rank bounds C, the rows being a
-    subset of [X, a_i] = 0; if not, the next draw follows (8, else None).
+    Below rank d - 1 the draw proves nothing and None is returned.
     """
     d = len(imats[0])
     pm = [sparse_rows([[x % p for x in row] for row in m]) for m in imats]
     rng = random.Random(seed)
-    for _ in range(8):
-        b = _random_element(pm, rng, p)
-        krylov = _krylov(b, [rng.randrange(p) for _ in range(d)], p)
-        rows = [[] for _ in range(d)]
-        for i, a in enumerate(pm):
-            for row, bau, bku in zip(rows, _krylov(b, _matvec(a, krylov[0], p), p),
-                                     krylov):
-                row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
-            if i in (0, len(pm) - 1):
-                rank = modp_rank(rows, len(rows[0]), p)
-                if rank == d - 1:
-                    return 1
-        if modp_rank(krylov, d, p) == d:
-            return d - rank
+    b = _random_element(pm, rng, p)
+    krylov = _krylov(b, [rng.randrange(p) for _ in range(d)], p)
+    rows = [[] for _ in range(d)]
+    for i, a in enumerate(pm):
+        for row, bau, bku in zip(rows, _krylov(b, _matvec(a, krylov[0], p), p), krylov):
+            row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
+        if i in (0, len(pm) - 1) and modp_rank(rows, len(rows[0]), p) == d - 1:
+            return 1
     return None
 
 
@@ -610,23 +617,18 @@ def commutant_dimension(n, l, q0, s0, seed=0):
 
     Dimension 1 proves End = scalars at the point and, by semicontinuity,
     over Q(q,s).  It does not prove irreducibility: W_{5,2} is reducible
-    at (q0, s0) = (2, 2) (module docstring).  The certificate runs on the
-    generators reduced mod p (``_generators_modp``), with p the first of
-    ``_CERT_PRIMES`` for which the point is p-integral; only a bound other
-    than 1, or a point that is p-integral for neither prime, forms the
-    rational matrices for ``matrix_commutant_dimension``.
+    at (q0, s0) = (2, 2) (module docstring).  One draw of the certificate
+    runs on the generators reduced mod the point's prime
+    (``_cert_prime``, ``_generators_modp``); only a draw that does not
+    certify forms the rational matrices for ``matrix_commutant_dimension``.
     """
     q0, s0 = validate_specialization(n, l, q0, s0)
     if comb(n + l - 2, l) == 1:
         return 1
-    for p in _CERT_PRIMES:
-        pmats = _generators_modp(n, l, q0, s0, p)
-        if pmats is not None:
-            if _commutant_dim_modp(pmats, seed, p) == 1:
-                return 1
-            break
-    mats = _specialized_generators(n, l, q0, s0)
-    return matrix_commutant_dimension(mats, seed=seed)
+    p = _cert_prime(q0, s0)
+    if _commutant_dim_modp(_generators_modp(n, l, q0, s0, p), seed, p) == 1:
+        return 1
+    return matrix_commutant_dimension(_specialized_generators(n, l, q0, s0), seed=seed)
 
 
 def random_specialization(n, l, seed=0):

@@ -8,8 +8,6 @@ introduce floating point.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .ring import LaurentPoly, RatFunc, mul_add
 
 
@@ -139,27 +137,19 @@ def poly_matrix_inverse(mat):
 
 
 def fraction_rank(rows, ncols):
-    """Rank over Q of int or Fraction rows, by fraction-free elimination.
+    """Rank over Q of integer rows, {col: x} dicts of nonzeros.
 
-    Rows are {col: x} dicts of nonzeros or dense lists.  A row holding a
-    Fraction is scaled once by the lcm of its denominators, which leaves the
-    rank unchanged, and the integer rows go to Bareiss elimination
-    (``_bareiss_pivots``): no rational number is formed.
+    Fraction-free Bareiss elimination (``_bareiss_pivots``): no rational
+    number is formed.
     """
-    cleared = []
-    for row in sparse_rows(rows):
-        if any(type(x) is not int for x in row.values()):
-            den = lcm(*(x.denominator for x in row.values()))
-            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-        cleared.append(row)
-    return len(_bareiss_pivots(cleared, ncols))
+    return len(_bareiss_pivots(rows, ncols))
 
 
 def _bareiss_pivots(rows, ncols):
-    """Pivots of fraction-free (Bareiss) elimination on integer rows.
+    """Pivots of fraction-free (Bareiss) elimination on integer {col: x} rows.
 
-    Rows are {col: x} dicts or dense lists; each update touches only
-    nonzeros.  Step k + 1 replaces each entry x of a row by
+    Each update touches only nonzeros, and no input row is changed.  Step
+    k + 1 replaces each entry x of a row by
     (pivot * x - f * y) // previous_pivot, where f is the row's entry in the
     pivot column and y the pivot row's entry in x's column.  By Sylvester's
     identity (Bareiss, Math. Comp. 22, 1968) every entry after k steps is a
@@ -180,7 +170,7 @@ def _bareiss_pivots(rows, ncols):
     The k-th pivot is a k x k minor; for a square nonsingular matrix the
     last is +- its determinant.  The number of pivots is the rank.
     """
-    rows = [(0, r) for r in sparse_rows(rows) if r]     # (step last updated, row)
+    rows = [(0, r) for r in rows if r]     # (step last updated, row)
     pivots = [1]
     for col in range(ncols):
         candidates = [i for i, (_, r) in enumerate(rows) if col in r]

@@ -319,6 +319,16 @@ class TestIrreducibleCommand:
         assert code == 2
         assert "s0^2-1" in err
 
+    def test_point_off_two_word_primes_is_certified_mod_p(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact path reached at a certified point")
+        monkeypatch.setattr(decomp_mod, "fraction_rank", refuse)
+        q0 = ((1 << 30) - 35) * ((1 << 61) - 1)
+        code, out, _ = run_cli(["irreducible", "--n", "5", "--l", "3",
+                                "--q0", str(q0), "--s0", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["witness"]["commutant_dimension"] == 1
+
 
 class TestOtherCommands:
     def test_decompose(self, capsys):

@@ -1,17 +1,18 @@
 """Weight-space decomposition, splitting maps, irreducibility certificates."""
 
 import dataclasses
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from braidrep import decomp
 from braidrep.braid import BraidWord, apply_letter
-from braidrep.decomp import (_CERT_PRIMES as CERT_PRIMES, GuardedSpecializationError,
-                             _commutant_dim_modp,
+from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
+                             _cert_prime, _commutant_dim_modp, _random_element,
                              _generators_modp, _integerize, _pure_decomposition,
                              _specialized_generators, _sylvester_rows, alpha_map,
                              c_coeff, check_full_twist, check_splitting,
@@ -32,7 +33,9 @@ from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 from conftest import (random_poly, ratfunc_decomposition_oracle,
                       ratfunc_splitting_oracle, row_lists)
 
-CERT_PRIME, SECOND_PRIME = CERT_PRIMES
+# a prime whose residues are multi-digit ints; points off it and off
+# 2^30 - 35 at once are cases for the per-point prime
+MERSENNE_61 = (1 << 61) - 1
 
 
 def mono(eq, es, c=1):
@@ -656,10 +659,22 @@ class TestCommutant:
         assert matrix_commutant_dimension(mats) == 4
         assert rref_kernel_dim(sylvester_rows(mats), 36) == 4
 
+    def test_certificate_makes_one_draw(self, monkeypatch):
+        # a draw that does not certify is not followed by another
+        mats = [block_diag(g, g) for g in w32_generators()]
+        draws = []
+        monkeypatch.setattr(decomp, "_random_element",
+                            lambda *args: draws.append(args)
+                            or _random_element(*args))
+        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) is None
+        assert len(draws) == 1
+        assert matrix_commutant_dimension(mats) == 4
+
     def test_nonderogatory_reducible_control(self):
-        # W + [7]: a cyclic vector exists, and the bound is the true dimension
+        # W + [7]: a cyclic vector exists, yet the commutant is 2, so the draw
+        # does not certify and the exact fallback finds 2
         mats = [block_diag(g, [[7]]) for g in w32_generators()]
-        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) == 2
+        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) is None
         assert matrix_commutant_dimension(mats) == 2
         assert rref_kernel_dim(sylvester_rows(mats), 16) == 2
 
@@ -683,10 +698,10 @@ class TestCommutant:
         (5, 2, Fraction(-9, 2), Fraction(11, 13)),
     ])
     def test_modp_generators_reduce_the_rational_ones(self, n, l, q0, s0):
-        # negative exponents of q and s are evaluated through their inverses
-        default = _generators_modp(n, l, q0, s0)
-        assert default == _generators_modp(n, l, q0, s0, CERT_PRIME)
-        for p in CERT_PRIMES:
+        # negative exponents of q and s are evaluated through their inverses;
+        # the point's prime, and one whose residues are multi-digit ints
+        assert _cert_prime(Fraction(q0), Fraction(s0)) == CERT_PRIME
+        for p in (CERT_PRIME, MERSENNE_61):
             expected = [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
                          for row in m] for m in _specialized_generators(n, l, q0, s0)]
             assert _generators_modp(n, l, q0, s0, p) == expected
@@ -705,24 +720,21 @@ class TestCommutant:
 
         expected = [[[per_term(x) for x in row] for row in rho_matrix(n, l, [i]).entries]
                     for i in range(1, n)]
-        assert _generators_modp(n, l, q0, s0) == expected
+        assert _generators_modp(n, l, q0, s0, p) == expected
 
     @pytest.mark.parametrize("q0, s0", [
-        (Fraction(CERT_PRIME * SECOND_PRIME), 3),
-        (2, Fraction(3, CERT_PRIME * SECOND_PRIME)),
-        (Fraction(2, CERT_PRIME), Fraction(SECOND_PRIME, 5)),
+        (Fraction(CERT_PRIME * MERSENNE_61), 3),
+        (2, Fraction(3, CERT_PRIME * MERSENNE_61)),
+        (Fraction(2, CERT_PRIME), Fraction(MERSENNE_61, 5)),
     ])
     def test_point_off_the_prime_takes_the_exact_path(self, q0, s0, monkeypatch):
-        # off both certificate primes
+        # a point off 2^30 - 35 and 2^61 - 1 is certified mod the next prime
+        # below 2^30 - 35 and forms no rational matrix
         q0, s0 = validate_specialization(3, 2, q0, s0)
-        built = []
-        monkeypatch.setattr(decomp, "_specialized_generators",
-                            lambda *args: built.append(args)
-                            or _specialized_generators(*args))
-        for p in CERT_PRIMES:
-            assert _generators_modp(3, 2, q0, s0, p) is None
+        assert _cert_prime(q0, s0) == largest_primes_below_2_30(2)[1]
+        monkeypatch.setattr(decomp, "fraction_rank", self.refuse)
+        monkeypatch.setattr(decomp, "_specialized_generators", self.refuse)
         assert commutant_dimension(3, 2, q0, s0) == 1
-        assert built == [(3, 2, q0, s0)]
         mats = _specialized_generators(3, 2, q0, s0)
         assert rref_kernel_dim(sylvester_rows(mats), 9) == 1
 
@@ -734,8 +746,9 @@ class TestCommutant:
     ])
     def test_point_off_the_first_prime_certifies_mod_the_second(self, n, l, q0, s0,
                                                                 monkeypatch):
+        # certified mod the next prime below 2^30 - 35
         q0, s0 = validate_specialization(n, l, q0, s0)
-        assert _generators_modp(n, l, q0, s0, CERT_PRIME) is None
+        assert _cert_prime(q0, s0) == largest_primes_below_2_30(2)[1]
         monkeypatch.setattr(decomp, "fraction_rank", self.refuse)
         monkeypatch.setattr(decomp, "_specialized_generators", self.refuse)
         assert commutant_dimension(n, l, q0, s0) == 1
@@ -818,13 +831,23 @@ def is_prime(m):
     return m > 1 and all(m % k for k in range(2, int(m ** 0.5) + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def largest_primes_below_2_30(k):
+    """The k largest primes below 2^30, largest first, by trial division."""
+    primes, m = [], 1 << 30
+    while len(primes) < k:
+        m -= 1
+        if is_prime(m):
+            primes.append(m)
+    return tuple(primes)
+
+
 class TestSparseCommutantSystem:
     def test_first_prime_is_word_sized(self):
         # below 2^30 every residue is a one-digit CPython int and a product of
         # two stays below 2^60, so mod-p products take the small-int fast path
         assert is_prime(CERT_PRIME) and CERT_PRIME < 1 << 30
         assert not any(is_prime(m) for m in range(CERT_PRIME + 1, 1 << 30))
-        assert SECOND_PRIME == (1 << 61) - 1
 
     @pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
     def test_sylvester_rows_are_the_oracle_rows(self, kind):
@@ -848,6 +871,31 @@ class TestSparseCommutantSystem:
         assert exact == [16] * 12
 
 
+class TestCertPrime:
+    """One word-size prime per point, with no exact path for a point off 2^30 - 35."""
+
+    def test_small_point_takes_the_largest_prime(self):
+        assert _cert_prime(Fraction(2), Fraction(3)) == (1 << 30) - 35
+
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    @pytest.mark.parametrize("where", ["q0", "s0-denominator"])
+    def test_primes_of_the_point_are_passed_over(self, k, where):
+        primes = largest_primes_below_2_30(k + 1)
+        product = prod(primes[:k])
+        q0, s0 = ((Fraction(product), Fraction(3)) if where == "q0"
+                  else (Fraction(2), Fraction(3, product)))
+        assert _cert_prime(q0, s0) == primes[k]
+
+    @pytest.mark.parametrize("n, l", [(5, 3), (4, 4)])
+    def test_point_off_two_word_primes_certifies_mod_p(self, n, l, monkeypatch):
+        # off 2^30 - 35 and 2^61 - 1; the exact rank would take 400 and 225 unknowns
+        def refuse(*args):
+            raise AssertionError("exact path reached at a certified point")
+        monkeypatch.setattr(decomp, "fraction_rank", refuse)
+        monkeypatch.setattr(decomp, "_specialized_generators", refuse)
+        assert commutant_dimension(n, l, CERT_PRIME * MERSENNE_61, 3) == 1
+
+
 class TestCertificateSoundness:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
@@ -859,9 +907,10 @@ class TestCertificateSoundness:
             d = len(mats[0])
             exact = rref_kernel_dim(sylvester_rows(mats), d * d)
             for draw_seed in range(14):
-                bound = _commutant_dim_modp(mats, draw_seed)
-                assert bound is None or bound >= exact, (mats, draw_seed)
-                outcomes[bound if bound is None or bound == 1 else "above 1"] += 1
+                # one draw: it certifies 1 only where the exact dimension is 1
+                outcome = _commutant_dim_modp(mats, draw_seed)
+                assert outcome is None or outcome == 1 == exact, (mats, draw_seed)
+                outcomes[outcome] += 1
         if kind in ("generic", "block-upper"):
             assert outcomes[1]
         if kind == "repeated-blocks":

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -413,6 +414,19 @@ def _fraction_entry(rnd):
     return Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
 
 
+def integer_dict_rows(rows):
+    """Each row times the lcm of its denominators, as a {col: x} dict of its nonzeros.
+
+    Scaling a row leaves the rank unchanged; ``fraction_rank`` takes only
+    integer dict rows.
+    """
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append({c: int(x * den) for c, x in enumerate(row) if x})
+    return out
+
+
 def rows_of_rank_at_most(rnd, nrows, ncols, rank, entry):
     """A product of random nrows x rank and rank x ncols factors; half of the
     time a zero row and a repeated row are inserted at random places."""
@@ -436,11 +450,10 @@ def test_fraction_rank_matches_gaussian_elimination(entry, shape):
     for _ in range(40):
         rows = rows_of_rank_at_most(rnd, nrows, ncols, rnd.randint(0, min(shape)), entry)
         expected = gauss_rank(rows, ncols)
-        assert fraction_rank(rows, ncols) == expected, rows
-        # the same rows as {col: x} dicts of their nonzeros, which are not changed
-        dict_rows = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        # the same rows cleared to integer {col: x} dicts, which are not changed
+        dict_rows = integer_dict_rows(rows)
         assert fraction_rank(dict_rows, ncols) == expected, rows
-        assert dict_rows == [{c: x for c, x in enumerate(row) if x} for row in rows]
+        assert dict_rows == integer_dict_rows(rows)
         ranks.add(expected)
     # the samples cover rank-deficient and full-rank matrices alike
     assert len(ranks) >= 3 and max(ranks) == min(shape)
@@ -448,10 +461,10 @@ def test_fraction_rank_matches_gaussian_elimination(entry, shape):
 
 def test_fraction_rank_of_empty_and_zero_rows():
     assert fraction_rank([], 3) == 0
-    assert fraction_rank([[0, 0, 0], [Fraction(0), 0, 0]], 3) == 0
-    assert fraction_rank([[Fraction(1, 3), Fraction(-2, 7)], [7, -6]], 2) == 1
+    assert fraction_rank(integer_dict_rows([[0, 0, 0], [Fraction(0), 0, 0]]), 3) == 0
+    assert fraction_rank(integer_dict_rows([[Fraction(1, 3), Fraction(-2, 7)], [7, -6]]),
+                         2) == 1
     assert fraction_rank([{}, {}], 3) == 0
-    assert fraction_rank([{0: Fraction(1, 3), 1: Fraction(-2, 7)}, {0: 7, 1: -6}], 2) == 1
     # columns from ncols on are never pivots
     assert fraction_rank([{0: 1, 2: 5}, {2: 3}], 2) == 1
 
@@ -465,7 +478,7 @@ def test_last_bareiss_pivot_is_the_determinant():
         for _ in range(8):
             mat = [[rnd.randint(-9, 9) for _ in range(size)] for _ in range(size)]
             det = gauss_det(mat)
-            pivots = _bareiss_pivots(mat, size)
+            pivots = _bareiss_pivots(integer_dict_rows(mat), size)
             assert all(type(x) is int for x in pivots)
             if det:
                 assert len(pivots) == size

@@ -36,10 +36,10 @@ equivariant section.
 
 A commutant of dimension 1 at an exact rational point (q0, s0) is certified
 by one random draw mod a word-size prime chosen for the point
-(``_cert_prime``, ``_commutant_dim_modp``), on generators reduced mod p
-straight from their Laurent entries (``_generators_modp``); a draw that
-does not certify leaves the exact fraction-free rank over Q to decide.  For
-an algebra element b and a vector u, rank d - 1 of the rows
+(``_cert_prime``, ``_commutant_dim_modp``), on {col: residue} generator rows
+reduced mod p straight from their Laurent entries (``_generators_modp``); a
+draw that does not certify leaves the exact fraction-free rank over Q to
+decide.  For an algebra element b and a vector u, rank d - 1 of the rows
 b^k a_i u - a_i b^k u (k < d) proves b nonderogatory (its minimal polynomial
 would give a second relation among the rows, whose row 0 is zero) and leaves
 only the identity in F_p[b], which holds the commutant: one elimination
@@ -57,6 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, isqrt, lcm
 from operator import mul, or_
 
@@ -472,21 +473,21 @@ def _cert_prime(q0, s0):
 
 
 def _generators_modp(n, l, q0, s0, p):
-    """The generators rho(sigma_i) at (q0, s0), reduced mod the prime p.
+    """The generators rho(sigma_i) at (q0, s0) mod p, as {col: residue} rows.
 
     Each nonzero entry of the cached generator columns is a Laurent polynomial
     with integer coefficients, evaluated straight to an int mod p from the
     residues of q0 and s0 and of their inverses (``pow`` with a negative
-    exponent).  That is the reduction mod p of the rational entry, as p
-    divides no numerator or denominator of q0 or s0 (``_cert_prime``), so
-    q0, s0, 1/q0 and 1/s0 are all p-integral.
+    exponent), and kept unless it is 0 mod p.  That is the reduction mod p of
+    the rational entry, as p divides no numerator or denominator of q0 or s0
+    (``_cert_prime``), so q0, s0, 1/q0 and 1/s0 are all p-integral.
     """
     q, s = (x.numerator * pow(x.denominator, -1, p) % p for x in (q0, s0))
     residues = {}        # packed exponent key -> q^e_q s^e_s mod p
     mats = []
     for i in range(1, n):
         cols = _generator_columns(n, l, i)
-        mat = [[0] * len(cols) for _ in cols]
+        rows = [{} for _ in cols]
         for c, col in enumerate(cols):
             for r, entry in col.items():
                 total = 0
@@ -496,8 +497,8 @@ def _generators_modp(n, l, q0, s0, p):
                         eq, es = unpack(key)
                         x = residues[key] = pow(q, eq, p) * pow(s, es, p) % p
                     total += coeff * x
-                mat[r][c] = total % p
-        mats.append(mat)
+                rows[r][c] = total
+        mats.append(_residue_rows(rows, p))
     return mats
 
 
@@ -512,24 +513,19 @@ def matrix_commutant_dimension(mats, seed=0):
 
     One or more square matrices of one size, else ValueError before any
     work.  Each is scaled to an integer one (by the lcm of its denominators,
-    which leaves the commutant unchanged).  Fast path: for one random algebra
-    element b and vector u mod a word-size prime p, the conditions that
-    sum_k c_k b^k commute with each matrix on u have rank at most d - 1;
-    rank d - 1 proves b nonderogatory, so F_p[b] holds the commutant mod p,
-    and leaves the identity as their only solution (``_commutant_dim_modp``).
-    The integer entries reduce mod p, so the rank mod p of the commutant's
-    equations is at most their rank over Q, and dimension 1 holds over Q
-    too.  A draw that does not certify falls back to the rank over Q of the
-    full Sylvester system X A = A X, whose integer rows hold at most 2d
-    nonzeros of d^2 and are built as {col: x} dicts of those:
+    which leaves the commutant unchanged).  Fast path: one draw mod a
+    word-size prime p (``_commutant_dim_modp``) that proves dimension 1 mod
+    p proves it over Q, as the rank mod p of the commutant's equations is at
+    most their rank over Q.  At d = 1 every row of that draw is zero, and
+    rank 0 = d - 1 certifies.  A draw that does not certify falls back to
+    the rank over Q of the full Sylvester system X A = A X, whose integer
+    rows hold at most 2d nonzeros of d^2, as {col: x} dicts:
     ``fraction_rank`` computes it by fraction-free Bareiss elimination, with
     no rational number and no prime, so the fallback is exact.
     """
     d = len(mats[0]) if mats else 0
     if not d or any(len(m) != d or any(len(row) != d for row in m) for m in mats):
         raise ValueError("the commutant needs one or more square matrices of one size")
-    if d == 1:
-        return 1
     imats = [_integerize(m) for m in mats]
     if _commutant_dim_modp(imats, seed) == 1:
         return 1
@@ -556,11 +552,12 @@ def _sylvester_rows(mats):
 def _commutant_dim_modp(imats, seed, p=_CERT_PRIME):
     """1 if one draw mod the prime p proves the commutant C of imats scalar, else None.
 
-    The draw takes an algebra element b, a vector u, the Krylov vectors
-    b^k u (k < d) and the rows rows[k] = b^k a_i u - a_i b^k u, one block per
-    generator a_i.  The first block is ranked alone, as at a generic point it
-    reaches rank d - 1; if not, all blocks are ranked once together.  At rank
-    d - 1, 1 is returned:
+    The integer imats, dense (``sparse_rows``) or {col: x} rows, are reduced
+    once to {col: residue} rows.  The draw takes an algebra element b in such
+    rows, a dense vector u, the Krylov vectors b^k u (k < d) and the rows
+    rows[k] = b^k a_i u - a_i b^k u, one block per generator a_i.  The first
+    block is ranked alone, as at a generic point it reaches rank d - 1; if
+    not, all blocks are ranked once together.  At rank d - 1, 1 is returned:
     - C lies in the centraliser Z(b), as b lies in the algebra of the a_i;
     - rows[0] is zero; if the minimal polynomial of b had degree m < d, its
       coefficients gamma (gamma_m = 1, m >= 1) would give
@@ -572,7 +569,7 @@ def _commutant_dim_modp(imats, seed, p=_CERT_PRIME):
     Below rank d - 1 the draw proves nothing and None is returned.
     """
     d = len(imats[0])
-    pm = [sparse_rows([[x % p for x in row] for row in m]) for m in imats]
+    pm = [_residue_rows(sparse_rows(m), p) for m in imats]
     rng = random.Random(seed)
     b = _random_element(pm, rng, p)
     krylov = _krylov(b, [rng.randrange(p) for _ in range(d)], p)
@@ -585,12 +582,14 @@ def _commutant_dim_modp(imats, seed, p=_CERT_PRIME):
     return None
 
 
+def _residue_rows(rows, p):
+    """{col: x} integer rows reduced mod p, as {col: residue} rows of nonzeros."""
+    return [{c: r for c, x in row.items() if (r := x % p)} for row in rows]
+
+
 def _krylov(b, u, p):
-    """The vectors u, b u, ..., b^(d-1) u mod p."""
-    out = [u]
-    for _ in range(len(u) - 1):
-        out.append([sum(map(mul, row, out[-1])) % p for row in b])
-    return out
+    """The dense vectors u, b u, ..., b^(d-1) u mod p, one ``_matvec`` each."""
+    return list(accumulate(u[1:], lambda v, _: _matvec(b, v, p), initial=u))
 
 
 def _matvec(a, v, p):
@@ -600,16 +599,14 @@ def _matvec(a, v, p):
 
 
 def _random_element(pm, rng, p):
-    """A random combination of the generators and one product of two of them, dense."""
+    """b = sum_k c_k a_k + c a_i a_j mod p, drawing i, j, then the c.
+
+    Row r of b is the ``row_product`` of the c with row r of each term.
+    """
     i, j = rng.randrange(len(pm)), rng.randrange(len(pm))
-    product = [{c: x % p for c, x in row_product(row, pm[j]).items()} for row in pm[i]]
-    coeffs = [rng.randrange(1, p) for _ in range(len(pm) + 1)]
-    b = [[0] * len(pm[0]) for _ in pm[0]]
-    for coeff, m in zip(coeffs, pm + [product]):
-        for brow, row in zip(b, m):
-            for c, x in row.items():
-                brow[c] += coeff * x
-    return [[x % p for x in row] for row in b]
+    terms = pm + [_residue_rows([row_product(row, pm[j]) for row in pm[i]], p)]
+    coeffs = dict(enumerate(rng.randrange(1, p) for _ in terms))
+    return _residue_rows([row_product(coeffs, rows) for rows in zip(*terms)], p)
 
 
 def commutant_dimension(n, l, q0, s0, seed=0):

@@ -6,14 +6,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 
 import pytest
 
 from braidrep import decomp
 from braidrep.braid import BraidWord, apply_letter
 from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
-                             _cert_prime, _commutant_dim_modp, _random_element,
-                             _generators_modp, _integerize, _pure_decomposition,
+                             _cert_prime, _commutant_dim_modp, _krylov,
+                             _random_element, _generators_modp, _integerize,
+                             _pure_decomposition,
                              _specialized_generators, _sylvester_rows, alpha_map,
                              c_coeff, check_full_twist, check_splitting,
                              commutant_dimension, decompose, ef1_eigencheck,
@@ -610,6 +612,12 @@ def w32_generators():
              for row in rho_matrix(3, 2, [i]).entries] for i in (1, 2)]
 
 
+def residue_row(row, p):
+    """A dense row of p-integral rationals mod p, as {col: residue} with no zero entry."""
+    return {c: r for c, x in enumerate(row)
+            if (r := x.numerator * pow(x.denominator, -1, p) % p)}
+
+
 def block_diag(a, b):
     return ([list(row) + [0] * len(b) for row in a]
             + [[0] * len(a) + list(row) for row in b])
@@ -699,11 +707,12 @@ class TestCommutant:
     ])
     def test_modp_generators_reduce_the_rational_ones(self, n, l, q0, s0):
         # negative exponents of q and s are evaluated through their inverses;
-        # the point's prime, and one whose residues are multi-digit ints
+        # the point's prime, and one whose residues are multi-digit ints; rows
+        # are {col: residue} dicts with no zero entry
         assert _cert_prime(Fraction(q0), Fraction(s0)) == CERT_PRIME
         for p in (CERT_PRIME, MERSENNE_61):
-            expected = [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                         for row in m] for m in _specialized_generators(n, l, q0, s0)]
+            expected = [[residue_row(row, p) for row in m]
+                        for m in _specialized_generators(n, l, q0, s0)]
             assert _generators_modp(n, l, q0, s0, p) == expected
 
     @pytest.mark.parametrize("n, l, q0, s0", [
@@ -718,8 +727,8 @@ class TestCommutant:
                          for (e0, e1), c in entry.sorted_terms()), Fraction(0))
             return value.numerator * pow(value.denominator, -1, p) % p
 
-        expected = [[[per_term(x) for x in row] for row in rho_matrix(n, l, [i]).entries]
-                    for i in range(1, n)]
+        expected = [[residue_row([per_term(x) for x in row], p)
+                     for row in rho_matrix(n, l, [i]).entries] for i in range(1, n)]
         assert _generators_modp(n, l, q0, s0, p) == expected
 
     @pytest.mark.parametrize("q0, s0", [
@@ -727,7 +736,8 @@ class TestCommutant:
         (2, Fraction(3, CERT_PRIME * MERSENNE_61)),
         (Fraction(2, CERT_PRIME), Fraction(MERSENNE_61, 5)),
     ])
-    def test_point_off_the_prime_takes_the_exact_path(self, q0, s0, monkeypatch):
+    def test_point_off_cert_prime_and_mersenne_61_certifies_mod_the_next_prime(
+            self, q0, s0, monkeypatch):
         # a point off 2^30 - 35 and 2^61 - 1 is certified mod the next prime
         # below 2^30 - 35 and forms no rational matrix
         q0, s0 = validate_specialization(3, 2, q0, s0)
@@ -744,8 +754,8 @@ class TestCommutant:
         (3, 2, Fraction(2, CERT_PRIME), Fraction(CERT_PRIME, 5)),
         (5, 3, CERT_PRIME, 3),
     ])
-    def test_point_off_the_first_prime_certifies_mod_the_second(self, n, l, q0, s0,
-                                                                monkeypatch):
+    def test_point_off_cert_prime_certifies_mod_the_next_prime(self, n, l, q0, s0,
+                                                               monkeypatch):
         # certified mod the next prime below 2^30 - 35
         q0, s0 = validate_specialization(n, l, q0, s0)
         assert _cert_prime(q0, s0) == largest_primes_below_2_30(2)[1]
@@ -789,6 +799,17 @@ class TestCommutant:
     @staticmethod
     def refuse(*args):
         raise AssertionError("work started on malformed input")
+
+    @pytest.mark.parametrize("mats", [
+        [[[Fraction(3, 2)]]],
+        [[[Fraction(3, 2)]], [[Fraction(-5, 7)]]],
+        [[[Fraction(0)]], [[Fraction(4)]]],
+    ], ids=["one", "two", "with-zero"])
+    def test_one_by_one_matrices_certify(self, mats, monkeypatch):
+        # every certificate row is zero, and rank 0 = d - 1 certifies
+        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) == 1
+        monkeypatch.setattr(decomp, "fraction_rank", self.refuse)
+        assert matrix_commutant_dimension(mats) == 1
 
     def test_certified_point_forms_no_rational_matrix(self, monkeypatch):
         def refuse(*args):
@@ -869,6 +890,85 @@ class TestSparseCommutantSystem:
             assert want >= 2
             assert matrix_commutant_dimension(mats) == want, mats
         assert exact == [16] * 12
+
+
+def dense_random_element(pm, rng, p):
+    """The certificate's random element over dense d x d lists (test oracle).
+
+    Draws i, j, then one coefficient for each generator and one for a_i a_j,
+    and sums coefficient times entry into a dense b; pm holds {col: residue}
+    rows.
+    """
+    d = len(pm[0])
+    dense = [[[row.get(c, 0) for c in range(d)] for row in m] for m in pm]
+    i, j = rng.randrange(len(pm)), rng.randrange(len(pm))
+    product = [[sum(x * dense[j][k][c] for k, x in enumerate(row)) % p for c in range(d)]
+               for row in dense[i]]
+    coeffs = [rng.randrange(1, p) for _ in range(len(pm) + 1)]
+    b = [[0] * d for _ in range(d)]
+    for coeff, m in zip(coeffs, dense + [product]):
+        for brow, row in zip(b, m):
+            for c, x in enumerate(row):
+                brow[c] += coeff * x
+    return [[x % p for x in row] for row in b]
+
+
+def generator_residues(n, l):
+    q0, s0 = random_specialization(n, l, seed=0)
+    p = _cert_prime(q0, s0)
+    return _generators_modp(n, l, q0, s0, p), p
+
+
+def integer_residues(mats):
+    p = CERT_PRIME
+    return [[residue_row(row, p) for row in _integerize(m)] for m in mats], p
+
+
+def burau_control(n):
+    return [[[specialize(x, 2, 3) for x in row] for row in m]
+            for m in burau_matrices(n, reduced=False)]
+
+
+RANDOM_ELEMENT_CASES = {
+    **{"%d-%d" % nl: functools.partial(generator_residues, *nl)
+       for nl in [(4, 3), (4, 4), (5, 3), (6, 2), (7, 2)]},
+    **{"burau-%d" % n: (lambda n=n: integer_residues(burau_control(n)))
+       for n in (3, 4, 5, 6)},
+    "w32-doubled": lambda: integer_residues([block_diag(g, g) for g in w32_generators()]),
+}
+
+
+class TestResidueRows:
+    """Mod-p matrices as {col: residue} rows, drawn as by the dense formula."""
+
+    @pytest.mark.parametrize("case", list(RANDOM_ELEMENT_CASES))
+    def test_random_element_matches_the_dense_oracle(self, case):
+        pm, p = RANDOM_ELEMENT_CASES[case]()
+        d = len(pm[0])
+        for seed in range(20):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            b = _random_element(pm, rng, p)
+            want = dense_random_element(pm, oracle_rng, p)
+            assert [[row.get(c, 0) for c in range(d)] for row in b] == want, seed
+            assert all(all(row.values()) for row in b)
+            assert rng.getstate() == oracle_rng.getstate()
+            # the Krylov vectors by the dense mat-vec
+            u = [rng.randrange(p) for _ in range(d)]
+            want_krylov = [u]
+            for _ in range(d - 1):
+                want_krylov.append([sum(map(mul, row, want_krylov[-1])) % p for row in want])
+            assert _krylov(b, u, p) == want_krylov
+
+    @pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
+    def test_dense_and_dict_rows_give_one_verdict(self, kind):
+        rnd = random.Random("rows %s" % kind)
+        for _ in range(6):
+            mats = SWEEP_KINDS[kind](rnd)
+            rows = [[{c: x for c, x in enumerate(row) if x} for row in m] for m in mats]
+            for p in (CERT_PRIME, 3):
+                for seed in range(5):
+                    assert (_commutant_dim_modp(rows, seed, p)
+                            == _commutant_dim_modp(mats, seed, p)), (mats, p, seed)
 
 
 class TestCertPrime:

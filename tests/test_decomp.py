@@ -736,7 +736,7 @@ class TestCommutant:
         (2, Fraction(3, CERT_PRIME * MERSENNE_61)),
         (Fraction(2, CERT_PRIME), Fraction(MERSENNE_61, 5)),
     ])
-    def test_point_off_cert_prime_and_mersenne_61_certifies_mod_the_next_prime(
+    def test_off_cert_prime_and_m61_certifies_mod_next_prime(
             self, q0, s0, monkeypatch):
         # a point off 2^30 - 35 and 2^61 - 1 is certified mod the next prime
         # below 2^30 - 35 and forms no rational matrix

@@ -63,8 +63,8 @@ from operator import mul, or_
 
 from .braid import BraidWord, apply_letter
 from .hwspace import _generator_columns, hw_basis, label_str, rho_matrix
-from .linalg import (fraction_rank, mat_diff_witness, modp_rank, row_product,
-                     sparse_rows)
+from .linalg import (fraction_rank, mat_diff_witness, modp_matvec, modp_rank,
+                     row_product, sparse_rows)
 from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
@@ -421,8 +421,15 @@ def check_full_twist(n, l):
 _CERT_PRIME = (1 << 30) - 35
 
 
+# Bounded so that a sweep over many (n, l) cannot grow it without limit; the
+# benchmark's irreducible workload reads nine classes.
+@lru_cache(maxsize=64)
 def guard_factors(n, l):
-    """Named polynomials that must not vanish at a substitution point."""
+    """Named polynomials that must not vanish at a substitution point.
+
+    A shared tuple of (name, polynomial), cached as
+    ``validate_specialization`` reads it at every point.
+    """
     q = LaurentPoly.monomial(1, 0)
     s = LaurentPoly.monomial(0, 1)
     factors = [
@@ -435,7 +442,7 @@ def guard_factors(n, l):
         factors.append(("mu[1,%d;%d,%d]" % (k, n, l), mu(1, k, n, l)))
     for k in range(1, l + 1):
         factors.append(("lambda[%d;%d,%d]" % (k, n, l), lambda_const(k, n, l)))
-    return factors
+    return tuple(factors)
 
 
 def validate_specialization(n, l, q0, s0):
@@ -552,12 +559,14 @@ def _sylvester_rows(mats):
 def _commutant_dim_modp(imats, seed, p=_CERT_PRIME):
     """1 if one draw mod the prime p proves the commutant C of imats scalar, else None.
 
-    The integer imats, dense (``sparse_rows``) or {col: x} rows, are reduced
-    once to {col: residue} rows.  The draw takes an algebra element b in such
-    rows, a dense vector u, the Krylov vectors b^k u (k < d) and the rows
-    rows[k] = b^k a_i u - a_i b^k u, one block per generator a_i.  The first
-    block is ranked alone, as at a generic point it reaches rank d - 1; if
-    not, all blocks are ranked once together.  At rank d - 1, 1 is returned:
+    The integer imats are dense (``sparse_rows``) or {col: x} rows, residues
+    or not: each matrix is reduced mod p once, where it is packed for its
+    mat-vecs (``linalg.modp_matvec``), and the random element b is reduced
+    by ``_random_element``.  The draw takes b, a dense vector u, the Krylov
+    vectors b^k u (k < d) and the rows rows[k] = b^k a_i u - a_i b^k u, one
+    block per generator a_i.  The first block is ranked alone, as at a
+    generic point it reaches rank d - 1; if not, all blocks are ranked once
+    together.  At rank d - 1, 1 is returned:
     - C lies in the centraliser Z(b), as b lies in the algebra of the a_i;
     - rows[0] is zero; if the minimal polynomial of b had degree m < d, its
       coefficients gamma (gamma_m = 1, m >= 1) would give
@@ -569,15 +578,16 @@ def _commutant_dim_modp(imats, seed, p=_CERT_PRIME):
     Below rank d - 1 the draw proves nothing and None is returned.
     """
     d = len(imats[0])
-    pm = [_residue_rows(sparse_rows(m), p) for m in imats]
+    mats = [sparse_rows(m) for m in imats]
     rng = random.Random(seed)
-    b = _random_element(pm, rng, p)
+    b = modp_matvec(_random_element(mats, rng, p), p)
     krylov = _krylov(b, [rng.randrange(p) for _ in range(d)], p)
     rows = [[] for _ in range(d)]
-    for i, a in enumerate(pm):
-        for row, bau, bku in zip(rows, _krylov(b, _matvec(a, krylov[0], p), p), krylov):
-            row.extend([(x - y) % p for x, y in zip(bau, _matvec(a, bku, p))])
-        if i in (0, len(pm) - 1) and modp_rank(rows, len(rows[0]), p) == d - 1:
+    for i, a in enumerate(mats):
+        a = modp_matvec(a, p)
+        for row, bau, bku in zip(rows, _krylov(b, a(krylov[0]), p), krylov):
+            row.extend([(x - y) % p for x, y in zip(bau, a(bku))])
+        if i in (0, len(mats) - 1) and modp_rank(rows, len(rows[0]), p) == d - 1:
             return 1
     return None
 
@@ -588,14 +598,13 @@ def _residue_rows(rows, p):
 
 
 def _krylov(b, u, p):
-    """The dense vectors u, b u, ..., b^(d-1) u mod p, one ``_matvec`` each."""
-    return list(accumulate(u[1:], lambda v, _: _matvec(b, v, p), initial=u))
+    """The dense vectors u, b u, ..., b^(d-1) u mod p of a residue vector u.
 
-
-def _matvec(a, v, p):
-    """a v mod p, with the rows of a as {col: x} dicts of its nonzeros."""
-    at = v.__getitem__
-    return [sum(map(mul, row.values(), map(at, row))) % p for row in a]
+    b is a ``linalg.modp_matvec``, or {col: residue} rows packed into one
+    here; either way each step is one packed mat-vec.
+    """
+    step = b if callable(b) else modp_matvec(b, p)
+    return list(accumulate(u[1:], lambda v, _: step(v), initial=u))
 
 
 def _random_element(pm, rng, p):

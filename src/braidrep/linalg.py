@@ -4,9 +4,16 @@ Matrices are lists of rows: {col: entry} dicts of the nonzero entries, or
 dense lists at the edges.  Entries are anything with ring arithmetic
 (LaurentPoly, its LKB sibling, RatFunc, Fraction); the helpers never
 introduce floating point.
+
+Mod-p work (``modp_matvec``, ``modp_rank``) holds a vector of residues as one
+Python int of W-bit slots, entry k in bits [k W, (k + 1) W), with W wide
+enough that no sum it forms carries into the next slot.  Only this module
+knows that format; its callers pass and get lists and {col: x} rows.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .ring import LaurentPoly, RatFunc, mul_add
 
@@ -202,27 +209,70 @@ def _bareiss_pivots(rows, ncols):
 def modp_rank(rows, ncols, p):
     """Rank over F_p of the first ncols entries of integer rows.
 
-    A lower bound for the rational rank.  Gaussian elimination that drops
-    each pivot column, and the zero columns before it, once eliminated:
-    every remaining row keeps only its tail past the pivot, and only the
-    tails are updated.  A row that reduces to zero is dropped.
+    A lower bound for the rational rank.  Each row is reduced mod p and
+    packed into one int of W-bit slots (``_pack``), entry c in slot c, with
+    W the bit length of (len(rows) + 1) p^2.  Gaussian elimination then
+    drops each pivot column, and the zero columns before it, once eliminated:
+    every remaining row is shifted down to its tail past the pivot, and gets
+    f times the pivot row's tail added in one int operation, with f chosen
+    so that the pivot column becomes 0 mod p.  Only a row that becomes the
+    pivot has its slots reduced mod p; every other slot is a residue plus at
+    most one (p - 1)^2 per pivot, so it stays below (len(rows) + 1) p^2 and
+    no carry crosses a slot.  A row that reduces to the zero int is dropped.
     """
-    rows = [r for r in ([x % p for x in row[:ncols]] for row in rows) if any(r)]
+    w = ((len(rows) + 1) * p * p).bit_length()
+    mask = (1 << w) - 1
+    rows = [r for r in (_pack([x % p for x in row[:ncols]], w) for row in rows) if r]
     rank = 0
     while rows:
-        col = 0
-        while (i := next((k for k, r in enumerate(rows) if r[col]), None)) is None:
-            col += 1
-        prow = rows.pop(i)
-        inv = pow(prow[col], -1, p)
-        tail = prow[col + 1:]
+        i = next((k for k, r in enumerate(rows) if (r & mask) % p), None)
+        if i is None:
+            rows = [r for r in (r >> w for r in rows) if r]
+            continue
+        head, *tail = _residues(rows.pop(i), w, p)
+        neg_inv = -pow(head, -1, p) % p
+        tail = _pack(tail, w)
         reduced = []
         for r in rows:
-            f = r[col] * inv % p
-            r = ([(x - f * y) % p for x, y in zip(r[col + 1:], tail)] if f
-                 else r[col + 1:])
-            if any(r):
+            f = (r & mask) * neg_inv % p
+            r >>= w
+            if f:
+                r += f * tail
+            if r:
                 reduced.append(r)
         rows = reduced
         rank += 1
     return rank
+
+
+def modp_matvec(rows, p):
+    """The map v -> a v mod p of a square integer matrix a, packed once.
+
+    ``rows`` are the rows of a as {col: x} dicts.  Column c of a, reduced
+    mod p, is packed into one int with a[r][c] in slot r (``_pack``), W the
+    bit length of d (p - 1)^2.  For v a list of residues mod p,
+    sum_c v[c] * column c holds (a v)[r] in slot r; each is at most
+    d (p - 1)^2 < 2^W, so no carry crosses a slot, and one unpack
+    (``_residues``) reads the d slots back mod p.  A mat-vec is d big-int
+    multiply-adds in C.
+    """
+    d = len(rows)
+    w = (d * (p - 1) ** 2).bit_length()
+    cols = [0] * d
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c] |= x % p << r * w
+    return lambda v: _residues(sum(map(mul, v, cols)), w, p, d)
+
+
+def _pack(values, w):
+    """Nonnegative ints below 2^w as one int, value k in bits [k w, (k + 1) w)."""
+    return sum(x << s for x, s in zip(values, range(0, len(values) * w, w)))
+
+
+def _residues(x, w, p, count=None):
+    """The first ``count`` w-bit slots of x mod p, low slot first (by default up to its top slot)."""
+    if count is None:
+        count = -(-x.bit_length() // w)
+    mask = (1 << w) - 1
+    return [(x >> s & mask) % p for s in range(0, count * w, w)]

@@ -392,14 +392,15 @@ class LaurentPoly:
         return self._packed(quotient, bound)
 
     def evaluate(self, v0, v1):
-        """Exact value at (v0, v1); both must be nonzero rationals.
+        """Exact value at (v0, v1); both must be nonzero rationals (``specialize``)."""
+        return specialize(self, v0, v1)
+
+    def _value_at(self, v0, v1):
+        """Exact value at nonzero Fractions (v0, v1).
 
         With v0 = a/b and v1 = c/d, the terms are summed over the integers
         with exponents shifted to be nonnegative, and divided once at the end.
         """
-        v0, v1 = _fraction(v0), _fraction(v1)
-        if v0 == 0 or v1 == 0:
-            raise ZeroSubstitutionError("variables may only take nonzero values")
         if len(self.terms) < 2 and self.terms.keys() <= {0}:
             return Fraction(self.terms.get(0, 0))       # a constant
         a, b = v0.numerator, v0.denominator
@@ -604,10 +605,13 @@ class RatFunc:
             return False
 
     def evaluate(self, v0, v1):
-        d = self.den.evaluate(v0, v1)
+        return specialize(self, v0, v1)
+
+    def _value_at(self, v0, v1):
+        d = self.den._value_at(v0, v1)
         if d == 0:
             raise PoleError("denominator vanishes at the substitution point")
-        return self.num.evaluate(v0, v1) / d
+        return self.num._value_at(v0, v1) / d
 
     def __str__(self):
         if self.den.is_one():
@@ -714,12 +718,16 @@ def _fraction(x):
 
 
 def specialize(value, q0, s0):
-    """Evaluate a LaurentPoly or RatFunc at exact rational (q0, s0)."""
+    """Evaluate a LaurentPoly, RatFunc or int at exact rational (q0, s0).
+
+    The one place where q0 and s0 are made Fractions and checked nonzero;
+    ``evaluate`` of both classes comes here.
+    """
     q0, s0 = _fraction(q0), _fraction(s0)
     if q0 == 0 or s0 == 0:
-        raise ZeroSubstitutionError("q and s are units; zero is not allowed")
+        raise ZeroSubstitutionError("variables may only take nonzero values")
     if isinstance(value, (LaurentPoly, RatFunc)):
-        return value.evaluate(q0, s0)
+        return value._value_at(q0, s0)
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError("cannot specialize %r" % type(value))

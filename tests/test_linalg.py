@@ -8,7 +8,8 @@ import pytest
 
 from braidrep import linalg
 from braidrep.linalg import (_bareiss_pivots, fraction_rank, mat_diff_witness,
-                              mat_mul, modp_rank, row_product, sparse_rows)
+                              mat_mul, modp_matvec, modp_rank, row_product,
+                              sparse_rows)
 from braidrep.lkb import LKBPoly
 from braidrep.ring import LaurentPoly, RatFunc
 
@@ -536,3 +537,68 @@ def test_modp_rank_small_cases():
     assert modp_rank([[0, 0, 5], [1, 0, 5]], 2, 7) == 1
     # the second pivot lies two columns past the first
     assert modp_rank([[1, 2, 3], [2, 4, 5]], 3, 101) == 2
+
+
+# -- packed mod-p rows: the largest slot values and the certificate's sizes ----
+
+WORD_PRIMES = [3, (1 << 30) - 35, (1 << 61) - 1]
+
+
+def p_minus_one_rows(d, p, diagonal):
+    """d x d rows of p - 1 with ``diagonal`` on the diagonal."""
+    return [[diagonal if r == c else p - 1 for c in range(d)] for r in range(d)]
+
+
+def nonzero_but_zero_mod_p_row(rnd, ncols, p):
+    return [p * rnd.randint(-3, 3) for _ in range(ncols - 1)] + [p]
+
+
+MODP_RANK_SHAPES = {
+    # the certificate's d x d block at (6, 4): entries negative and >= p,
+    # ranks 0, 1, d - 1 and d
+    "d70": lambda rnd, p: [
+        ([[x + p * rnd.randint(-2, 2) for x in row]
+          for row in rows_of_rank_at_most(rnd, 70, 70, rank, _int_entry)], 70)
+        for rank in (0, 1, 69, 70)],
+    # every entry off the diagonal the largest residue p - 1 = -1: the rows
+    # are -(J - I), -(J + I) and -J mod p, of rank d (d - 1 where p divides
+    # d - 1 = 63), d and 1
+    "all-p-minus-1": lambda rnd, p: [
+        (p_minus_one_rows(64, p, diagonal), 64) for diagonal in (0, p - 2, p - 1)],
+    # a nonzero int that is 0 mod p gives no pivot, alone or among other rows
+    "zero-mod-p-row": lambda rnd, p: [
+        ([nonzero_but_zero_mod_p_row(rnd, 9, p)], 9),
+        ([nonzero_but_zero_mod_p_row(rnd, 9, p) for _ in range(5)], 9),
+        ([nonzero_but_zero_mod_p_row(rnd, 9, p)]
+         + rows_of_rank_at_most(rnd, 6, 9, 4, _int_entry), 9)],
+}
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+@pytest.mark.parametrize("shape", list(MODP_RANK_SHAPES))
+def test_modp_rank_packed_shapes_match_gaussian_elimination(p, shape):
+    rnd = random.Random("%s %s" % (shape, p))
+    for rows, ncols in MODP_RANK_SHAPES[shape](rnd, p):
+        assert modp_rank(rows, ncols, p) == gauss_rank_modp(rows, ncols, p), (shape, p)
+    if shape == "zero-mod-p-row":
+        assert modp_rank([[p, -2 * p, 0]], 3, p) == 0
+
+
+def dense_matvec(a, v, p):
+    """a v mod p over dense rows (the reference)."""
+    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_modp_matvec_matches_the_dense_oracle(p):
+    # every entry p - 1 puts d (p - 1)^2 in each slot, the largest sum
+    d = 64
+    rnd = random.Random("matvec %d" % p)
+    full = [[p - 1] * d for _ in range(d)]
+    mixed = [[rnd.choice([0, 0, 1, p - 1, p + 5, -7, p * 3]) for _ in range(d)]
+             for _ in range(d)]
+    for a in (full, mixed):
+        matvec = modp_matvec(sparse_rows(a), p)
+        for v in ([p - 1] * d, [0] * d, [rnd.randrange(p) for _ in range(d)]):
+            assert matvec(v) == dense_matvec(a, v, p)
+    assert modp_matvec([{}], p)([p - 1]) == [0]

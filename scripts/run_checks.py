@@ -2,11 +2,14 @@
 """Run every ``braidrep check`` suite over a small grid and print a summary table.
 
 Each row is one suite at one (n, l), or the commutant certificate at
-the rational point (q, s) = (2, 3), and names the checks that failed.  For
-each n, one more row is the certificate's negative control: the unreduced
-Burau representation is reducible, so its commutant at (2, 3) must have
-dimension at least 2, and the row fails if it certifies 1.  The summary
-line gives the row count, the failed rows and the sweep's wall time.
+the rational point (q, s) = (2, 3), and names the checks that failed.  The
+certificate makes one mod-p draw at the point of W_{n,l}, and takes the
+exact rank only if the draw does not certify.  For each n, one more row is
+the certificate's negative control: the unreduced Burau representation is
+reducible, so its commutant at (2, 3) must have dimension at least 2, and
+the row fails if the exact rank (``matrix_commutant_dimension``, which
+makes no draw) gives 1.  The summary line gives the row count, the failed
+rows and the sweep's wall time.
 
 The splitting suite also runs at l = lmax + 1.
 

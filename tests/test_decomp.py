@@ -618,15 +618,29 @@ def residue_row(row, p):
             if (r := x.numerator * pow(x.denominator, -1, p) % p)}
 
 
+def residue_matrices(mats, p=CERT_PRIME):
+    """Square rational matrices, each scaled to an integer one, as {col: residue} rows."""
+    return [[residue_row(row, p) for row in _integerize(m)] for m in mats]
+
+
+def draw(mats, seed=0, p=CERT_PRIME):
+    """One certificate draw on square rational matrices."""
+    return _commutant_dim_modp(residue_matrices(mats, p), seed, p)
+
+
 def block_diag(a, b):
     return ([list(row) + [0] * len(b) for row in a]
             + [[0] * len(a) + list(row) for row in b])
 
 
 class TestCommutant:
-    def test_one_dimensional_rep(self):
+    def test_one_dimensional_rep(self, monkeypatch):
+        # d = 1 needs no shortcut: the one draw certifies
+        monkeypatch.setattr(decomp, "fraction_rank", self.refuse)
+        monkeypatch.setattr(decomp, "_specialized_generators", self.refuse)
         assert commutant_dimension(2, 3, 2, 3) == 1
         assert commutant_dimension(2, 5, 2, 3) == 1
+        assert commutant_dimension(5, 0, 2, 3) == 1
 
     def test_3_2_against_oracle(self):
         # independent 9-unknown exact solve
@@ -663,7 +677,7 @@ class TestCommutant:
         # every element of the algebra of W + W repeats its spectrum, so no
         # draw finds a cyclic vector; the exact fallback finds End(C^2)
         mats = [block_diag(g, g) for g in w32_generators()]
-        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) is None
+        assert draw(mats) is None
         assert matrix_commutant_dimension(mats) == 4
         assert rref_kernel_dim(sylvester_rows(mats), 36) == 4
 
@@ -674,7 +688,7 @@ class TestCommutant:
         monkeypatch.setattr(decomp, "_random_element",
                             lambda *args: draws.append(args)
                             or _random_element(*args))
-        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) is None
+        assert draw(mats) is None
         assert len(draws) == 1
         assert matrix_commutant_dimension(mats) == 4
 
@@ -682,7 +696,7 @@ class TestCommutant:
         # W + [7]: a cyclic vector exists, yet the commutant is 2, so the draw
         # does not certify and the exact fallback finds 2
         mats = [block_diag(g, [[7]]) for g in w32_generators()]
-        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) is None
+        assert draw(mats) is None
         assert matrix_commutant_dimension(mats) == 2
         assert rref_kernel_dim(sylvester_rows(mats), 16) == 2
 
@@ -690,7 +704,7 @@ class TestCommutant:
         # a scalar first matrix adds no constraint; the later ones certify
         mats = [[[2 if r == c else 0 for c in range(3)] for r in range(3)]]
         mats += w32_generators()
-        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) == 1
+        assert draw(mats) == 1
 
     def test_krylov_certificate_5_4(self):
         assert commutant_dimension(5, 4, 2, 3) == 1
@@ -805,11 +819,37 @@ class TestCommutant:
         [[[Fraction(3, 2)]], [[Fraction(-5, 7)]]],
         [[[Fraction(0)]], [[Fraction(4)]]],
     ], ids=["one", "two", "with-zero"])
-    def test_one_by_one_matrices_certify(self, mats, monkeypatch):
-        # every certificate row is zero, and rank 0 = d - 1 certifies
-        assert _commutant_dim_modp([_integerize(m) for m in mats], 0) == 1
-        monkeypatch.setattr(decomp, "fraction_rank", self.refuse)
+    def test_one_by_one_matrices_certify(self, mats):
+        # every certificate row is zero, and rank 0 = d - 1 certifies; the
+        # exact rank agrees
+        assert draw(mats) == 1
         assert matrix_commutant_dimension(mats) == 1
+
+    @pytest.mark.parametrize("mats", [
+        *(pytest.param(lambda n=n: burau_control(n), id="burau-%d" % n) for n in (3, 4, 5, 6)),
+        pytest.param(lambda: [block_diag(g, g) for g in w32_generators()], id="w32-doubled"),
+        pytest.param(lambda: [block_diag(g, [[7]]) for g in w32_generators()], id="w32-plus-7"),
+    ])
+    def test_matrices_take_no_draw(self, mats, monkeypatch):
+        # matrix_commutant_dimension is the exact rank alone
+        mats = mats()
+        monkeypatch.setattr(decomp, "_random_element", self.refuse)
+        d = len(mats[0])
+        assert matrix_commutant_dimension(mats) == rref_kernel_dim(sylvester_rows(mats), d * d)
+
+    @pytest.mark.parametrize("n, l", [(3, 2), (4, 3)])
+    def test_fallback_makes_one_draw(self, n, l, monkeypatch):
+        # a draw that does not certify goes straight to the exact rank
+        draws, exact = [], []
+        monkeypatch.setattr(decomp, "modp_rank", lambda *args: 0)
+        monkeypatch.setattr(decomp, "_random_element",
+                            lambda *args: draws.append(args) or _random_element(*args))
+        monkeypatch.setattr(decomp, "fraction_rank",
+                            lambda rows, ncols: exact.append(ncols)
+                            or fraction_rank(rows, ncols))
+        assert commutant_dimension(n, l, 2, 3) == 1
+        d = comb(n + l - 2, l)
+        assert len(draws) == 1 and exact == [d * d]
 
     def test_certified_point_forms_no_rational_matrix(self, monkeypatch):
         def refuse(*args):
@@ -919,11 +959,6 @@ def generator_residues(n, l):
     return _generators_modp(n, l, q0, s0, p), p
 
 
-def integer_residues(mats):
-    p = CERT_PRIME
-    return [[residue_row(row, p) for row in _integerize(m)] for m in mats], p
-
-
 def burau_control(n):
     return [[[specialize(x, 2, 3) for x in row] for row in m]
             for m in burau_matrices(n, reduced=False)]
@@ -932,9 +967,10 @@ def burau_control(n):
 RANDOM_ELEMENT_CASES = {
     **{"%d-%d" % nl: functools.partial(generator_residues, *nl)
        for nl in [(4, 3), (4, 4), (5, 3), (6, 2), (7, 2)]},
-    **{"burau-%d" % n: (lambda n=n: integer_residues(burau_control(n)))
+    **{"burau-%d" % n: (lambda n=n: (residue_matrices(burau_control(n)), CERT_PRIME))
        for n in (3, 4, 5, 6)},
-    "w32-doubled": lambda: integer_residues([block_diag(g, g) for g in w32_generators()]),
+    "w32-doubled": lambda: (residue_matrices([block_diag(g, g) for g in w32_generators()]),
+                            CERT_PRIME),
 }
 
 
@@ -949,26 +985,29 @@ class TestResidueRows:
             rng, oracle_rng = random.Random(seed), random.Random(seed)
             b = _random_element(pm, rng, p)
             want = dense_random_element(pm, oracle_rng, p)
-            assert [[row.get(c, 0) for c in range(d)] for row in b] == want, seed
-            assert all(all(row.values()) for row in b)
+            # b is a mat-vec: its columns are the images of the unit vectors
+            columns = [b([int(r == c) for r in range(d)]) for c in range(d)]
+            assert [list(row) for row in zip(*columns)] == want, seed
             assert rng.getstate() == oracle_rng.getstate()
             # the Krylov vectors by the dense mat-vec
             u = [rng.randrange(p) for _ in range(d)]
             want_krylov = [u]
             for _ in range(d - 1):
                 want_krylov.append([sum(map(mul, row, want_krylov[-1])) % p for row in want])
-            assert _krylov(b, u, p) == want_krylov
+            assert _krylov(b, u) == want_krylov
 
     @pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
-    def test_dense_and_dict_rows_give_one_verdict(self, kind):
+    def test_draw_mod_three_is_sound(self, kind):
+        # rank mod any prime is at most the rank over Q, so even mod 3, where
+        # rows collapse, a draw certifies 1 only where the exact dimension is 1
         rnd = random.Random("rows %s" % kind)
         for _ in range(6):
             mats = SWEEP_KINDS[kind](rnd)
-            rows = [[{c: x for c, x in enumerate(row) if x} for row in m] for m in mats]
-            for p in (CERT_PRIME, 3):
-                for seed in range(5):
-                    assert (_commutant_dim_modp(rows, seed, p)
-                            == _commutant_dim_modp(mats, seed, p)), (mats, p, seed)
+            d = len(mats[0])
+            exact = rref_kernel_dim(sylvester_rows(mats), d * d)
+            for seed in range(5):
+                outcome = draw(mats, seed, 3)
+                assert outcome is None or outcome == 1 == exact, (mats, seed)
 
 
 class TestCertPrime:
@@ -1008,7 +1047,7 @@ class TestCertificateSoundness:
             exact = rref_kernel_dim(sylvester_rows(mats), d * d)
             for draw_seed in range(14):
                 # one draw: it certifies 1 only where the exact dimension is 1
-                outcome = _commutant_dim_modp(mats, draw_seed)
+                outcome = draw(mats, draw_seed)
                 assert outcome is None or outcome == 1 == exact, (mats, draw_seed)
                 outcomes[outcome] += 1
         if kind in ("generic", "block-upper"):

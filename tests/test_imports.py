@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private helper is used in the package.
 
 No linter ships with the package, so this walks each module's syntax tree
-with the standard library's ``ast``.  ``__init__`` is left out: its imports
-are the package's public re-exports.
+with the standard library's ``ast``.  ``__init__`` is left out of the import
+check: its imports are the package's public re-exports.
 """
 
 import ast
@@ -45,3 +46,39 @@ def test_an_unused_import_is_reported():
               "import os.path\nfrom math import comb, lcm as least\n"
               "print(comb(4, 2), os.sep)\n")
     assert unused_imports(source) == [(3, "least")]
+
+
+def unreferenced_private_definitions(sources):
+    """Private module-level functions and classes no module refers to.
+
+    ``sources`` maps module names to source text.  A reference is a ``Name``
+    or an ``Attribute`` anywhere in those modules, so a helper that only
+    tests call is reported.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted((module, node.name) for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and node.name not in used)
+
+
+def test_every_private_helper_is_used_in_the_package():
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as handle:
+                sources[name] = handle.read()
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_an_unreferenced_private_helper_is_reported():
+    sources = {"a.py": "def _kept():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
+                       "class _Gone:\n    pass\n",
+               "b.py": "from a import _kept\n\nprint(_kept(), a._dead)\n"}
+    assert unreferenced_private_definitions(sources) == [("a.py", "_Gone")]

@@ -21,8 +21,8 @@ from functools import lru_cache
 from .linalg import mat_mul
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, mul_add
-from .verma import (E, F, K, TensorVec, act_tensor, f_single_coeff,
-                    weight_basis)
+from .verma import (E, F, K, TensorVec, _e_image, _f_image, act_tensor,
+                    f_single_coeff, weight_basis)
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,11 @@ def sigma_matrix(n, l, k, perturb=False):
 
 
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
-# pass of the benchmark's check grid builds 53 or 54 distinct matrices and the
-# default scripts/run_checks.py sweep 50; 64 holds either.
-@lru_cache(maxsize=64)
+# pass of the benchmark's check grid asks for 81 distinct matrices, 88 with
+# all five --perturb controls (each generator build in ``hwspace`` reads the
+# letter at l and at l - 1), and the default scripts/run_checks.py sweep 50;
+# 96 holds either.
+@lru_cache(maxsize=96)
 def _sigma_rows(n, l, k, perturb):
     """Rows of sigma_matrix as {col: entry} dicts of the nonzeros; read only."""
     basis = weight_basis(n, l)
@@ -182,13 +184,23 @@ def _rows_of_columns(cols, target):
 
 
 def operator_matrix(gen, n, l):
-    """{col: entry} rows of a generator from the degree-l block into its target block."""
+    """{col: entry} rows of a generator from the degree-l block into its target block.
+
+    A column of E or F^(m) is the cached image of its pure tensor
+    (``verma._e_image``, ``verma._f_image``), read without a copy; K goes
+    through ``act_tensor``.
+    """
     basis = weight_basis(n, l)
     if gen.kind == "E" and l == 0:
         return [], basis
     target = weight_basis(n, l + {"E": -1, "F": gen.power}.get(gen.kind, 0))
-    return _rows_of_columns([act_tensor(gen, TensorVec.pure(idx)) for idx in basis],
-                            target), target
+    if gen.kind == "E":
+        cols = [TensorVec._of(n, _e_image(idx)) for idx in basis]
+    elif gen.kind == "F":
+        cols = [TensorVec._of(n, _f_image(gen.power, idx)) for idx in basis]
+    else:
+        cols = [act_tensor(gen, TensorVec.pure(idx)) for idx in basis]
+    return _rows_of_columns(cols, target), target
 
 
 # -- structural checks ---------------------------------------------------------

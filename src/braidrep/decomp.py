@@ -450,6 +450,9 @@ def guard_factors(n, l):
 
 
 def validate_specialization(n, l, q0, s0):
+    """(q0, s0) as Fractions, once n >= 2 and no guard factor vanishes there."""
+    if n < 2:
+        raise ValueError("a specialization needs n >= 2 strands, got n = %d" % n)
     q0, s0 = Fraction(q0), Fraction(s0)
     if q0 == 0 or s0 == 0:
         raise GuardedSpecializationError("q0" if q0 == 0 else "s0", 0)

@@ -19,11 +19,14 @@ and Phi fixes B pointwise.  The images of the A-tensors are a free basis of
 the highest-weight space W_{n,l} = ker(E) cap V_{n,l}.  Each basis vector is
 named by its A-tensor a, as a multi-index: it is the only basis vector with
 a term at a, so a highest-weight vector's coordinate on it is the vector's
-coefficient at a.  Conjugating the braid action by Phi (computationally:
-apply the braid, then read the coefficients off at the A-tensors) yields the
-integral representation matrices.  For l >= 1 and an A-tensor whose leading
-1 sits in slot j-1 followed by ``tail``, Phi(a) equals the closed form
-(checked in the tests)
+coefficient at a.  The braid action commutes with E, so it preserves W_{n,l},
+and conjugating it by Phi yields the integral representation matrices.
+Computationally, ``_generator_columns`` checks E sigma_k = sigma_k E on
+V_{n,l} as one sparse matrix identity and then reads the coefficients of
+sigma_k Phi(a) off at the A-tensors, as the A-label rows of sigma_k times
+the basis vectors.  For l >= 1 and an A-tensor whose leading 1 sits in slot
+j-1 followed by ``tail``, Phi(a) equals the closed form (checked in the
+tests)
 
     sum_{k >= 0} b_k  v_0^{(j-2)} (x) v_k (x) E^{k-1} v_tail,
     b_k = (-1)^{k-1} s^{(k-1)(j-n-1)} q^{(k-1)(2l-k-2)},
@@ -38,8 +41,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .braid import BraidWord, _rows_of_columns, apply_word
-from .linalg import mat_mul
+from .braid import BraidWord, _rows_of_columns, _sigma_rows, apply_word, operator_matrix
+from .linalg import mat_mul, row_product
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .verma import E, TensorVec, _e_image, act_tensor, weight_basis
@@ -177,7 +180,10 @@ def expand_in_hw_basis(vec, n, l):
     Each coefficient is read off at its basis vector's label: that vector
     has A-part exactly its label, and no other basis vector has a term
     there.  The residual against the full expansion is then checked to
-    vanish, which certifies membership in the highest-weight space.
+    vanish, which certifies membership in the highest-weight space.  The
+    generator matrices do not come through here (``_generator_columns``
+    certifies a whole letter at once); this is the reference they are
+    tested against, and the expansion for any other vector.
     """
     basis = hw_basis(n, l)
     zero = LaurentPoly.zero()
@@ -199,15 +205,34 @@ def expand_in_hw_basis(vec, n, l):
 def _generator_columns(n, l, k):
     """Columns of rho_{n,l}(sigma_k), each a {row: entry} dict of its nonzeros.
 
-    Built once on the full tensor space: column c is the c-th basis vector
-    pushed through the letter and expanded with ``expand_in_hw_basis``, whose
-    residual check certifies that the image lies in W_{n,l} with Laurent
-    coefficients.
+    Two sparse steps on the letter's cached weight-space matrices
+    (``_sigma_rows`` at l and l - 1); no basis vector goes through
+    ``apply_letter``.  First E sigma_k = sigma_k E is checked exactly on
+    V_{n,l}, and a letter that fails raises ValueError before any column is
+    formed: each Phi(a) is in ker E, so sigma_k Phi(a) is then in W_{n,l}.
+    Then entry (r, c) is read off as the coefficient of sigma_k Phi(a_c) at
+    the label a_r, the A-label rows of sigma_k times the basis vectors.  Two
+    highest-weight vectors with one A-part differ by a B-supported vector of
+    ker E, which is 0 as E is injective on B; so the read-off is exact.  The
+    products call ``row_product``, not ``mat_mul``, which the benchmark
+    tracer counts as the word products of ``rho_matrix``.  The tests compare
+    the columns with ``expand_in_hw_basis`` of the pushed basis vectors.
     """
-    word = BraidWord(n, (k,))
-    return tuple({r: x for r, x in enumerate(
-                     expand_in_hw_basis(apply_word(word, el.vector), n, l)) if x}
-                 for el in hw_basis(n, l))
+    sigma = _sigma_rows(n, l, k, False)
+    if l:
+        e_rows, _ = operator_matrix(E, n, l)
+        if ([row_product(row, e_rows) for row in _sigma_rows(n, l - 1, k, False)]
+                != [row_product(row, sigma) for row in e_rows]):
+            raise ValueError("sigma_%d does not commute with E on V_{%d,%d}" % (k, n, l))
+    tensors = weight_basis(n, l)
+    position = {idx: i for i, idx in enumerate(tensors)}
+    basis = hw_basis(n, l)
+    vectors = _rows_of_columns([el.vector for el in basis], tensors)
+    cols = [{} for _ in basis]
+    for r, el in enumerate(basis):
+        for c, x in row_product(sigma[position[el.label]], vectors).items():
+            cols[c][r] = x
+    return tuple(cols)
 
 
 def rho_matrix(n, l, word):
@@ -224,9 +249,9 @@ def rho_matrix(n, l, word):
     one-row product ``mat_mul([col], g)``: the row vector times the matrix
     whose rows are g's columns is g applied to the column.  Only one column
     is in flight at a time.  Each generator matrix is built once per
-    (n, l, k) on the full tensor space and residual-checked there
-    (``_generator_columns``).  W_{n,l} is invariant under B_n and has a free
-    basis over the Laurent ring, so those matrices are integral and a
+    (n, l, k), as one sparse product certified by the letter's commutation
+    with E (``_generator_columns``).  W_{n,l} is invariant under B_n and has
+    a free basis over the Laurent ring, so those matrices are integral and a
     product of them is the matrix of the word on W_{n,l}, with entries in
     the ring: no division and no further check is needed.
     """

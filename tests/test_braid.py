@@ -7,13 +7,13 @@ import pytest
 from braidrep import braid
 from braidrep.braid import (BraidWord, apply_letter, apply_word,
                             check_braid_relations, check_equivariance,
-                            check_yang_baxter, rmatrix_pair,
+                            check_yang_baxter, operator_matrix, rmatrix_pair,
                             rmatrix_pair_inverse, sigma_matrix)
 from braidrep.decomp import full_twist_word
 from braidrep.linalg import mat_identity, mat_mul, poly_matrix_inverse
 from braidrep.report import all_passed
 from braidrep.ring import LaurentPoly, RatFunc
-from braidrep.verma import TensorVec, weight_basis
+from braidrep.verma import E, F, K, TensorVec, act_tensor, weight_basis
 
 from conftest import random_poly
 
@@ -235,6 +235,21 @@ class TestRelationChecks:
         reports = check_equivariance(n, l)
         assert all_passed(reports)
         assert {r.params["x"] for r in reports} == {"K", "E", "F1"}
+
+    @pytest.mark.parametrize("n,l", [(2, 0), (3, 1), (3, 2), (4, 3)])
+    def test_operator_matrix_is_the_tensor_action(self, n, l):
+        # E and F^(m) read their columns off the cached pure-tensor images;
+        # the oracle is act_tensor on each pure tensor
+        for gen, shift in ((E, -1), (F(1), 1), (F(2), 2), (K, 0)):
+            if l + shift < 0:
+                continue
+            rows, target = operator_matrix(gen, n, l)
+            assert target == weight_basis(n, l + shift)
+            want = [{} for _ in target]
+            for c, idx in enumerate(weight_basis(n, l)):
+                for i, x in act_tensor(gen, TensorVec.pure(idx)).coeffs.items():
+                    want[target.index(i)][c] = x
+            assert rows == want, gen
 
 
 class TestSigmaMatrix:

@@ -6,11 +6,15 @@ class; each such cache is listed in UNBOUNDED with the reason its size stays
 small.  There l is the largest degree in use and n the largest strand count.
 """
 
+import contextlib
 import importlib
+import io
 import pkgutil
 from pathlib import Path
 
 import braidrep
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 UNBOUNDED = {
     "braid.rmatrix_pair":
@@ -71,3 +75,24 @@ def test_pure_decomposition_cache_is_bounded():
     assert "decomp._pure_decomposition" not in UNBOUNDED
     maxsize = lru_caches()["decomp._pure_decomposition"].cache_parameters()["maxsize"]
     assert maxsize is not None
+
+
+def test_one_check_grid_pass_evicts_from_no_bounded_cache(monkeypatch, tmp_path):
+    # One pass of the benchmark's check grid, with every --perturb control,
+    # from cold caches.  A bounded cache that evicts turns each later read of
+    # that entry into a rebuild, so every miss must still be held: misses
+    # equal currsize.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    sweep = workloads.CheckSweep
+    caches = lru_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    runner = sweep(0, str(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for item in sweep.grid() + [control + (True,) for control in sweep.controls]:
+            assert runner.check(item, runner.run(item)) is None, item
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        if info.maxsize is not None:
+            assert info.misses == info.currsize, (name, info)

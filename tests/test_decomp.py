@@ -665,6 +665,21 @@ class TestCommutant:
         with pytest.raises(GuardedSpecializationError):
             validate_specialization(3, 2, 1, 3)
 
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_one_strand_is_rejected_before_any_work(self, l, monkeypatch):
+        # B_1 has no generator: the point is refused by name before a guard
+        # factor is formed, and not as a guard hit, which
+        # random_specialization would retry for ever
+        def no_work(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(decomp, "guard_factors", no_work)
+        for call in (lambda: validate_specialization(1, l, 2, 3),
+                     lambda: commutant_dimension(1, l, 2, 3),
+                     lambda: random_specialization(1, l)):
+            with pytest.raises(ValueError, match="n >= 2 strands, got n = 1") as exc:
+                call()
+            assert not isinstance(exc.value, GuardedSpecializationError)
+
     def test_random_specialization_avoids_guards(self):
         q0, s0 = random_specialization(3, 2, seed=5)
         assert validate_specialization(3, 2, q0, s0) == (q0, s0)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from braidrep import hwspace
+from braidrep import braid, hwspace
 from braidrep.braid import BraidWord, apply_word
 from braidrep.decomp import full_twist_word
 from braidrep.hwspace import (check_phi, check_sigma_w, check_wmax,
@@ -362,15 +362,39 @@ class TestRho:
         ident = rho_matrix(n, l, [])
         assert all(type(x) is LaurentPoly for row in ident.entries for x in row)
 
-    @pytest.mark.parametrize("n,l", [(2, 0), (3, 1), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(2, 7) for l in range(4)]
+                             + [(7, 2)])
     def test_generator_columns_are_the_expanded_images(self, n, l):
+        # Oracle: each basis vector pushed through the letter on the full
+        # tensor space and expanded with its residual check.  The build under
+        # test is run fresh (``__wrapped__``) as well as read from the cache.
         # Dict equality also pins that no zero entry is stored.
         for k in [k for i in range(1, n) for k in (i, -i)]:
             want = tuple(
                 {r: x for r, x in enumerate(expand_in_hw_basis(
                     apply_word(BraidWord(n, (k,)), el.vector), n, l)) if x}
                 for el in hw_basis(n, l))
+            assert hwspace._generator_columns.__wrapped__(n, l, k) == want, k
             assert hwspace._generator_columns(n, l, k) == want, k
+
+    @pytest.mark.parametrize("n,l", [(2, 1), (3, 2), (4, 3), (5, 2)])
+    def test_generator_certificate_rejects_perturbed_letters(self, n, l, monkeypatch):
+        # The perturbed R drops a summand of sigma_k, which breaks
+        # E sigma_k = sigma_k E; it leaves the inverse letters as they are.
+        sigma_rows = braid._sigma_rows
+        monkeypatch.setattr(hwspace, "_sigma_rows",
+                            lambda n, l, k, perturb: sigma_rows(n, l, k, True))
+        hwspace._generator_columns.cache_clear()
+        try:
+            for k in range(1, n):
+                with pytest.raises(ValueError, match="does not commute with E"):
+                    hwspace._generator_columns(n, l, k)
+                assert hwspace._generator_columns.cache_info().currsize == 0, k
+            for k in range(1, n):
+                assert hwspace._generator_columns.__wrapped__(n, l, -k)
+        finally:
+            # a build that wrongly passed must not serve later tests
+            hwspace._generator_columns.cache_clear()
 
     @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (5, 3)])
     def test_generator_times_inverse_is_identity(self, n, l):

@@ -262,7 +262,7 @@ def cmd_irreducible(args):
         "params": {"n": args.n, "l": args.l, "q0": str(q0), "s0": str(s0)},
         "pass": certified,
         "witness": {"commutant_dimension": dim,
-                    "verdict": "irreducible over Q(q,s): certified"
+                    "verdict": "End = scalars over Q(q,s): certified"
                                if certified else "commutant has dimension > 1"},
     }
 

@@ -7,13 +7,21 @@ k-th summand the operator E F^(1) acts by the scalar [k+1]_q mu_{1,k} with
     mu_{t,k}(n, l) = prod_{j=1..t} (s^n q^{-2l+k-t+j} - s^{-n} q^{2l-k+t-j}),
 
 all eigenvalues distinct, which pins the decomposition down uniquely.  The
-components are solved for top-down:
+U_q(sl2) extremal projector (Asherova, Smirnov and Tolstoy, Theor. Math.
+Phys. 8, 1971; q-version: Khoroshkin and Tolstoy, Comm. Math. Phys. 141,
+1991) gives each component in closed form: with m = l - t,
 
-    w_t = ( E^t v - sum_{i>=1} mu_{t,i}(n, l-t) F^(i) w_{t+i} ) / mu_{t,0}(n, l-t).
+    w_t = sum_{k=0..m} (-1)^k F^(k) E^(t+k) v / beta(M_{t,k}),
+    M_{t,k} = mu_factors(t, 0, m) + {2m-1-j : j = 1..k},
 
-Each w_t is held as a numerator over a multiset of binomials beta_a, and
-the split is formed by linearity from cached pure-tensor solves
-(``decompose``).
+and beta(M) the product of the beta_a over M.  For v = sum_s F^(s) w_s, as
+E^j F^(s) w_s = mu_{j,s-j}(n, l-j) F^(s-j) w_s and F^(k) F^(j) =
+qbinom(k+j, k) F^(k+j), the coefficient of F^(r) w_{t+r} in the sum is
+sum_{k<=r} (-1)^k qbinom(r, k) mu_{t+k,r-k}(n, l-t-k) / beta(M_{t,k}) =
+delta_{r,0}, a scalar identity in s^n that the tests check for l <= 10.
+The M_{t,k} nest, so w_t is a numerator over D_t = M_{t,m} = {a : m-1 <= a
+<= 2l-t-1, a != 2m-1}, l binomials, and the split is formed by linearity
+from cached pure-tensor sums (``decompose``).
 
 The splitting maps of one strand up,
 
@@ -171,57 +179,47 @@ class HWDecomposition:
                 "components": [w.to_json() for w in self.components]}
 
 
+def _projector_factors(t, k, l):
+    """M_{t,k}, the a of the beta_a under the k-th projector term of w_t; D_t = M_{t,l-t}."""
+    m = l - t
+    return mu_factors(t, 0, m) + Counter(2 * m - 1 - j for j in range(1, k + 1))
+
+
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.
 # V_{n,l} has C(n+l-1, l) pure tensors: 20 for the benchmark's (4, 3), 65
 # for the whole criterion-8 grid; 256 holds all of them.
 @lru_cache(maxsize=256)
 def _pure_decomposition(idx):
-    """(numerators, factors) of the pure tensor v_idx, by the top-down solve.
+    """The unreduced numerators u_t = beta(D_t) w_t of the pure tensor v_idx, t = 0..l:
 
-    The triangular system is solved top-down, with every pivot
-    mu_{t,0}(n, l-t) and every mu_{t,i}(n, l-t) a product of binomials
-    beta_a.  The numerator of w_t is formed over the union L (largest
-    multiplicities) of the lower components' binomial multisets,
+        u_t = sum_{k=0..l-t} (-1)^k beta(D_t - M_{t,k}) F^(k) E^(t+k) v
 
-        u_t = beta(L) E^t v - sum_{i >= 1} mu_{t,i}(n, l-t) beta(L - L_{t+i}) F^(i) u_{t+i},
-
-    and each factor of L + mu_{t,0}(n, l-t) that divides every coefficient of
-    u_t is cancelled at once.  The returned tuples are shared by every
-    caller and must not be changed.
+    over the E-ladder, one ``TensorVec.combination`` per t.  The returned
+    tuple is shared by every caller and must not be changed.
     """
     n, l = len(idx), sum(idx)
     e_powers = [TensorVec.pure(idx)]
     for _ in range(l):
         e_powers.append(act_tensor(E, e_powers[-1]))
-    nums, facs = [None] * (l + 1), [None] * (l + 1)
-    for t in range(l, -1, -1):
-        lower = [r for r in range(t + 1, l + 1) if not nums[r].is_zero()]
-        common = reduce(or_, (facs[r] for r in lower), Counter())
-        acc = TensorVec.combination(n, [(_beta_product(common, n), e_powers[t])] + [
-            (-mu(t, r - t, n, l - t) * _beta_product(common - facs[r], n),
-             act_tensor(F(r - t), nums[r])) for r in lower])
-        nums[t], facs[t] = _cancel(acc, common + mu_factors(t, 0, l - t), n)
-    return tuple(nums), tuple(facs)
+    nums = []
+    for t in range(l + 1):
+        full = _projector_factors(t, l - t, l)
+        nums.append(TensorVec.combination(n, [
+            ((-1) ** k * _beta_product(full - _projector_factors(t, k, l), n),
+             act_tensor(F(k), e_powers[t + k]) if k else e_powers[t])
+            for k in range(l - t + 1)]))
+    return tuple(nums)
 
 
 def decompose(vec):
     """Split a homogeneous vector into its highest-weight components.
 
     Fraction-field input is first cleared by one common polynomial, which
-    every component then carries as a denominator.  The split is then formed
-    by linearity from the cached split (num_t(idx), L_t(idx)) of each pure
-    tensor in the support: with c_idx the cleared coefficients and L_t the
-    union (largest multiplicities) of the L_t(idx),
-
-        u_t = sum_idx c_idx beta(L_t - L_t(idx)) num_t(idx) = beta(L_t) w_t,
-
-    and ``_cancel`` removes each factor of L_t that divides every
-    coefficient of u_t.  The beta_a are pairwise coprime, so the result is
-    the one the top-down solve gives on vec itself.  A single pure tensor
-    with coefficient 1 returns the cached parts as they are.  A pure tensor
-    met for the first time pays one top-down solve, so on a cold cache a
-    k-term vector costs k solves, more than one solve on the whole vector.
-    Negative indices are rejected before any work.
+    every component then carries as a denominator.  Every pure tensor shares
+    D_t, so u_t = sum_idx c_idx u_t(idx) over the cleared coefficients c_idx
+    and the cached ``_pure_decomposition``, and ``_cancel`` removes each
+    factor of D_t that divides every coefficient of u_t.  Negative indices
+    are rejected before any work.
     """
     if any(a < 0 for idx in vec.coeffs for a in idx):
         raise ValueError("decompose needs nonnegative indices")
@@ -234,21 +232,12 @@ def decompose(vec):
                    LaurentPoly.one())
     vec = vec.map_coeffs(lambda c: c.num * denom.divexact(c.den)
                          if isinstance(c, RatFunc) else c * denom)
-    if len(vec.coeffs) == 1:
-        (idx, c), = vec.coeffs.items()
-        if c.is_one():
-            return HWDecomposition(n, l, *_pure_decomposition(idx), denom)
-    pures = [(c, *_pure_decomposition(idx)) for idx, c in vec.coeffs.items()]
-    nums, facs = [], []
-    for t in range(l + 1):
-        parts = [(c, ns[t], fs[t]) for c, ns, fs in pures if not ns[t].is_zero()]
-        common = reduce(or_, (f for _, _, f in parts), Counter())
-        acc = TensorVec.combination(n, [(c * _beta_product(common - factors, n), num)
-                                        for c, num, factors in parts])
-        num, kept = _cancel(acc, common, n)
-        nums.append(num)
-        facs.append(kept)
-    return HWDecomposition(n, l, tuple(nums), tuple(facs), denom)
+    pures = [(c, _pure_decomposition(idx)) for idx, c in vec.coeffs.items()]
+    nums, facs = zip(*(
+        _cancel(TensorVec.combination(n, [(c, us[t]) for c, us in pures]),
+                _projector_factors(t, l - t, l), n)
+        for t in range(l + 1)))
+    return HWDecomposition(n, l, nums, facs, denom)
 
 
 def _vector_report(check, params, cases):

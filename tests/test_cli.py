@@ -312,6 +312,18 @@ class TestIrreducibleCommand:
             ["irreducible", "--n", "2", "--l", "4", "--seed", "3"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_reducible_point_is_not_called_irreducible(self, fmt, capsys):
+        # W_{5,2} is reducible at (2, 2) (test_decomp.py::TestCommutantGap),
+        # and its commutant of dimension 1 proves End = scalars only
+        code, out, _ = run_cli(["irreducible", "--n", "5", "--l", "2", "--q0", "2",
+                                "--s0", "2", "--format", fmt], capsys)
+        assert code == 0
+        verdict = (json.loads(out)["witness"]["verdict"] if fmt == "json"
+                   else out.split(" -> ")[1].strip())
+        assert verdict == "End = scalars over Q(q,s): certified"
+        assert "irreducible" not in verdict
+
     def test_guard_rejection(self, capsys):
         code, _, err = run_cli(
             ["irreducible", "--n", "3", "--l", "2", "--q0", "2", "--s0", "1"],
@@ -526,7 +538,9 @@ class TestSubprocessEntry:
 
 
 # SHA-256 of the standard output of fixed small commands, recorded before the
-# packed-key ring; any change to the arithmetic must keep these bytes.
+# packed-key ring; any change to the arithmetic must keep these bytes.  The two
+# irreducible digests were recorded again when the verdict for a commutant of
+# dimension 1 became "End = scalars over Q(q,s): certified".
 GOLDEN_STDOUT = [
     (["matrix", "--n", "3", "--l", "2", "--word", "1 -2 1"],
      "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
@@ -549,9 +563,9 @@ GOLDEN_STDOUT = [
     (["twist", "--n", "4", "--l", "2"],
      "c888f23284b1424514d39d6da4712622d794da19a886d208b9807babefcfb1b3"),
     (["irreducible", "--n", "4", "--l", "2", "--q0", "2", "--s0", "3"],
-     "53f6945d0ccf34c696f6725e078e0e752abaeb06ca950440dd6a3c1dc294f85b"),
+     "08bf4e03711b5e5f9eae982347a95143370d4b2227ed463ab4067a3467749b91"),
     (["irreducible", "--n", "3", "--l", "3", "--seed", "7"],
-     "659acd3abec429bcd8a92f83466673575f01487eef75f851b0904e641977525f"),
+     "b84d0b973ea696b166047a70799fb5b82c720e4f078ed9c5fc6899eeb0f8dbd5"),
 ]
 
 

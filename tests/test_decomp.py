@@ -15,7 +15,7 @@ from braidrep.braid import BraidWord, apply_letter
 from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
                              _cert_prime, _commutant_dim_modp, _krylov,
                              _random_element, _generators_modp, _integerize,
-                             _pure_decomposition,
+                             _projector_factors, _pure_decomposition,
                              _specialized_generators, _sylvester_rows, alpha_map,
                              c_coeff, check_full_twist, check_splitting,
                              commutant_dimension, decompose, ef1_eigencheck,
@@ -28,8 +28,8 @@ from braidrep.hwspace import (hw_basis, is_highest_weight, label_str,
 from braidrep.linalg import fraction_rank, mat_mul, modp_rank
 from braidrep.lkb import burau_matrices
 from braidrep.report import all_passed
-from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qint,
-                           specialize)
+from braidrep.ring import (InexactDivisionError, LaurentPoly, RatFunc, qbinom,
+                           qint, specialize)
 from braidrep.verma import E, F, TensorVec, act_tensor, weight_basis
 
 from conftest import (random_poly, ratfunc_decomposition_oracle,
@@ -135,7 +135,7 @@ class TestDecompose:
             for w in components:
                 for c in w.coeffs.values():
                     most = max(most, beta_factor_count(c.den, n, l))
-        # the unreduced top-down denominators carry up to l(l+1)/2 binomials
+        # each denominator divides beta(D_t), l binomials (TestProjector)
         assert most <= l
 
     def test_ratfunc_input(self):
@@ -192,6 +192,11 @@ class TestDecompose:
 
 def beta(a, n):
     return LaurentPoly({(-a, n): 1, (a, -n): -1})
+
+
+def beta_product(factors, n):
+    return functools.reduce(mul, (beta(a, n) for a in factors.elements()),
+                            LaurentPoly.one())
 
 
 def parts(dec):
@@ -260,6 +265,70 @@ class TestRecombination:
         assert _pure_decomposition.cache_info().hits == 3
         assert dec.reconstruct() == v
         assert list(dec.components) == ratfunc_decomposition_oracle(v)
+
+
+def projector_denominator(t, l):
+    """D_t = {a : m-1 <= a <= 2l-t-1, a != 2m-1} with m = l - t: l binomials."""
+    m = l - t
+    return Counter(a for a in range(m - 1, 2 * l - t) if a != 2 * m - 1)
+
+
+class TestProjector:
+    """w_t = sum_k (-1)^k F^(k) E^(t+k) v / beta(M_{t,k}), D_t = M_{t,l-t}."""
+
+    def test_kept_factors_are_the_projector_denominator(self):
+        # every pure tensor of V_{n,l}, n <= 6, l <= 4, from a cold cache:
+        # no factor of D_t cancels from any component
+        _pure_decomposition.cache_clear()
+        pairs = 0
+        for n in range(2, 7):
+            for l in range(5):
+                for idx in weight_basis(n, l):
+                    dec = decompose(TensorVec.pure(idx))
+                    for t, (num, kept) in enumerate(zip(dec.numerators, dec.factors)):
+                        assert not num.is_zero()
+                        assert kept == projector_denominator(t, l), (idx, t)
+                        assert sum(kept.values()) == l
+                        pairs += 1
+        assert pairs == 1965
+
+    @pytest.mark.parametrize("l", range(11))
+    def test_coefficients_solve_the_triangular_system(self, l):
+        # with v = sum_s F^(s) w_s, E^j F^(s) w_s = mu_{j,s-j}(n, l-j)
+        # F^(s-j) w_s and F^(k) F^(j) = qbinom(k+j, k) F^(k+j), the
+        # coefficient of F^(r) w_{t+r} in sum_k c_{t,k} F^(k) E^(t+k) v is
+        # sum_{k<=r} c_{t,k} qbinom(r,k) mu_{t+k,r-k}(n, l-t-k), which must be
+        # delta_{r,0}; n enters only through s^n, so n = 1 decides it.  Each
+        # c_{t,k} = (-1)^k / beta(M_{t,k}) is put over the union L of the
+        # M_{t,k}, so the check stays in the Laurent ring.
+        for t in range(l + 1):
+            m = l - t
+            factors = [_projector_factors(t, k, l) for k in range(m + 1)]
+            common = functools.reduce(Counter.__or__, factors)
+            assert common == projector_denominator(t, l)
+            for r in range(m + 1):
+                total = sum(((-1) ** k * beta_product(common - factors[k], 1)
+                             * qbinom(r, k) * mu(t + k, r - k, 1, l - t - k)
+                             for k in range(r + 1)), LaurentPoly.zero())
+                assert total == (beta_product(common, 1) if r == 0
+                                 else LaurentPoly.zero()), (t, r)
+
+    def test_cancel_never_sees_more_than_l_binomials(self, monkeypatch):
+        # the top-down solve passed _cancel the union of the lower
+        # components' multisets, up to 2l - 1 binomials (7 on V_{5,4})
+        n, l = 5, 4
+        sizes = []
+        cancel = decomp._cancel
+
+        def spy(num, factors, n):
+            sizes.append(sum(factors.values()))
+            return cancel(num, factors, n)
+        monkeypatch.setattr(decomp, "_cancel", spy)
+        _pure_decomposition.cache_clear()
+        for idx in weight_basis(n, l):
+            decompose(TensorVec.pure(idx))
+        assert len(sizes) >= comb(n + l - 1, l)
+        assert max(sizes) <= l
 
 
 class TestEF1:

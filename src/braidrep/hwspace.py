@@ -390,27 +390,26 @@ def check_sigma_w(n):
     The direct computation is ground truth: any disagreement is collected as
     an erratum candidate against the closed-form table rather than silently
     accepted.  The returned report is decisive either way, with the mismatch
-    list in the witness.
+    list in the witness.  Each line is compared with its cached generator
+    column (``_generator_columns``) on the nonzeros of either side; the
+    dense expected and computed lists are formed only for a mismatch.
     """
     basis = hw_basis(n, 2)
     pos = {el.label: r for r, el in enumerate(basis)}
+    zero = LaurentPoly.zero()
     mismatches = []
     lines_checked = 0
     for i in range(1, n):
-        computed = rho_matrix(n, 2, [i])
-        expected = expected_sigma_w(n, i)
-        for (a, b), (line, combo) in expected.items():
+        computed = _generator_columns(n, 2, i)
+        for (a, b), (line, combo) in expected_sigma_w(n, i).items():
             lines_checked += 1
-            col = pos[pair_label(a, b, n)]
-            want = [LaurentPoly.zero()] * len(basis)
-            for (c, d), coeff in combo:
-                want[pos[pair_label(c, d, n)]] = coeff
-            got = [computed.entries[r][col] for r in range(len(basis))]
-            if any(x != y for x, y in zip(want, got)):
+            got = computed[pos[pair_label(a, b, n)]]
+            want = {pos[pair_label(c, d, n)]: coeff for (c, d), coeff in combo}
+            if any(want.get(r, zero) != got.get(r, zero) for r in want.keys() | got.keys()):
                 mismatches.append({
                     "i": i, "pair": [a, b], "line": line,
-                    "expected": [str(x) for x in want],
-                    "computed": [str(y) for y in got],
+                    "expected": [str(want.get(r, zero)) for r in range(len(basis))],
+                    "computed": [str(got.get(r, zero)) for r in range(len(basis))],
                 })
     return [CheckReport("sigma-w-closed-form",
                         {"n": n, "lines": lines_checked},

@@ -37,7 +37,7 @@ from .braid import relation_reports
 from .linalg import mat_diff_witness, mat_mul, sparse_rows
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, unpack
-from .hwspace import hw_basis, pair_label, rho_matrix
+from .hwspace import _generator_columns, hw_basis, pair_label
 
 
 class LKBPoly(LaurentPoly):
@@ -79,26 +79,15 @@ class LKBMatrix:
         }
 
 
-def _matrix_from_columns(n, columns):
-    basis = pair_basis(n)
-    pos = {p: r for r, p in enumerate(basis)}
-    d = len(basis)
-    entries = [[LKBPoly.zero()] * d for _ in range(d)]
-    for c, col in enumerate(columns):
-        for pair, coeff in col:
-            entries[pos[pair]][c] = entries[pos[pair]][c] + coeff
-    return LKBMatrix(n, basis, tuple(tuple(row) for row in entries))
-
-
-def lkb_sigma_inverse(n, i):
-    """Matrix of the i-th inverse generator on the pair basis, columns = images."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("generator index %d out of range for n=%d" % (i, n))
+def _inverse_rows(n, i):
+    """{col: entry} rows of sigma_i^{-1} on the pair basis, from the six cases."""
     one = LKBPoly.one()
     mix = one - _Q(-1)                          # 1 - Q^-1
     hook = _Q(-1) - _Q(-2)                      # Q^-1 - Q^-2
-    columns = []
-    for (a, b) in pair_basis(n):
+    basis = pair_basis(n)
+    pos = {p: r for r, p in enumerate(basis)}
+    rows = [{} for _ in basis]
+    for c, (a, b) in enumerate(basis):
         if a == i and b == i + 1:
             col = [((i, i + 1), -(_t(-1) * _Q(-2)))]
         elif a == i + 1:
@@ -113,19 +102,41 @@ def lkb_sigma_inverse(n, i):
                    ((i, i + 1), -hook)]
         else:
             col = [((a, b), one)]
-        columns.append(col)
-    return _matrix_from_columns(n, columns)
+        for pair, coeff in col:
+            rows[pos[pair]][c] = coeff
+    return rows
+
+
+def _forward_rows(n, inv):
+    """{col: entry} rows of sigma_i from the rows ``inv`` of sigma_{n-i}^{-1}.
+
+    sigma_i = P . bar(sigma_{n-i}^{-1}) . P with P the involution
+    F_{a,b} -> F_{n+1-b,n+1-a}, so entry (r, c) is the bar of inv[P r][P c].
+    """
+    basis = pair_basis(n)
+    pos = {p: r for r, p in enumerate(basis)}
+    flip = [pos[(n + 1 - b, n + 1 - a)] for (a, b) in basis]
+    return [{flip[c]: x.bar() for c, x in inv[r].items()} for r in flip]
+
+
+def _dense(n, rows):
+    zero = LKBPoly.zero()
+    entries = tuple(tuple(row.get(c, zero) for c in range(len(rows))) for row in rows)
+    return LKBMatrix(n, pair_basis(n), entries)
+
+
+def lkb_sigma_inverse(n, i):
+    """Matrix of the i-th inverse generator on the pair basis, columns = images."""
+    if not 1 <= i <= n - 1:
+        raise ValueError("generator index %d out of range for n=%d" % (i, n))
+    return _dense(n, _inverse_rows(n, i))
 
 
 def lkb_sigma(n, i):
     """Matrix of the i-th generator, P . bar(lkb_sigma_inverse(n, n-i)) . P."""
     if not 1 <= i <= n - 1:
         raise ValueError("generator index %d out of range for n=%d" % (i, n))
-    inv = lkb_sigma_inverse(n, n - i)
-    pos = {p: r for r, p in enumerate(inv.basis)}
-    flip = [pos[(n + 1 - b, n + 1 - a)] for (a, b) in inv.basis]
-    entries = tuple(tuple(inv.entries[r][c].bar() for c in flip) for r in flip)
-    return LKBMatrix(n, inv.basis, entries)
+    return _dense(n, _forward_rows(n, _inverse_rows(n, n - i)))
 
 
 def theta(p):
@@ -155,21 +166,20 @@ def fork_iso_check(n, theta_map=theta):
     For every generator the transported matrix D theta(L) D^{-1} (with
     L the inverse-generator LKB matrix and D = diag(s^{i+j})) must equal the
     computed representation matrix, after aligning the two basis orders.
+    Both are {col: entry} rows in pair order: theta and the shift touch only
+    the nonzeros of L, and rho is read from ``hwspace._generator_columns``.
     """
     reports = []
-    basis_pairs = pair_basis(n)
-    hw = hw_basis(n, 2)
-    hw_pos = {el.label: r for r, el in enumerate(hw)}
-    perm = [hw_pos[pair_label(a, b, n)] for (a, b) in basis_pairs]
+    pairs = pair_basis(n)
+    hw_pos = {el.label: r for r, el in enumerate(hw_basis(n, 2))}
+    perm = [hw_pos[pair_label(a, b, n)] for (a, b) in pairs]
     for i in range(1, n):
-        lkb = lkb_sigma_inverse(n, i)
-        rho = rho_matrix(n, 2, [i])
-        d = len(basis_pairs)
-        transported = [[theta_map(lkb.entries[r][c]).shifted(
-            0, sum(basis_pairs[r]) - sum(basis_pairs[c])) for c in range(d)]
-            for r in range(d)]
-        aligned = [[rho.entries[perm[r]][perm[c]] for c in range(d)]
-                   for r in range(d)]
+        transported = [{c: theta_map(x).shifted(0, sum(pairs[r]) - sum(pairs[c]))
+                        for c, x in row.items()}
+                       for r, row in enumerate(_inverse_rows(n, i))]
+        cols = _generator_columns(n, 2, i)
+        aligned = [{c: x for c, h in enumerate(perm) if (x := cols[h].get(row))}
+                   for row in perm]
         reports.append(matrix_report("fork-isomorphism", {"n": n, "i": i},
                                      transported, aligned))
     return reports
@@ -177,10 +187,10 @@ def fork_iso_check(n, theta_map=theta):
 
 def check_lkb_braid_relations(n):
     """Braid relations and far commutation for the LKB inverse generators."""
-    mats = {i: sparse_rows(lkb_sigma_inverse(n, i).entries) for i in range(1, n)}
+    mats = {i: _inverse_rows(n, i) for i in range(1, n)}
     reports = relation_reports("lkb-braid", {"n": n}, mats)
     for i in range(1, n):
-        prod = mat_mul(sparse_rows(lkb_sigma(n, i).entries), mats[i])
+        prod = mat_mul(_forward_rows(n, mats[n - i]), mats[i])
         reports.append(matrix_report("lkb-inverse-pair", {"n": n, "i": i}, prod,
                                      [{r: LKBPoly.one()} for r in range(len(prod))]))
     return reports
@@ -241,14 +251,14 @@ def check_burau(n):
     """
     reports = []
     reduced = burau_matrices(n, reduced=True)
-    # hw element r corresponds to w_{n-1-r}; invert that placement
-    pos = {n - 1 - r: r for r in range(n - 1)}
+    # hw element r corresponds to w_{n-1-r}, so rho's entry (w_a, w_b) is
+    # the cached column of w_b at row n-1-a
     for i in range(1, n):
-        rho = rho_matrix(n, 1, [i])
-        rescaled = [[rho.entries[pos[a]][pos[b]] * LaurentPoly.monomial(0, b - a)
-                     for b in range(1, n)] for a in range(1, n)]
+        cols = _generator_columns(n, 1, i)
+        rescaled = [{b - 1: x.shifted(0, b - a) for b in range(1, n)
+                     if (x := cols[n - 1 - b].get(n - 1 - a))} for a in range(1, n)]
         reports.append(matrix_report("burau-degree-one", {"n": n, "i": i},
-                                     reduced[i - 1], rescaled))
+                                     sparse_rows(reduced[i - 1]), rescaled))
     unred = burau_matrices(n, reduced=False)
     t_powers = [LaurentPoly.monomial(0, -2 * j) for j in range(1, n + 1)]
     # the evaluation d_j -> t^j is a row vector fixed by every generator

@@ -540,7 +540,8 @@ class TestSubprocessEntry:
 # SHA-256 of the standard output of fixed small commands, recorded before the
 # packed-key ring; any change to the arithmetic must keep these bytes.  The two
 # irreducible digests were recorded again when the verdict for a commutant of
-# dimension 1 became "End = scalars over Q(q,s): certified".
+# dimension 1 became "End = scalars over Q(q,s): certified".  The three check
+# suites were recorded from the dense LKB transport and Burau comparison.
 GOLDEN_STDOUT = [
     (["matrix", "--n", "3", "--l", "2", "--word", "1 -2 1"],
      "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
@@ -566,6 +567,12 @@ GOLDEN_STDOUT = [
      "08bf4e03711b5e5f9eae982347a95143370d4b2227ed463ab4067a3467749b91"),
     (["irreducible", "--n", "3", "--l", "3", "--seed", "7"],
      "b84d0b973ea696b166047a70799fb5b82c720e4f078ed9c5fc6899eeb0f8dbd5"),
+    (["check", "--suite", "lkb", "--n", "5", "--l", "2"],
+     "f8dd6c8add42a10fa145afded855a493aac771f06efb2d4b2b6525b6f5da0ec1"),
+    (["check", "--suite", "burau", "--n", "5", "--l", "1", "--format", "text"],
+     "07f2b2f8db703be723e72bca249011a7d78955369da132f1772d76545b625c5e"),
+    (["check", "--suite", "phi", "--n", "4", "--l", "2"],
+     "dc7470582b162365882326ee8b61c9ac330050993e3b9eb657e0e7563e9b3b2a"),
 ]
 
 

@@ -1,5 +1,7 @@
 """LKB matrices, the parameter identification, and the Burau representations."""
 
+import json
+
 import pytest
 
 from braidrep import lkb
@@ -83,12 +85,24 @@ class TestLKBMatrices:
 class TestClosedFormSigma:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_inverts_both_ways(self, n):
-        one = mat_identity(len(pair_basis(n)), LKBPoly.one())
+        d = len(pair_basis(n))
+        one = mat_identity(d, LKBPoly.one())
+        one_rows = [{r: LKBPoly.one()} for r in range(d)]
         for i in range(1, n):
             sigma = row_lists(lkb_sigma(n, i))
             sigma_inv = row_lists(lkb_sigma_inverse(n, i))
             assert mat_mul(sigma, sigma_inv) == one
             assert mat_mul(sigma_inv, sigma) == one
+            # the dict rows the checks use: no stored zero, the same
+            # matrices once dense, and inverse to each other
+            inv_rows = lkb._inverse_rows(n, i)
+            rows = lkb._forward_rows(n, lkb._inverse_rows(n, n - i))
+            for sparse, dense in ((rows, sigma), (inv_rows, sigma_inv)):
+                assert all(x for row in sparse for x in row.values())
+                assert [[row.get(c, LKBPoly.zero()) for c in range(d)]
+                        for row in sparse] == dense
+            assert mat_mul(rows, inv_rows) == one_rows
+            assert mat_mul(inv_rows, rows) == one_rows
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_gauss_jordan(self, n):
@@ -127,6 +141,17 @@ class TestTheta:
             theta(LaurentPoly.one())
 
 
+# Row of the (i, i+1) pair in pair_basis(n), i = 1..n-1: where each
+# theta_wrong_sign report of fork_iso_check(n) names its first mismatch.
+WRONG_SIGN_WITNESSES = {
+    3: [0, 2],
+    4: [0, 3, 5],
+    5: [0, 4, 7, 9],
+    6: [0, 5, 9, 12, 14],
+    7: [0, 6, 11, 15, 18, 20],
+}
+
+
 class TestForkIsomorphism:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_passes(self, n):
@@ -135,8 +160,14 @@ class TestForkIsomorphism:
         assert all_passed(reports)
 
     def test_wrong_sign_fails(self):
-        assert not all_passed(fork_iso_check(3, theta_map=theta_wrong_sign))
-        assert not all_passed(fork_iso_check(5, theta_map=theta_wrong_sign))
+        # the full reports, witnesses included, recorded from the dense
+        # transport; each fails at the diagonal entry of the braided pair
+        for n, witnesses in WRONG_SIGN_WITNESSES.items():
+            expected = [{"check": "fork-isomorphism", "params": {"n": n, "i": i},
+                         "pass": False, "witness": [k, k, "-2*q^2*s^-4"]}
+                        for i, k in enumerate(witnesses, start=1)]
+            got = [r.to_json() for r in fork_iso_check(n, theta_map=theta_wrong_sign)]
+            assert json.dumps(got) == json.dumps(expected)
 
 
 class TestRDegreeTwoBridge:

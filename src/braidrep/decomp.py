@@ -6,10 +6,13 @@ k-th summand the operator E F^(1) acts by the scalar [k+1]_q mu_{1,k} with
 
     mu_{t,k}(n, l) = prod_{j=1..t} (s^n q^{-2l+k-t+j} - s^{-n} q^{2l-k+t-j}),
 
-all eigenvalues distinct, which pins the decomposition down uniquely.  The
-U_q(sl2) extremal projector (Asherova, Smirnov and Tolstoy, Theor. Math.
-Phys. 8, 1971; q-version: Khoroshkin and Tolstoy, Comm. Math. Phys. 141,
-1991) gives each component in closed form: with m = l - t,
+all eigenvalues distinct, which pins the decomposition down uniquely.
+``ef1_eigencheck`` checks it through the commutator, exact by linearity
+alone: E F^(1) v = F^(1)(E v) + [E, F^(1)] v, with [E, F^(1)] formed per
+pure tensor, so no vector of V_{n,l+1} is formed.  The U_q(sl2) extremal
+projector (Asherova, Smirnov and Tolstoy, Theor. Math. Phys. 8, 1971;
+q-version: Khoroshkin and Tolstoy, Comm. Math. Phys. 141, 1991) gives each
+component in closed form: with m = l - t,
 
     w_t = sum_{k=0..m} (-1)^k F^(k) E^(t+k) v / beta(M_{t,k}),
     M_{t,k} = mu_factors(t, 0, m) + {2m-1-j : j = 1..k},
@@ -73,6 +76,7 @@ from itertools import accumulate
 from math import comb, isqrt, lcm
 from operator import mul, or_
 
+from . import verma
 from .braid import BraidWord, apply_letter
 from .hwspace import _generator_columns, hw_basis, label_str, rho_matrix
 from .linalg import (fraction_rank, mat_diff_witness, modp_matvec, modp_rank,
@@ -80,7 +84,7 @@ from .linalg import (fraction_rank, mat_diff_witness, modp_matvec, modp_rank,
 from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
-from .verma import E, F, TensorVec, act_tensor
+from .verma import E, F, TensorVec, act_tensor, weight_basis
 
 
 class GuardedSpecializationError(ValueError):
@@ -249,15 +253,50 @@ def _vector_report(check, params, cases):
     return CheckReport(check, params)
 
 
+def _commutator_images(idxs):
+    """[E, F^(1)] on each pure tensor, {idx: E(F^(1) v_idx) - F^(1)(E v_idx)}.
+
+    Formed from the image tables that ``act_tensor`` reads, looked up on
+    ``verma`` at call time, so E F^(1) x = F^(1)(E x) + [E, F^(1)] x holds
+    exactly whatever the tables hold.
+    """
+    e_image, f_image = verma._e_image, verma._f_image
+    minus = {0: LaurentPoly.one(), 1: LaurentPoly.constant(-1)}
+    out = {}
+    for idx in idxs:
+        up, down = f_image(1, idx), e_image(idx)
+        out[idx] = row_product(minus, [
+            row_product(up, {j: e_image(j) for j in up}),
+            row_product(down, {j: f_image(1, j) for j in down})])
+    return out
+
+
 def ef1_eigencheck(n, l):
-    """E F^(1) acts on the k-th summand by [k+1]_q mu_{1,k}, all distinct."""
+    """E F^(1) acts on the k-th summand by lambda_k = [k+1]_q mu_{1,k}, all distinct.
+
+    Each v = F^(k) w, w in ``hw_basis(n, l-k)``, is checked through the
+    commutator: E F^(1) v - lambda_k v = F^(1)(E v) + T_k v, with T_k =
+    [E, F^(1)] - lambda_k applied by linearity from its pure-tensor images
+    (``_commutator_images``).  ``act_tensor`` is sum_idx c_idx image(idx),
+    so the split is exact for any image tables and assumes no algebra
+    relation; a failure's ``diff`` is E F^(1) v - lambda_k v as before.  For
+    the true action [E, F^(1)] is beta_{2l} = lambda_0 on every pure tensor,
+    so T_0 is zero, E w = 0, and no vector of V_{n,l+1} is ever formed.
+    """
+    if n < 2 or l < 0:
+        raise ValueError("ef1_eigencheck needs n >= 2 and l >= 0")
     eigenvalues = [qint(k + 1) * mu(1, k, n, l) for k in range(l + 1)]
+    bracket = _commutator_images(weight_basis(n, l))
+    one, zero = LaurentPoly.one(), TensorVec.zero(n)
     reports = []
     for k, expected in enumerate(eigenvalues):
         basis = hw_basis(n, l - k)
         images = [act_tensor(F(k), el.vector) if k else el.vector for el in basis]
+        shift = {idx: row_product({0: one, 1: -expected}, [image, {idx: one}])
+                 for idx, image in bracket.items()}
         reports.append(_vector_report("ef1-eigenvalue", {"n": n, "l": l, "k": k}, (
-            (k, el.label, act_tensor(E, act_tensor(F(1), v)), expected * v)
+            (k, el.label, act_tensor(F(1), act_tensor(E, v))
+             + verma._act_images(v, shift.__getitem__), zero)
             for el, v in zip(basis, images))))
     distinct = all(not (eigenvalues[a] - eigenvalues[b]).is_zero()
                    for a in range(l + 1) for b in range(a + 1, l + 1))

@@ -541,7 +541,8 @@ class TestSubprocessEntry:
 # packed-key ring; any change to the arithmetic must keep these bytes.  The two
 # irreducible digests were recorded again when the verdict for a commutant of
 # dimension 1 became "End = scalars over Q(q,s): certified".  The three check
-# suites were recorded from the dense LKB transport and Burau comparison.
+# suites were recorded from the dense LKB transport and Burau comparison, and
+# the two eigen runs from the direct form E(F^(1) v), before the commutator.
 GOLDEN_STDOUT = [
     (["matrix", "--n", "3", "--l", "2", "--word", "1 -2 1"],
      "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
@@ -573,6 +574,10 @@ GOLDEN_STDOUT = [
      "07f2b2f8db703be723e72bca249011a7d78955369da132f1772d76545b625c5e"),
     (["check", "--suite", "phi", "--n", "4", "--l", "2"],
      "dc7470582b162365882326ee8b61c9ac330050993e3b9eb657e0e7563e9b3b2a"),
+    (["check", "--suite", "eigen", "--n", "5", "--l", "3"],
+     "758237ba5615f8b6da58ad444c852f70c583aeedb6843d3a7a651b68984dd0e9"),
+    (["check", "--suite", "eigen", "--n", "4", "--l", "3", "--format", "text"],
+     "62a1aa1b6e5287c38f42a2af034be083c434d4e7625b260b88dfac32b4f65568"),
 ]
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
@@ -10,7 +11,7 @@ from operator import mul
 
 import pytest
 
-from braidrep import decomp
+from braidrep import decomp, verma
 from braidrep.braid import BraidWord, apply_letter
 from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
                              _cert_prime, _commutant_dim_modp, _krylov,
@@ -331,10 +332,93 @@ class TestProjector:
         assert max(sizes) <= l
 
 
+def clear_package_caches():
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("braidrep."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
+                    obj.cache_clear()
+
+
+def direct_ef1_reports(n, l):
+    """The ef1-eigenvalue reports from E(F^(1) v) against lambda_k v, formed directly."""
+    reports = []
+    for k in range(l + 1):
+        expected = qint(k + 1) * mu(1, k, n, l)
+        witness = None
+        for el in hw_basis(n, l - k):
+            v = act_tensor(F(k), el.vector) if k else el.vector
+            lhs, rhs = act_tensor(E, act_tensor(F(1), v)), expected * v
+            if lhs != rhs:
+                witness = {"k": k, "label": label_str(el.label), "diff": str(lhs - rhs)}
+                break
+        reports.append(("ef1-eigenvalue", {"n": n, "l": l, "k": k},
+                        witness is None, witness))
+    return reports
+
+
 class TestEF1:
-    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (3, 3), (5, 3), (6, 3), (5, 4)])
     def test_eigencheck(self, n, l):
         assert all_passed(ef1_eigencheck(n, l))
+
+    def test_commutator_is_beta_2l_on_every_pure_tensor(self):
+        # E F - F E acts on V_{n,l} through K alone: beta_{2l} = lambda_0,
+        # so T_0 is zero and the k = 0 block costs one E w = 0
+        for n in range(2, 7):
+            for l in range(4):
+                beta = qint(1) * mu(1, 0, n, l)
+                images = decomp._commutator_images(weight_basis(n, l))
+                assert images == {idx: {idx: beta} for idx in weight_basis(n, l)}
+
+    @pytest.mark.parametrize("n,l", [(2, -1), (3, -2), (1, 2), (0, 0)])
+    def test_rejects_bad_sizes_before_any_image(self, monkeypatch, n, l):
+        # l < 0 has no summand to check, so no passing report may stand for it
+        def no_image(*args):
+            raise AssertionError("an image was formed")
+        monkeypatch.setattr(verma, "_e_image", no_image)
+        monkeypatch.setattr(verma, "_f_image", no_image)
+        with pytest.raises(ValueError, match="n >= 2 and l >= 0"):
+            ef1_eigencheck(n, l)
+
+    @staticmethod
+    def assert_matches_direct_form(n, l):
+        reports = ef1_eigencheck(n, l)
+        assert [(r.check, r.params, r.passed, r.witness)
+                for r in reports[:-1]] == direct_ef1_reports(n, l)
+        return reports
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n in range(2, 7) for l in range(4)]
+                             + [(7, 2)])
+    def test_commutator_form_matches_the_direct_form(self, n, l):
+        self.assert_matches_direct_form(n, l)
+
+    @pytest.mark.parametrize("table", ["_f_image", "_e_image"])
+    @pytest.mark.parametrize("n,l", [(3, 2), (4, 3), (5, 3)])
+    def test_commutator_form_matches_under_a_perturbed_image(self, monkeypatch,
+                                                            table, n, l):
+        # one coefficient of F^(1) v_idx or E v_idx is off by 1: the split
+        # E F^(1) = F^(1) E + [E, F^(1)] is linearity alone, so the reports,
+        # witnesses included, are still those of the direct form
+        original = getattr(verma, table)
+        target = (1,) + (0,) * (n - 2) + (l - 1,)
+
+        def perturbed(*args):
+            image = original(*args)
+            if args[-1] == target and args[:-1] in ((), (1,)):
+                image = dict(image)
+                key = min(image)
+                image[key] = image[key] + LaurentPoly.one()
+            return image
+
+        clear_package_caches()
+        monkeypatch.setattr(verma, table, perturbed)
+        try:
+            reports = self.assert_matches_direct_form(n, l)
+        finally:
+            monkeypatch.undo()
+            clear_package_caches()
+        assert any(r.check == "ef1-eigenvalue" and not r.passed for r in reports)
 
     def test_wrong_eigenvalue_names_the_first_vector(self, monkeypatch):
         # negative control: [k+1]_q + 1 is no eigenvalue; the first mismatch

@@ -93,36 +93,34 @@ def rmatrix_pair(i, j):
 
 def rmatrix_pair_perturbed(i, j):
     """Negative control: drop the top summand of R.(v_i (x) v_j) when i > 0."""
-    full = rmatrix_pair(i, j)
-    if i == 0:
-        return full
-    return full - TensorVec.pure((j + i, 0), full.coeff((j + i, 0)))
+    return TensorVec._of(2, {ab: x for ab, x in rmatrix_pair(i, j).coeffs.items()
+                             if not i or ab != (j + i, 0)})
 
 
 @lru_cache(maxsize=None)
 def rmatrix_pair_inverse(i, j):
     """R^{-1} applied to v_i (x) v_j, by the bar-and-flip identity above."""
-    flipped = {}
-    for (x, y), c in rmatrix_pair(j, i).coeffs.items():
-        flipped[(y, x)] = c.bar().shifted(((j - i) ** 2 - (x - y) ** 2) // 2, 0)
-    return TensorVec(2, flipped)
+    return TensorVec(2, {(y, x): c.bar().shifted(((j - i) ** 2 - (x - y) ** 2) // 2, 0)
+                         for (x, y), c in rmatrix_pair(j, i).coeffs.items()})
+
+
+def _letter_pair(n, k, perturb):
+    """0-based slot of sigma_k's braided pair and its two-slot image table."""
+    if not 0 < abs(k) < n:
+        raise ValueError("generator %d out of range for %d strands" % (k, n))
+    return abs(k) - 1, (rmatrix_pair_inverse if k < 0 else
+                        rmatrix_pair_perturbed if perturb else rmatrix_pair)
 
 
 def apply_letter(vec, k, perturb=False):
     """Apply sigma_k (k > 0) or its inverse (k < 0) to a tensor vector.
 
-    Its own ``ring.mul_add`` loop: through ``linalg.row_product`` each input
-    term would need an image dict of its own, which made the ``_sigma_rows``
-    builds about 30% slower.  Fraction-field coefficients go by linearity.
+    Its own ``ring.mul_add`` loop reads each pair-table image in place, where
+    ``linalg.row_product`` would need an image dict per input term, built
+    for that one use.  Fraction-field coefficients go by linearity.
     """
     n = vec.n
-    i = abs(k) - 1  # 0-based slot of the braided pair
-    if not 0 <= i < n - 1:
-        raise ValueError("generator %d out of range for %d strands" % (k, n))
-    if k > 0:
-        pair = rmatrix_pair_perturbed if perturb else rmatrix_pair
-    else:
-        pair = rmatrix_pair_inverse
+    i, pair = _letter_pair(n, k, perturb)
     out = {}
     get = out.get
     for idx, coeff in vec.coeffs.items():
@@ -167,10 +165,18 @@ def sigma_matrix(n, l, k, perturb=False):
 # 96 holds either.
 @lru_cache(maxsize=96)
 def _sigma_rows(n, l, k, perturb):
-    """Rows of sigma_matrix as {col: entry} dicts of the nonzeros; read only."""
+    """Rows of sigma_matrix as {col: entry} dicts of the nonzeros, from the pair table.
+
+    Each entry is the table's own cached object, shared and read only.
+    """
+    i, pair = _letter_pair(n, k, perturb)
     basis = weight_basis(n, l)
-    return tuple(_rows_of_columns([apply_letter(TensorVec.pure(idx), k, perturb=perturb)
-                                   for idx in basis], basis))
+    position = {idx: r for r, idx in enumerate(basis)}
+    rows = [{} for _ in basis]
+    for c, idx in enumerate(basis):
+        for ab, x in pair(idx[i], idx[i + 1]).coeffs.items():
+            rows[position[idx[:i] + ab + idx[i + 2:]]][c] = x
+    return tuple(rows)
 
 
 def _rows_of_columns(cols, target):

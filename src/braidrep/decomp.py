@@ -295,8 +295,8 @@ def ef1_eigencheck(n, l):
         shift = {idx: row_product({0: one, 1: -expected}, [image, {idx: one}])
                  for idx, image in bracket.items()}
         reports.append(_vector_report("ef1-eigenvalue", {"n": n, "l": l, "k": k}, (
-            (k, el.label, act_tensor(F(1), act_tensor(E, v))
-             + verma._act_images(v, shift.__getitem__), zero)
+            (k, el.label, TensorVec.combination(n, ((one, act_tensor(F(1), act_tensor(E, v))),
+                                                    (one, verma._act_images(v, shift.get)))), zero)
             for el, v in zip(basis, images))))
     distinct = all(not (eigenvalues[a] - eigenvalues[b]).is_zero()
                    for a in range(l + 1) for b in range(a + 1, l + 1))

@@ -37,32 +37,33 @@ def row_product(row, rows):
     """sum_k row[k] * rows[k] over the keys of ``row``, as {key: entry} of nonzeros.
 
     One row of Gustavson's product (ACM TOMS 4, 1978): each x * y is added
-    where it lands, in place by ``ring.mul_add`` when all entries are of one
-    LaurentPoly class, else as a plain product in order.  An entry that
-    cancels is dropped, so no zero is stored.  ``rows[k]`` is a {key: entry} dict.
+    where it lands, in place by ``ring.mul_add`` while each x and y is of the
+    row's first LaurentPoly class; at the first that is not, the row restarts
+    as plain products in order.  An entry that cancels is dropped, so no zero
+    is stored.  ``rows[k]`` is a {key: entry} dict.
     """
-    laurent = _one_laurent_class(row, rows)
+    cls = type(next(iter(row.values()), None))
+    if not issubclass(cls, LaurentPoly):
+        return _plain_row_product(row, rows)
     out = {}
     get = out.get
     for k, x in row.items():
-        for c, y in rows[k].items():
-            out[c] = mul_add(get(c), x, y) if laurent else (
-                out[c] + x * y if c in out else x * y)
-    return {c: v for c, v in out.items() if (v.terms if laurent else v)}
-
-
-def _one_laurent_class(row, rows):
-    """Whether the entries of ``row`` and of the rows it selects are of one LaurentPoly class."""
-    cls = type(next(iter(row.values()), None))
-    if not issubclass(cls, LaurentPoly):
-        return False
-    for k, x in row.items():
         if type(x) is not cls:
-            return False
-        for y in rows[k].values():
+            return _plain_row_product(row, rows)
+        for c, y in rows[k].items():
             if type(y) is not cls:
-                return False
-    return True
+                return _plain_row_product(row, rows)
+            out[c] = mul_add(get(c), x, y)
+    return {c: v for c, v in out.items() if v.terms}
+
+
+def _plain_row_product(row, rows):
+    """``row_product`` by plain products and sums, in order."""
+    out = {}
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            out[c] = out[c] + x * y if c in out else x * y
+    return {c: v for c, v in out.items() if v}
 
 
 def mat_mul(a, b):

@@ -148,8 +148,7 @@ class TensorVec:
 
     def __add__(self, other):
         self._check(other)
-        result = TensorVec(self.n)
-        result.coeffs = dict(self.coeffs)
+        result = TensorVec._of(self.n, dict(self.coeffs))
         for idx, coeff in other.coeffs.items():
             result._add_term(idx, coeff)
         return result
@@ -171,9 +170,7 @@ class TensorVec:
     def __eq__(self, other):
         if not isinstance(other, TensorVec) or other.n != self.n:
             return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(c == other.coeffs[idx] for idx, c in self.coeffs.items())
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -183,12 +180,7 @@ class TensorVec:
     # -- presentation -------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for idx, coeff in self.sorted_terms():
-            parts.append("(%s)*v%s" % (coeff, list(idx)))
-        return " + ".join(parts)
+        return " + ".join("(%s)*v%s" % (c, list(idx)) for idx, c in self.sorted_terms()) or "0"
 
     __repr__ = __str__
 

@@ -261,6 +261,38 @@ class TestSigmaMatrix:
             for r, target in enumerate(basis):
                 assert mat[r][c] == image.coeff(target)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_match_the_letter_path(self, n):
+        # the uncached body, so the grid evicts nothing from the bounded cache
+        build = braid._sigma_rows.__wrapped__
+        for l in range(4):
+            basis = weight_basis(n, l)
+            for k in [k for i in range(1, n) for k in (i, -i)]:
+                for perturb in (False, True):
+                    want = braid._rows_of_columns(
+                        [apply_letter(TensorVec.pure(idx), k, perturb) for idx in basis], basis)
+                    got = build(n, l, k, perturb)
+                    assert list(got) == want, (n, l, k, perturb)
+                    assert [list(row) for row in got] == [list(row) for row in want]
+                    assert all(type(x) is LaurentPoly for row in got for x in row.values())
+
+    def test_entries_are_the_pair_tables_objects(self):
+        basis = weight_basis(4, 3)
+        for k, pair in ((2, rmatrix_pair), (-2, rmatrix_pair_inverse)):
+            for row in braid._sigma_rows(4, 3, k, False):
+                for c, x in row.items():
+                    image = pair(basis[c][1], basis[c][2])
+                    assert any(x is y for y in image.coeffs.values())
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 3), (3, -3), (2, 2), (4, -5)])
+    def test_out_of_range_letter_raises_and_caches_nothing(self, n, k):
+        before = braid._sigma_rows.cache_info().currsize
+        with pytest.raises(ValueError, match="out of range"):
+            braid._sigma_rows(n, 2, k, False)
+        with pytest.raises(ValueError, match="out of range"):
+            braid._sigma_rows(n, 2, k, True)
+        assert braid._sigma_rows.cache_info().currsize == before
+
     def test_each_call_hands_out_fresh_lists(self):
         first = sigma_matrix(3, 2, 1)
         want = [list(row) for row in first]

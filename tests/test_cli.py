@@ -543,6 +543,9 @@ class TestSubprocessEntry:
 # dimension 1 became "End = scalars over Q(q,s): certified".  The three check
 # suites were recorded from the dense LKB transport and Burau comparison, and
 # the two eigen runs from the direct form E(F^(1) v), before the commutator.
+# The braid, equivariance and yangbaxter runs were recorded from letter
+# matrices built through ``apply_letter``, before they were read from the
+# R-matrix table; the --perturb control must fail with exit code 1.
 GOLDEN_STDOUT = [
     (["matrix", "--n", "3", "--l", "2", "--word", "1 -2 1"],
      "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
@@ -578,6 +581,12 @@ GOLDEN_STDOUT = [
      "758237ba5615f8b6da58ad444c852f70c583aeedb6843d3a7a651b68984dd0e9"),
     (["check", "--suite", "eigen", "--n", "4", "--l", "3", "--format", "text"],
      "62a1aa1b6e5287c38f42a2af034be083c434d4e7625b260b88dfac32b4f65568"),
+    (["check", "--suite", "braid", "--n", "4", "--l", "3"],
+     "e8e6efe4fc4c692c919cf95bba953b004294886a835cdd5e74e0ab563bb18356"),
+    (["check", "--suite", "equivariance", "--n", "4", "--l", "3"],
+     "ab07c3265aa50473b05a43024075204be168c5877dd0dd1c621f070d749e3618"),
+    (["check", "--suite", "yangbaxter", "--n", "3", "--l", "2", "--perturb"],
+     "74ccd12f2ed456b4ee296c22e55e06a9b4a6ccf917fe02e5f5349d5ec8820840"),
 ]
 
 
@@ -585,5 +594,5 @@ GOLDEN_STDOUT = [
                          ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
 def test_golden_stdout(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)
-    assert (code, err) == (0, "")
+    assert (code, err) == (1 if "--perturb" in argv else 0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

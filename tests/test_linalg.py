@@ -220,6 +220,60 @@ def test_row_product_plain_path(make, monkeypatch):
         assert [str(v) for v in got.values()] == [str(want[c]) for c in got]
 
 
+def in_order_product(row, rows):
+    """sum_k row[k] * rows[k] by plain products and sums, in order (oracle)."""
+    out = {}
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            out[c] = out[c] + x * y if c in out else x * y
+    return {c: v for c, v in out.items() if v}
+
+
+def _outcome(product, row, rows):
+    """The product's {key: (class, str)}, or the class of what it raised."""
+    try:
+        return {c: (type(v), str(v)) for c, v in product(row, rows).items()}
+    except TypeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("odd", [
+    RatFunc(S + 1, Q + 2), Fraction(3, 4), LKBPoly.monomial(1, -1)],
+    ids=["ratfunc", "fraction", "lkb"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_row_product_restarts_at_a_later_mismatch(odd, side, monkeypatch):
+    calls, kernel = [], linalg.mul_add
+
+    def one_class_kernel(acc, x, y):
+        assert type(x) is type(y) is LaurentPoly, "mul_add met a mixed product"
+        assert acc is None or type(acc) is LaurentPoly
+        calls.append(acc)
+        return kernel(acc, x, y)
+
+    monkeypatch.setattr(linalg, "mul_add", one_class_kernel)
+    rnd = random.Random(41)
+    restarted = 0
+    for _ in range(60):
+        row = {k: kernel_operand(rnd, LaurentPoly)[1] + k + 1 for k in range(3)}
+        rows = [{c: kernel_operand(rnd, LaurentPoly)[1] + c - 1 for c in range(3)}
+                for _ in range(3)]
+        # the first mismatch is met in the last selected row, after the kernel ran
+        if side == "x":
+            row[2] = odd
+        else:
+            rows[2][rnd.randrange(3)] = odd
+        entries = [p for p in list(row.values()) + [y for r in rows for y in r.values()]
+                   if isinstance(p, LaurentPoly)]
+        before = [dict(p.terms) for p in entries]
+        del calls[:]
+        got = _outcome(row_product, row, rows)
+        restarted += bool(calls)
+        assert [p.terms for p in entries] == before
+        assert got == _outcome(in_order_product, row, rows)
+        assert [p.terms for p in entries] == before
+    assert restarted > 50
+
+
 def test_row_product_leaves_inputs_unchanged():
     rnd = random.Random(11)
     one = LaurentPoly.one()

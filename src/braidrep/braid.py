@@ -20,9 +20,8 @@ from functools import lru_cache
 
 from .linalg import mat_mul
 from .report import CheckReport, matrix_report
-from .ring import LaurentPoly, mul_add
-from .verma import (E, F, K, TensorVec, _e_image, _f_image, act_tensor,
-                    f_single_coeff, weight_basis)
+from .ring import LaurentPoly
+from .verma import E, F, K, TensorVec, _act_images, _image, f_single_coeff, weight_basis
 
 
 @dataclass(frozen=True)
@@ -115,22 +114,13 @@ def _letter_pair(n, k, perturb):
 def apply_letter(vec, k, perturb=False):
     """Apply sigma_k (k > 0) or its inverse (k < 0) to a tensor vector.
 
-    Its own ``ring.mul_add`` loop reads each pair-table image in place, where
-    ``linalg.row_product`` would need an image dict per input term, built
-    for that one use.  Fraction-field coefficients go by linearity.
+    A pure tensor's image is the pair table's image of its slots |k|, |k| + 1,
+    put back in place; the images are applied by ``verma._act_images``.
+    This is the tests' reference for the letter matrices of ``_sigma_rows``.
     """
-    n = vec.n
-    i, pair = _letter_pair(n, k, perturb)
-    out = {}
-    get = out.get
-    for idx, coeff in vec.coeffs.items():
-        if type(coeff) is not LaurentPoly:
-            return TensorVec.combination(n, ((x, apply_letter(TensorVec.pure(j), k, perturb))
-                                             for j, x in vec.coeffs.items()))
-        for ab, c in pair(idx[i], idx[i + 1]).coeffs.items():
-            full = idx[:i] + ab + idx[i + 2:]
-            out[full] = mul_add(get(full), coeff, c)
-    return TensorVec._of(n, {idx: v for idx, v in out.items() if v.terms})
+    i, pair = _letter_pair(vec.n, k, perturb)
+    return _act_images(vec, lambda idx: {idx[:i] + ab + idx[i + 2:]: c for ab, c
+                                         in pair(idx[i], idx[i + 1]).coeffs.items()})
 
 
 def apply_word(word, vec):
@@ -180,11 +170,11 @@ def _sigma_rows(n, l, k, perturb):
 
 
 def _rows_of_columns(cols, target):
-    """{col: entry} rows of the matrix whose c-th column is the vector cols[c]."""
+    """{col: entry} rows of the matrix whose c-th column is the {idx: entry} dict cols[c]."""
     position = {idx: r for r, idx in enumerate(target)}
     rows = [{} for _ in target]
     for c, col in enumerate(cols):
-        for idx, x in col.coeffs.items():
+        for idx, x in col.items():
             rows[position[idx]][c] = x
     return rows
 
@@ -192,21 +182,15 @@ def _rows_of_columns(cols, target):
 def operator_matrix(gen, n, l):
     """{col: entry} rows of a generator from the degree-l block into its target block.
 
-    A column of E or F^(m) is the cached image of its pure tensor
-    (``verma._e_image``, ``verma._f_image``), read without a copy; K goes
-    through ``act_tensor``.
+    Column c is the image of the c-th basis tensor (``verma._image``): the
+    cached E or F^(m) table, read without a copy, or K^{+-1}'s one entry.
     """
     basis = weight_basis(n, l)
-    if gen.kind == "E" and l == 0:
+    shift = {"E": -1, "F": gen.power}.get(gen.kind, 0)
+    if l + shift < 0:
         return [], basis
-    target = weight_basis(n, l + {"E": -1, "F": gen.power}.get(gen.kind, 0))
-    if gen.kind == "E":
-        cols = [TensorVec._of(n, _e_image(idx)) for idx in basis]
-    elif gen.kind == "F":
-        cols = [TensorVec._of(n, _f_image(gen.power, idx)) for idx in basis]
-    else:
-        cols = [act_tensor(gen, TensorVec.pure(idx)) for idx in basis]
-    return _rows_of_columns(cols, target), target
+    target = weight_basis(n, l + shift)
+    return _rows_of_columns(map(_image(gen), basis), target), target
 
 
 # -- structural checks ---------------------------------------------------------

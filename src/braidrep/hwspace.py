@@ -227,7 +227,7 @@ def _generator_columns(n, l, k):
     tensors = weight_basis(n, l)
     position = {idx: i for i, idx in enumerate(tensors)}
     basis = hw_basis(n, l)
-    vectors = _rows_of_columns([el.vector for el in basis], tensors)
+    vectors = _rows_of_columns([el.vector.coeffs for el in basis], tensors)
     cols = [{} for _ in basis]
     for r, el in enumerate(basis):
         for c, x in row_product(sigma[position[el.label]], vectors).items():
@@ -283,9 +283,8 @@ def phi_matrix(n, l):
     B-tensor is fixed.
     """
     basis = weight_basis(n, l)
-    images = {el.label: el.vector for el in hw_basis(n, l)}
-    return _rows_of_columns([images[idx] if idx in images else TensorVec.pure(idx)
-                             for idx in basis], basis), basis
+    images = {el.label: el.vector.coeffs for el in hw_basis(n, l)}
+    return _rows_of_columns([images.get(i) or {i: LaurentPoly.one()} for i in basis], basis), basis
 
 
 def check_phi(n, l):
@@ -293,10 +292,8 @@ def check_phi(n, l):
     rows, basis = phi_matrix(n, l)
     d = len(basis)
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1, and Phi (2 - Phi) - 1 is its negation;
-    # formed only where the entry of Phi, Phi^2 or 1 is nonzero: it is 0 elsewhere
-    res = [{c: x for c in p.keys() | p2.keys() | {r}
-            if (x := p2.get(c, zero) - p.get(c, zero) * 2 + (one if c == r else zero))}
+    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1, and Phi (2 - Phi) - 1 is its negation
+    res = [row_product({0: one, 1: LaurentPoly.constant(-2), 2: one}, (p2, p, {r: one}))
            for r, (p, p2) in enumerate(zip(rows, mat_mul(rows, rows)))]
     reports = [
         matrix_report("phi-nilpotent", {"n": n, "l": l}, res, [{}] * d),

@@ -148,22 +148,20 @@ class TensorVec:
 
     def __add__(self, other):
         self._check(other)
-        result = TensorVec._of(self.n, dict(self.coeffs))
-        for idx, coeff in other.coeffs.items():
-            result._add_term(idx, coeff)
-        return result
+        one = LaurentPoly.one()
+        return TensorVec.combination(self.n, ((one, self), (one, other)))
 
     def __neg__(self):
         return TensorVec._of(self.n, {idx: -c for idx, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        one = LaurentPoly.one()
+        return TensorVec.combination(self.n, ((one, self), (-one, other)))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = LaurentPoly.constant(scalar)
-        return TensorVec(self.n, {idx: coeff * scalar
-                                  for idx, coeff in self.coeffs.items()})
+        return TensorVec._of(self.n, {idx: c for idx, x in self.coeffs.items()
+                                      if (c := x * scalar)})
 
     __rmul__ = __mul__
 
@@ -249,11 +247,6 @@ def act_single(gen, j):
 # -- tensor action ------------------------------------------------------------
 
 
-def _act_k(vec, sign):
-    return TensorVec(vec.n, {idx: coeff.shifted(-2 * sign * sum(idx), sign * vec.n)
-                             for idx, coeff in vec.coeffs.items()})
-
-
 # Bounded so that a sweep over many (n, l) cannot grow it without limit.  One
 # pass of the benchmark's check grid makes 223 distinct (m, idx) and the
 # default scripts/run_checks.py sweep 309; 512 holds either.
@@ -293,6 +286,21 @@ def _e_image(idx):
             for i, a in enumerate(idx) if a}
 
 
+def _image(gen):
+    """``gen`` on pure tensors, as idx -> {new_idx: coeff}, by its coproduct.
+
+    E and F^(m) read their cached tables, looked up here at call time so
+    that a rebound ``_e_image`` or ``_f_image`` is the one applied; K^{+-1}
+    gives the one-entry monomial s^{+-n} q^{-+2|idx|}.
+    """
+    if gen.kind == "E":
+        return _e_image
+    if gen.kind == "F":
+        return partial(_f_image, gen.power)
+    sign = 1 if gen.kind == "K" else -1
+    return lambda idx: {idx: LaurentPoly.monomial(-2 * sign * sum(idx), sign * len(idx))}
+
+
 def _act_images(vec, image):
     """sum_idx c_idx image(idx), with image(idx) a {new_idx: coeff} dict."""
     return TensorVec._of(vec.n, row_product(
@@ -300,12 +308,5 @@ def _act_images(vec, image):
 
 
 def act_tensor(gen, vec):
-    """Apply a generator to a tensor vector through the n-fold coproduct."""
-    if gen.kind == "K":
-        return _act_k(vec, 1)
-    if gen.kind == "Kinv":
-        return _act_k(vec, -1)
-    if gen.kind == "E":
-        return _act_images(vec, _e_image)
-    return _act_images(vec, partial(_f_image, gen.power))
-
+    """Apply a generator to a tensor vector: one ``row_product`` over its ``_image``."""
+    return _act_images(vec, _image(gen))

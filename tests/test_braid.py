@@ -270,7 +270,7 @@ class TestSigmaMatrix:
             for k in [k for i in range(1, n) for k in (i, -i)]:
                 for perturb in (False, True):
                     want = braid._rows_of_columns(
-                        [apply_letter(TensorVec.pure(idx), k, perturb) for idx in basis], basis)
+                        [apply_letter(TensorVec.pure(idx), k, perturb).coeffs for idx in basis], basis)
                     got = build(n, l, k, perturb)
                     assert list(got) == want, (n, l, k, perturb)
                     assert [list(row) for row in got] == [list(row) for row in want]

@@ -545,54 +545,64 @@ class TestSubprocessEntry:
 # the two eigen runs from the direct form E(F^(1) v), before the commutator.
 # The braid, equivariance and yangbaxter runs were recorded from letter
 # matrices built through ``apply_letter``, before they were read from the
-# R-matrix table; the --perturb control must fail with exit code 1.
+# R-matrix table.  The two splitting runs and the phi run at l = 1 were
+# recorded while ``apply_letter`` kept its own accumulation loop; the phi run
+# exits 1 on the documented wmax-eigenvalue erratum and prints its witness.
+# Each entry names the exit code it must give: 1 for a failing check (the
+# --perturb control and that erratum), 0 otherwise.
 GOLDEN_STDOUT = [
     (["matrix", "--n", "3", "--l", "2", "--word", "1 -2 1"],
-     "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
+     0, "df984f846191e5c4eb6e848069878f3b053e66bf8496a1c38cd1de709bbe328d"),
     (["matrix", "--n", "4", "--l", "2", "--word", "1 2 -3", "--format", "text"],
-     "3c6a4a377a2c23db02b92dce0e0252dd910780298bd66dc3b48597cd0fd46ba0"),
+     0, "3c6a4a377a2c23db02b92dce0e0252dd910780298bd66dc3b48597cd0fd46ba0"),
     (["decompose", "--n", "3", "--idx", "1,0,2"],
-     "ae4cfbaf9d752dd2cdb9c9b79e08117b501c38990e108d1bd0b63721ec933aea"),
+     0, "ae4cfbaf9d752dd2cdb9c9b79e08117b501c38990e108d1bd0b63721ec933aea"),
     (["decompose", "--n", "4", "--idx", "2,0,1,1", "--format", "text"],
-     "32bccc419730ace8f2ce787af943ca8fa575989ef024a01b7eaf5a81449785bf"),
+     0, "32bccc419730ace8f2ce787af943ca8fa575989ef024a01b7eaf5a81449785bf"),
     (["basis", "--n", "4", "--l", "2"],
-     "787e82221f01e68cfe73c200b88dae91cba54629f5e371c324d9cd211a65c409"),
+     0, "787e82221f01e68cfe73c200b88dae91cba54629f5e371c324d9cd211a65c409"),
     (["burau", "--n", "5"],
-     "fceb96687d1ee98cf9016857b0cd1cf284649316cfbd7b969ff66a40bdad7155"),
+     0, "fceb96687d1ee98cf9016857b0cd1cf284649316cfbd7b969ff66a40bdad7155"),
     (["burau", "--n", "4", "--unreduced", "--format", "text"],
-     "b85c9869dedff96aad1f89a05910beb8b55f9a0016e6f61daad8841c9a1df4c1"),
+     0, "b85c9869dedff96aad1f89a05910beb8b55f9a0016e6f61daad8841c9a1df4c1"),
     (["lkb-matrix", "--n", "4"],
-     "90a001ecbfcac7eb428dab58fea99486e11cae39a764cf97ef405f49d4ecbfc4"),
+     0, "90a001ecbfcac7eb428dab58fea99486e11cae39a764cf97ef405f49d4ecbfc4"),
     (["lkb-matrix", "--n", "4", "--i", "2", "--positive", "--format", "text"],
-     "061278de5bf45aa0e8be6c0e280f394d84c3e8b08479d39c4a33a957bdd0ea80"),
+     0, "061278de5bf45aa0e8be6c0e280f394d84c3e8b08479d39c4a33a957bdd0ea80"),
     (["twist", "--n", "4", "--l", "2"],
-     "c888f23284b1424514d39d6da4712622d794da19a886d208b9807babefcfb1b3"),
+     0, "c888f23284b1424514d39d6da4712622d794da19a886d208b9807babefcfb1b3"),
     (["irreducible", "--n", "4", "--l", "2", "--q0", "2", "--s0", "3"],
-     "08bf4e03711b5e5f9eae982347a95143370d4b2227ed463ab4067a3467749b91"),
+     0, "08bf4e03711b5e5f9eae982347a95143370d4b2227ed463ab4067a3467749b91"),
     (["irreducible", "--n", "3", "--l", "3", "--seed", "7"],
-     "b84d0b973ea696b166047a70799fb5b82c720e4f078ed9c5fc6899eeb0f8dbd5"),
+     0, "b84d0b973ea696b166047a70799fb5b82c720e4f078ed9c5fc6899eeb0f8dbd5"),
     (["check", "--suite", "lkb", "--n", "5", "--l", "2"],
-     "f8dd6c8add42a10fa145afded855a493aac771f06efb2d4b2b6525b6f5da0ec1"),
+     0, "f8dd6c8add42a10fa145afded855a493aac771f06efb2d4b2b6525b6f5da0ec1"),
     (["check", "--suite", "burau", "--n", "5", "--l", "1", "--format", "text"],
-     "07f2b2f8db703be723e72bca249011a7d78955369da132f1772d76545b625c5e"),
+     0, "07f2b2f8db703be723e72bca249011a7d78955369da132f1772d76545b625c5e"),
     (["check", "--suite", "phi", "--n", "4", "--l", "2"],
-     "dc7470582b162365882326ee8b61c9ac330050993e3b9eb657e0e7563e9b3b2a"),
+     0, "dc7470582b162365882326ee8b61c9ac330050993e3b9eb657e0e7563e9b3b2a"),
     (["check", "--suite", "eigen", "--n", "5", "--l", "3"],
-     "758237ba5615f8b6da58ad444c852f70c583aeedb6843d3a7a651b68984dd0e9"),
+     0, "758237ba5615f8b6da58ad444c852f70c583aeedb6843d3a7a651b68984dd0e9"),
     (["check", "--suite", "eigen", "--n", "4", "--l", "3", "--format", "text"],
-     "62a1aa1b6e5287c38f42a2af034be083c434d4e7625b260b88dfac32b4f65568"),
+     0, "62a1aa1b6e5287c38f42a2af034be083c434d4e7625b260b88dfac32b4f65568"),
     (["check", "--suite", "braid", "--n", "4", "--l", "3"],
-     "e8e6efe4fc4c692c919cf95bba953b004294886a835cdd5e74e0ab563bb18356"),
+     0, "e8e6efe4fc4c692c919cf95bba953b004294886a835cdd5e74e0ab563bb18356"),
     (["check", "--suite", "equivariance", "--n", "4", "--l", "3"],
-     "ab07c3265aa50473b05a43024075204be168c5877dd0dd1c621f070d749e3618"),
+     0, "ab07c3265aa50473b05a43024075204be168c5877dd0dd1c621f070d749e3618"),
     (["check", "--suite", "yangbaxter", "--n", "3", "--l", "2", "--perturb"],
-     "74ccd12f2ed456b4ee296c22e55e06a9b4a6ccf917fe02e5f5349d5ec8820840"),
+     1, "74ccd12f2ed456b4ee296c22e55e06a9b4a6ccf917fe02e5f5349d5ec8820840"),
+    (["check", "--suite", "splitting", "--n", "3", "--l", "2"],
+     0, "52ae410a55e8f1bfe30d5b719f4889a24aef1b10036bc3b02f2a51d83b249f34"),
+    (["check", "--suite", "splitting", "--n", "4", "--l", "3"],
+     0, "ab2ef078b8b53f34e749bbbb091e35214775915261772cf1afed17ddc44ab7d9"),
+    (["check", "--suite", "phi", "--n", "3", "--l", "1"],
+     1, "d012f863a888f5542cb01b4b124309370ff346ef1acbbbd51915442274b0052e"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
-                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
-def test_golden_stdout(argv, digest, capsys):
+@pytest.mark.parametrize("argv, exit_code, digest", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_STDOUT])
+def test_golden_stdout(argv, exit_code, digest, capsys):
     code, out, err = run_cli(argv, capsys)
-    assert (code, err) == (1 if "--perturb" in argv else 0, "")
+    assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

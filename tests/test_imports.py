@@ -82,3 +82,30 @@ def test_an_unreferenced_private_helper_is_reported():
                        "class _Gone:\n    pass\n",
                "b.py": "from a import _kept\n\nprint(_kept(), a._dead)\n"}
     assert unreferenced_private_definitions(sources) == [("a.py", "_Gone")]
+
+
+def mul_add_references(source):
+    """Lines on which a module imports, names or reads the attribute ``mul_add``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "mul_add"
+                  or isinstance(node, ast.Attribute) and node.attr == "mul_add"
+                  or isinstance(node, ast.alias) and node.name == "mul_add")
+
+
+def test_mul_add_is_referenced_only_by_the_ring_and_the_row_product():
+    # ``ring.mul_add`` accumulates in place; every other module sums products
+    # through ``linalg.row_product``, not through an accumulator of its own
+    users = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as handle:
+                if mul_add_references(handle.read()):
+                    users.append(name)
+    assert users == ["linalg.py", "ring.py"]
+
+
+def test_a_private_accumulator_is_reported():
+    source = ("from .ring import LaurentPoly, mul_add\nfrom . import ring\n"
+              "acc = mul_add(None, x, y)\nacc = ring.mul_add(acc, x, y)\n"
+              "print(LaurentPoly)\n")
+    assert mul_add_references(source) == [1, 3, 4]

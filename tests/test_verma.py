@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from braidrep import verma
-from braidrep.braid import apply_letter
+from braidrep.braid import (apply_letter, operator_matrix, rmatrix_pair, rmatrix_pair_inverse,
+                            rmatrix_pair_perturbed)
 from braidrep.hwspace import e_inverse_on_B
 from braidrep.ring import LaurentPoly, RatFunc, qbinom
 from braidrep.verma import (E, F, K, KINV, AlgebraGen, TensorVec, act_single,
@@ -335,6 +336,92 @@ def seeded_vectors(rnd, n, l):
                          for idx in rnd.sample(weight_basis(n, l),
                                                min(3, comb(n + l - 1, l)))})
     return [laurent, frac, laurent + frac]
+
+
+class TestKScalar:
+    """K^{+-1} scale V_{n,l} by s^{+-n} q^{-+2l}; the oracle reads no image table."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_k_acts_by_its_weight_scalar(self, rnd, n, l):
+        for gen, sign in ((K, 1), (KINV, -1)):
+            d0, d1 = -2 * sign * l, sign * n
+            for v in seeded_vectors(rnd, n, l):
+                image = act_tensor(gen, v)
+                assert image == TensorVec(n, {idx: c.shifted(d0, d1)
+                                              for idx, c in v.coeffs.items()})
+                assert_no_stored_zero(image)
+            rows, target = operator_matrix(gen, n, l)
+            assert target == weight_basis(n, l)
+            assert rows == [{r: LaurentPoly.monomial(d0, d1)} for r in range(len(target))]
+
+    def test_a_wrong_k_scalar_is_caught(self, rnd):
+        # control: the oracle rejects s^n q^{-2l} in place of s^{-n} q^{2l}
+        for v in seeded_vectors(rnd, 3, 2):
+            assert act_tensor(KINV, v) != TensorVec(3, {idx: c.shifted(-4, 3)
+                                                        for idx, c in v.coeffs.items()})
+
+
+def mixed_vector(rnd, n, l):
+    """Four terms of V_{n,l}: LaurentPoly, RatFunc, LaurentPoly, RatFunc, in key order."""
+    den = LaurentPoly.monomial(1, 1) - 3
+    # s^4 lies outside random_poly's exponents, so no coefficient is zero
+    coeffs = [random_poly(rnd) + LaurentPoly.monomial(0, 4) for _ in range(4)]
+    coeffs[1], coeffs[3] = RatFunc(coeffs[1], den), RatFunc(coeffs[3], den)
+    vec = TensorVec(n, zip(rnd.sample(weight_basis(n, l), 4), coeffs))
+    assert [type(c) for c in vec.coeffs.values()] == [LaurentPoly, RatFunc] * 2
+    return vec
+
+
+def term_maps(vec):
+    """Each coefficient's term maps, copied, to show that an operation left them alone."""
+    return {idx: (dict(c.num.terms), dict(c.den.terms)) if isinstance(c, RatFunc)
+            else dict(c.terms) for idx, c in vec.coeffs.items()}
+
+
+def summed(terms):
+    """sum of the (idx, coeff) terms by plain ring sums, in order, zeros dropped."""
+    out = {}
+    for idx, c in terms:
+        out[idx] = out[idx] + c if idx in out else c
+    return {idx: c for idx, c in out.items() if not c.is_zero()}
+
+
+class TestMixedClasses:
+    """A LaurentPoly first coefficient and a later RatFunc: the row product restarts."""
+
+    @pytest.mark.parametrize("k", [1, 2, -1, -2])
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_letter_is_the_termwise_pair_image(self, rnd, k, perturb):
+        pair = (rmatrix_pair_inverse if k < 0 else
+                rmatrix_pair_perturbed if perturb else rmatrix_pair)
+        i = abs(k) - 1
+        for _ in range(3):
+            v = mixed_vector(rnd, 3, 3)
+            before = term_maps(v)
+            image = apply_letter(v, k, perturb)
+            assert image.coeffs == summed(
+                (idx[:i] + ab + idx[i + 2:], c * x) for idx, c in v.coeffs.items()
+                for ab, x in pair(idx[i], idx[i + 1]).coeffs.items())
+            assert any(isinstance(c, RatFunc) for c in image.coeffs.values())
+            assert_no_stored_zero(image)
+            assert term_maps(v) == before
+
+    def test_sum_difference_and_scalar_are_termwise(self, rnd):
+        for _ in range(5):
+            u, v = mixed_vector(rnd, 3, 2), mixed_vector(rnd, 3, 2)
+            before = term_maps(u), term_maps(v)
+            scalars = (random_poly(rnd) + LaurentPoly.monomial(0, 4), 3, 0,
+                       RatFunc(S + 1, S - 2))
+            cases = [(u + v, summed([*u.coeffs.items(), *v.coeffs.items()])),
+                     (u - v, summed([*u.coeffs.items(), *((i, -c) for i, c in v.coeffs.items())])),
+                     (u - u, {})]
+            cases += [(u * x, summed((i, c * x) for i, c in u.coeffs.items())) for x in scalars]
+            cases += [(x * u, summed((i, c * x) for i, c in u.coeffs.items())) for x in scalars]
+            for got, want in cases:
+                assert got.coeffs == want
+                assert_no_stored_zero(got)
+            assert (term_maps(u), term_maps(v)) == before
 
 
 class TestEImageCache:

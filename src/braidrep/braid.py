@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import mat_mul
+from .linalg import _rows_of_columns, mat_mul
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .verma import E, F, K, TensorVec, _act_images, _image, f_single_coeff, weight_basis
@@ -157,26 +157,14 @@ def sigma_matrix(n, l, k, perturb=False):
 def _sigma_rows(n, l, k, perturb):
     """Rows of sigma_matrix as {col: entry} dicts of the nonzeros, from the pair table.
 
-    Each entry is the table's own cached object, shared and read only.
+    Column c is the c-th basis tensor's image, as in ``apply_letter``; each
+    entry is the table's own cached object, shared and read only.
     """
     i, pair = _letter_pair(n, k, perturb)
     basis = weight_basis(n, l)
-    position = {idx: r for r, idx in enumerate(basis)}
-    rows = [{} for _ in basis]
-    for c, idx in enumerate(basis):
-        for ab, x in pair(idx[i], idx[i + 1]).coeffs.items():
-            rows[position[idx[:i] + ab + idx[i + 2:]]][c] = x
-    return tuple(rows)
-
-
-def _rows_of_columns(cols, target):
-    """{col: entry} rows of the matrix whose c-th column is the {idx: entry} dict cols[c]."""
-    position = {idx: r for r, idx in enumerate(target)}
-    rows = [{} for _ in target]
-    for c, col in enumerate(cols):
-        for idx, x in col.items():
-            rows[position[idx]][c] = x
-    return rows
+    return tuple(_rows_of_columns([{idx[:i] + ab + idx[i + 2:]: x for ab, x
+                                    in pair(idx[i], idx[i + 1]).coeffs.items()}
+                                   for idx in basis], basis))
 
 
 def operator_matrix(gen, n, l):

@@ -41,7 +41,8 @@ class UsageError(Exception):
 
 
 def _emit(args, payload, text_renderer):
-    out = text_renderer() if args.format == "text" else json.dumps(payload)
+    """Write text_renderer() or the JSON of payload(); only the form asked for is built."""
+    out = text_renderer() if args.format == "text" else json.dumps(payload())
     stream = open(args.output, "w") if args.output else sys.stdout
     try:
         stream.write(out + "\n")
@@ -142,18 +143,11 @@ def cmd_basis(args):
         "the basis vectors have n * C(n+l-1, l) = %d * C(%d, %d) tensor slots"
         % (args.n, args.n + args.l - 1, args.l))
     basis = hw_mod.hw_basis(args.n, args.l)
-    payload = {
-        "n": args.n,
-        "l": args.l,
-        "labels": [hw_mod.label_str(el.label) for el in basis],
-        "vectors": [el.vector.to_json() for el in basis],
-    }
-
-    def text():
-        return "\n".join("%s = %s" % (hw_mod.label_str(el.label), el.vector)
-                         for el in basis)
-
-    _emit(args, payload, text)
+    _emit(args, lambda: {"n": args.n, "l": args.l,
+                         "labels": [hw_mod.label_str(el.label) for el in basis],
+                         "vectors": [el.vector.to_json() for el in basis]},
+          lambda: "\n".join("%s = %s" % (hw_mod.label_str(el.label), el.vector)
+                            for el in basis))
     return 0
 
 
@@ -164,12 +158,8 @@ def cmd_matrix(args):
     except ValueError as exc:
         raise UsageError(str(exc))
     rep = hw_mod.rho_matrix(args.n, args.l, word)
-    payload = rep.to_json()
-
-    def text():
-        return _matrix_text(rep.entries, [hw_mod.label_str(l) for l in rep.basis])
-
-    _emit(args, payload, text)
+    _emit(args, rep.to_json, lambda: _matrix_text(
+        rep.entries, [hw_mod.label_str(l) for l in rep.basis]))
     return 0
 
 
@@ -230,14 +220,10 @@ def cmd_check(args):
     _require(suite.perturb or not args.perturb,
              "--perturb applies only to the %s suites" % _PERTURB_SUITES)
     reports = suite.run(args.n, args.l, args.perturb)
-    payload = [r.to_json() for r in reports]
-
-    def text():
-        return "\n".join("%-28s %-30s %s" % (
-            r.check, json.dumps(r.params), "pass" if r.passed else "FAIL")
-            for r in reports)
-
-    _emit(args, payload, text)
+    _emit(args, lambda: [r.to_json() for r in reports],
+          lambda: "\n".join("%-28s %-30s %s" % (
+              r.check, json.dumps(r.params), "pass" if r.passed else "FAIL")
+              for r in reports))
     return 0 if all_passed(reports) else 1
 
 
@@ -257,20 +243,14 @@ def cmd_irreducible(args):
         raise UsageError("specialization rejected: guard factor %s vanishes"
                          % exc.factor_name)
     certified = dim == 1
-    payload = {
+    verdict = ("End = scalars over Q(q,s): certified" if certified
+               else "commutant has dimension > 1")
+    _emit(args, lambda: {
         "check": "irreducible",
         "params": {"n": args.n, "l": args.l, "q0": str(q0), "s0": str(s0)},
         "pass": certified,
-        "witness": {"commutant_dimension": dim,
-                    "verdict": "End = scalars over Q(q,s): certified"
-                               if certified else "commutant has dimension > 1"},
-    }
-
-    def text():
-        return "commutant dimension at (q0=%s, s0=%s): %d -> %s" % (
-            q0, s0, dim, payload["witness"]["verdict"])
-
-    _emit(args, payload, text)
+        "witness": {"commutant_dimension": dim, "verdict": verdict},
+    }, lambda: "commutant dimension at (q0=%s, s0=%s): %d -> %s" % (q0, s0, dim, verdict))
     return 0 if certified else 1
 
 
@@ -284,15 +264,8 @@ def cmd_decompose(args):
     _require(all(a >= 0 for a in idx), "--idx entries must be >= 0")
     _require_weight_space_dim("decompose", args.n, sum(idx))
     dec = decomp_mod.decompose(TensorVec.pure(idx))
-    payload = dec.to_json()
-
-    def text():
-        lines = []
-        for t, comp in enumerate(dec.components):
-            lines.append("F^(%d) component: %s" % (t, comp))
-        return "\n".join(lines)
-
-    _emit(args, payload, text)
+    _emit(args, dec.to_json, lambda: "\n".join(
+        "F^(%d) component: %s" % (t, comp) for t, comp in enumerate(dec.components)))
     return 0
 
 
@@ -304,10 +277,6 @@ def cmd_burau(args):
     size = args.n - 1 if not args.unreduced else args.n
     labels = ["u%d" % j for j in range(1, args.n)] if not args.unreduced \
         else ["d%d" % j for j in range(1, args.n + 1)]
-    payload = [{"generator": i + 1,
-                "basis": labels,
-                "rows": [[x.to_json() for x in row] for row in mat]}
-               for i, mat in enumerate(mats)]
 
     def text():
         blocks = []
@@ -316,7 +285,9 @@ def cmd_burau(args):
         return "\n\n".join(blocks)
 
     assert all(len(m) == size for m in mats)
-    _emit(args, payload, text)
+    _emit(args, lambda: [{"generator": i + 1, "basis": labels,
+                          "rows": [[x.to_json() for x in row] for row in mat]}
+                         for i, mat in enumerate(mats)], text)
     return 0
 
 
@@ -328,7 +299,6 @@ def cmd_lkb_matrix(args):
         _require(1 <= i <= args.n - 1, "--i out of range")
     build = lkb_mod.lkb_sigma if args.positive else lkb_mod.lkb_sigma_inverse
     mats = [build(args.n, i) for i in gens]
-    payload = [dict(m.to_json(), generator=i) for i, m in zip(gens, mats)]
 
     def text():
         blocks = []
@@ -338,15 +308,19 @@ def cmd_lkb_matrix(args):
                 name, _matrix_text(m.entries, ["F(%d,%d)" % p for p in m.basis])))
         return "\n\n".join(blocks)
 
-    _emit(args, payload, text)
+    _emit(args, lambda: [dict(m.to_json(), generator=i) for i, m in zip(gens, mats)], text)
     return 0
 
 
 def cmd_twist(args):
     _require_weight_space(args, "twist")
-    scalar = decomp_mod.full_twist_scalar(args.n, args.l)
-    payload = {"n": args.n, "l": args.l, "scalar": scalar.to_json()}
-    _emit(args, payload, lambda: str(scalar))
+    try:
+        scalar = decomp_mod.full_twist_scalar(args.n, args.l)
+    except decomp_mod._NotScalarError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+    _emit(args, lambda: {"n": args.n, "l": args.l, "scalar": scalar.to_json()},
+          lambda: str(scalar))
     return 0
 
 

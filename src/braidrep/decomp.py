@@ -79,8 +79,8 @@ from operator import mul, or_
 from . import verma
 from .braid import BraidWord, apply_letter
 from .hwspace import _generator_columns, hw_basis, label_str, rho_matrix
-from .linalg import (fraction_rank, mat_diff_witness, modp_matvec, modp_rank,
-                     row_product, sparse_rows)
+from .linalg import (_rows_of_columns, fraction_rank, mat_diff_witness, modp_matvec,
+                     modp_rank, row_product, sparse_rows)
 from .report import CheckReport
 from .ring import (InexactDivisionError, LaurentPoly, RatFunc, qint, specialize,
                    unpack)
@@ -418,17 +418,22 @@ def full_twist_word(n):
     return BraidWord(n, right + left)
 
 
+class _NotScalarError(ArithmeticError):
+    """The full twist's matrix is not scalar: an internal inconsistency."""
+
+
 def full_twist_scalar(n, l):
     """Scalar by which the central full twist acts on the degree-l representation.
 
-    A non-scalar result signals an internal inconsistency and raises.
+    A non-scalar result signals an internal inconsistency and raises
+    ``_NotScalarError``, an ArithmeticError that names the first entry off.
     """
     m = rho_matrix(n, l, full_twist_word(n))
     scalar = m.entries[0][0]
     witness = mat_diff_witness(sparse_rows(m.entries),
                                [{r: scalar} for r in range(m.size)])
     if witness is not None:
-        raise ArithmeticError("full twist is not scalar at (%d, %d) for n=%d l=%d"
+        raise _NotScalarError("full twist is not scalar at (%d, %d) for n=%d l=%d"
                               % (witness[0], witness[1], n, l))
     return scalar
 
@@ -437,9 +442,12 @@ def check_full_twist(n, l):
     """The full twist acts on W_{n,l} by the ribbon value q^(2l(l-1)) s^(-2nl).
 
     (Reshetikhin and Turaev, Comm. Math. Phys. 127, 1990.)  The witness is
-    the scalar found.
+    the scalar found, or the error message if the twist is not scalar.
     """
-    scalar = full_twist_scalar(n, l)
+    try:
+        scalar = full_twist_scalar(n, l)
+    except _NotScalarError as exc:
+        return [CheckReport("full-twist-scalar", {"n": n, "l": l}, False, str(exc))]
     expected = LaurentPoly.monomial(2 * l * (l - 1), -2 * n * l)
     return [CheckReport("full-twist-scalar", {"n": n, "l": l},
                         scalar == expected, str(scalar))]
@@ -518,29 +526,31 @@ def _generators_modp(n, l, q0, s0, p):
     """The generators rho(sigma_i) at (q0, s0) mod p, as {col: residue} rows.
 
     Each nonzero entry of the cached generator columns is a Laurent polynomial
-    with integer coefficients, evaluated straight to an int mod p from the
-    residues of q0 and s0 and of their inverses (``pow`` with a negative
-    exponent), and kept unless it is 0 mod p.  That is the reduction mod p of
-    the rational entry, as p divides no numerator or denominator of q0 or s0
-    (``_cert_prime``), so q0, s0, 1/q0 and 1/s0 are all p-integral.
+    with integer coefficients, evaluated once, straight to its residue mod p,
+    from the residues of q0 and s0 and of their inverses (``pow`` with a
+    negative exponent).  That is the reduction mod p of the rational entry,
+    as p divides no numerator or denominator of q0 or s0 (``_cert_prime``),
+    so q0, s0, 1/q0 and 1/s0 are all p-integral.  The nonzero residues of
+    each column are transposed into rows (``linalg._rows_of_columns``).
     """
     q, s = (x.numerator * pow(x.denominator, -1, p) % p for x in (q0, s0))
-    residues = {}        # packed exponent key -> q^e_q s^e_s mod p
+    powers = {}          # packed exponent key -> q^e_q s^e_s mod p
+
+    def residue(entry):
+        total = 0
+        for key, coeff in entry.terms.items():
+            if (x := powers.get(key)) is None:
+                eq, es = unpack(key)
+                x = powers[key] = pow(q, eq, p) * pow(s, es, p) % p
+            total += coeff * x
+        return total % p
+
     mats = []
     for i in range(1, n):
         cols = _generator_columns(n, l, i)
-        rows = [{} for _ in cols]
-        for c, col in enumerate(cols):
-            for r, entry in col.items():
-                total = 0
-                for key, coeff in entry.terms.items():
-                    x = residues.get(key)
-                    if x is None:
-                        eq, es = unpack(key)
-                        x = residues[key] = pow(q, eq, p) * pow(s, es, p) % p
-                    total += coeff * x
-                rows[r][c] = total
-        mats.append(_residue_rows(rows, p))
+        mats.append(_rows_of_columns(
+            [{r: x for r, entry in col.items() if (x := residue(entry))} for col in cols],
+            range(len(cols))))
     return mats
 
 
@@ -620,11 +630,6 @@ def _commutant_dim_modp(pm, seed, p):
     return None
 
 
-def _residue_rows(rows, p):
-    """{col: x} integer rows reduced mod p, as {col: residue} rows of nonzeros."""
-    return [{c: r for c, x in row.items() if (r := x % p)} for row in rows]
-
-
 def _krylov(b, u):
     """The dense vectors u, b u, ..., b^(d-1) u mod p of a residue vector u.
 
@@ -636,12 +641,12 @@ def _krylov(b, u):
 def _random_element(pm, rng, p):
     """b = sum_k c_k a_k + c a_i a_j mod p, drawing i, j, then the c.
 
-    Row r of b is the ``row_product`` of the c with row r of each term.  b
-    is returned as its ``linalg.modp_matvec``, which reduces those rows mod
-    p once, as it packs them.
+    Row r of b is the ``row_product`` of the c with row r of each term, a_i
+    a_j's rows being integer ``row_product``s of residue rows.  b is returned
+    as its ``linalg.modp_matvec``, which reduces its rows mod p as it packs.
     """
     i, j = rng.randrange(len(pm)), rng.randrange(len(pm))
-    terms = pm + [_residue_rows([row_product(row, pm[j]) for row in pm[i]], p)]
+    terms = pm + [[row_product(row, pm[j]) for row in pm[i]]]
     coeffs = dict(enumerate(rng.randrange(1, p) for _ in terms))
     return modp_matvec([row_product(coeffs, rows) for rows in zip(*terms)], p)
 

@@ -41,8 +41,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .braid import BraidWord, _rows_of_columns, _sigma_rows, apply_word, operator_matrix
-from .linalg import mat_mul, row_product
+from .braid import BraidWord, _sigma_rows, apply_word, operator_matrix
+from .linalg import _rows_of_columns, mat_mul, row_product
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly
 from .verma import E, TensorVec, _e_image, act_tensor, weight_basis
@@ -228,11 +228,8 @@ def _generator_columns(n, l, k):
     position = {idx: i for i, idx in enumerate(tensors)}
     basis = hw_basis(n, l)
     vectors = _rows_of_columns([el.vector.coeffs for el in basis], tensors)
-    cols = [{} for _ in basis]
-    for r, el in enumerate(basis):
-        for c, x in row_product(sigma[position[el.label]], vectors).items():
-            cols[c][r] = x
-    return tuple(cols)
+    return tuple(_rows_of_columns([row_product(sigma[position[el.label]], vectors)
+                                   for el in basis], range(len(basis))))
 
 
 def rho_matrix(n, l, word):

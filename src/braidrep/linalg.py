@@ -3,12 +3,14 @@
 Matrices are lists of rows: {col: entry} dicts of the nonzero entries, or
 dense lists at the edges.  Entries are anything with ring arithmetic
 (LaurentPoly, its LKB sibling, RatFunc, Fraction); the helpers never
-introduce floating point.
+introduce floating point.  A matrix given by the images of basis vectors
+becomes rows through one transposition, ``_rows_of_columns``.
 
 Mod-p work (``modp_matvec``, ``modp_rank``) holds a vector of residues as one
 Python int of W-bit slots, entry k in bits [k W, (k + 1) W), with W wide
 enough that no sum it forms carries into the next slot.  Only this module
-knows that format; its callers pass and get lists and {col: x} rows.
+knows that format, and it makes every reduction mod p of an integer row; its
+callers pass and get lists and {col: x} rows.
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ def sparse_rows(mat):
     """Rows as {col: entry} dicts of the nonzero entries; dict rows pass through."""
     return [row if isinstance(row, dict) else {c: x for c, x in enumerate(row) if x}
             for row in mat]
+
+
+def _rows_of_columns(cols, target):
+    """{col: entry} rows of the matrix whose c-th column is the {key: entry} dict cols[c].
+
+    Gustavson's permuted transposition (ACM TOMS 4, 1978): row r holds the
+    entries at key target[r], in column order.
+    """
+    position = {key: r for r, key in enumerate(target)}
+    rows = [{} for _ in target]
+    for c, col in enumerate(cols):
+        for key, x in col.items():
+            rows[position[key]][c] = x
+    return rows
 
 
 def row_product(row, rows):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .braid import relation_reports
-from .linalg import mat_diff_witness, mat_mul, sparse_rows
+from .linalg import _rows_of_columns, mat_diff_witness, mat_mul, sparse_rows
 from .report import CheckReport, matrix_report
 from .ring import LaurentPoly, unpack
 from .hwspace import _generator_columns, hw_basis, pair_label
@@ -84,27 +84,22 @@ def _inverse_rows(n, i):
     one = LKBPoly.one()
     mix = one - _Q(-1)                          # 1 - Q^-1
     hook = _Q(-1) - _Q(-2)                      # Q^-1 - Q^-2
-    basis = pair_basis(n)
-    pos = {p: r for r, p in enumerate(basis)}
-    rows = [{} for _ in basis]
-    for c, (a, b) in enumerate(basis):
+
+    def column(a, b):
         if a == i and b == i + 1:
-            col = [((i, i + 1), -(_t(-1) * _Q(-2)))]
-        elif a == i + 1:
-            col = [((i, b), one)]
-        elif b == i + 1:
-            col = [((a, i), one)]
-        elif a == i:
-            col = [((i + 1, b), _Q(-1)), ((i, b), mix),
-                   ((i, i + 1), _t(-1) * hook)]
-        elif b == i:
-            col = [((a, i + 1), _Q(-1)), ((a, i), mix),
-                   ((i, i + 1), -hook)]
-        else:
-            col = [((a, b), one)]
-        for pair, coeff in col:
-            rows[pos[pair]][c] = coeff
-    return rows
+            return {(i, i + 1): -(_t(-1) * _Q(-2))}
+        if a == i + 1:
+            return {(i, b): one}
+        if b == i + 1:
+            return {(a, i): one}
+        if a == i:
+            return {(i + 1, b): _Q(-1), (i, b): mix, (i, i + 1): _t(-1) * hook}
+        if b == i:
+            return {(a, i + 1): _Q(-1), (a, i): mix, (i, i + 1): -hook}
+        return {(a, b): one}
+
+    basis = pair_basis(n)
+    return _rows_of_columns([column(a, b) for a, b in basis], basis)
 
 
 def _forward_rows(n, inv):
@@ -167,7 +162,8 @@ def fork_iso_check(n, theta_map=theta):
     L the inverse-generator LKB matrix and D = diag(s^{i+j})) must equal the
     computed representation matrix, after aligning the two basis orders.
     Both are {col: entry} rows in pair order: theta and the shift touch only
-    the nonzeros of L, and rho is read from ``hwspace._generator_columns``.
+    the nonzeros of L, and the columns of rho (``hwspace._generator_columns``)
+    are permuted into pair order as they are transposed.
     """
     reports = []
     pairs = pair_basis(n)
@@ -178,8 +174,7 @@ def fork_iso_check(n, theta_map=theta):
                         for c, x in row.items()}
                        for r, row in enumerate(_inverse_rows(n, i))]
         cols = _generator_columns(n, 2, i)
-        aligned = [{c: x for c, h in enumerate(perm) if (x := cols[h].get(row))}
-                   for row in perm]
+        aligned = _rows_of_columns([cols[h] for h in perm], perm)
         reports.append(matrix_report("fork-isomorphism", {"n": n, "i": i},
                                      transported, aligned))
     return reports

@@ -267,6 +267,21 @@ class TestCheckCommand:
         (report,) = json.loads(out)
         assert not report["pass"] and report["witness"] == "q^8*s^-24"
 
+    def test_twist_that_is_not_scalar_fails(self, capsys, monkeypatch):
+        # sigma_1 alone is not central: the suite fails with the first entry
+        # off the diagonal as its witness, and the twist command reports it
+        monkeypatch.setattr(decomp_mod, "full_twist_word",
+                            lambda n: BraidWord(n, (1,)))
+        message = "full twist is not scalar at (0, 1) for n=3 l=2"
+        code, out, err = run_cli(
+            ["check", "--suite", "twist", "--n", "3", "--l", "2"], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == [{"check": "full-twist-scalar",
+                                    "params": {"n": 3, "l": 2},
+                                    "pass": False, "witness": message}]
+        code, out, err = run_cli(["twist", "--n", "3", "--l", "2"], capsys)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
     def test_unknown_suite(self, capsys):
         for args, message in [(["nonsense", "--n", "3"], "unknown suite"),
                               (["splitting", "--n", "3", "--l", "0"],
@@ -548,6 +563,8 @@ class TestSubprocessEntry:
 # R-matrix table.  The two splitting runs and the phi run at l = 1 were
 # recorded while ``apply_letter`` kept its own accumulation loop; the phi run
 # exits 1 on the documented wmax-eigenvalue erratum and prints its witness.
+# The last four were recorded while every letter, LKB and generator matrix
+# still had a transposition loop of its own, before ``linalg._rows_of_columns``.
 # Each entry names the exit code it must give: 1 for a failing check (the
 # --perturb control and that erratum), 0 otherwise.
 GOLDEN_STDOUT = [
@@ -597,6 +614,14 @@ GOLDEN_STDOUT = [
      0, "ab2ef078b8b53f34e749bbbb091e35214775915261772cf1afed17ddc44ab7d9"),
     (["check", "--suite", "phi", "--n", "3", "--l", "1"],
      1, "d012f863a888f5542cb01b4b124309370ff346ef1acbbbd51915442274b0052e"),
+    (["check", "--suite", "braid", "--n", "4", "--l", "2", "--perturb"],
+     1, "2675cd82fb563cf836d1ea2bd36a3642d1214c3025cdd42989f2d9b38acc1fec"),
+    (["check", "--suite", "twist", "--n", "4", "--l", "3"],
+     0, "b6084642e56d80e536ed4fde7ad9d633afee4aa5bbb2289bf64548d5eca94fd6"),
+    (["lkb-matrix", "--n", "5", "--positive"],
+     0, "0329e32bfe4c48f8cae3f828c13e7352f4b8631b83f7d7eff013c0076bbf58c9"),
+    (["irreducible", "--n", "5", "--l", "3", "--seed", "11"],
+     0, "f70c4aef52e67885ff5c8305bc563c769125b6cb04a523a5a3c59736cd4eeb8a"),
 ]
 
 
@@ -606,3 +631,32 @@ def test_golden_stdout(argv, exit_code, digest, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TEXT_GOLDENS = [case for case in GOLDEN_STDOUT if "text" in case[0]]
+
+
+def refuse_json(self):
+    raise AssertionError("JSON built for text output")
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", TEXT_GOLDENS,
+                         ids=[" ".join(argv) for argv, _, _ in TEXT_GOLDENS])
+def test_text_output_builds_no_json(argv, exit_code, digest, capsys, monkeypatch):
+    # under --format text the JSON tree is never built: the goldens hold
+    # with the matrix and decomposition serialisers made to fail
+    monkeypatch.setattr(hw_mod.RepMatrix, "to_json", refuse_json)
+    monkeypatch.setattr(decomp_mod.HWDecomposition, "to_json", refuse_json)
+    test_golden_stdout(argv, exit_code, digest, capsys)
+
+
+def test_json_output_reaches_the_refusing_serialisers(monkeypatch):
+    # control: the text goldens include both commands, and under --format
+    # json each patched serialiser is called
+    assert {"matrix", "decompose"} <= {argv[0] for argv, _, _ in TEXT_GOLDENS}
+    monkeypatch.setattr(hw_mod.RepMatrix, "to_json", refuse_json)
+    monkeypatch.setattr(decomp_mod.HWDecomposition, "to_json", refuse_json)
+    for argv in (["matrix", "--n", "3", "--l", "2", "--word", "1"],
+                 ["decompose", "--n", "3", "--idx", "1,0,2"]):
+        with pytest.raises(AssertionError, match="JSON built"):
+            main(argv)

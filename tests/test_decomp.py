@@ -697,6 +697,17 @@ class TestFullTwist:
         assert not report.passed
         assert report.witness == str(mono(8, -24))
 
+    def test_a_twist_that_is_not_scalar_is_reported(self, monkeypatch):
+        # sigma_1 alone is not central: the suite reports the entry off the
+        # diagonal as its one failure instead of raising
+        monkeypatch.setattr(decomp, "full_twist_word", lambda n: BraidWord(n, (1,)))
+        (report,) = check_full_twist(3, 2)
+        assert (report.check, report.params) == ("full-twist-scalar", {"n": 3, "l": 2})
+        assert not report.passed
+        assert report.witness == "full twist is not scalar at (0, 1) for n=3 l=2"
+        with pytest.raises(ArithmeticError, match=r"not scalar at \(0, 1\)"):
+            full_twist_scalar(3, 2)
+
     def test_3_2_value_two_routes(self):
         # route B: multiply generator matrices of the word
         a = row_lists(rho_matrix(3, 2, [1]))

@@ -109,3 +109,30 @@ def test_a_private_accumulator_is_reported():
               "acc = mul_add(None, x, y)\nacc = ring.mul_add(acc, x, y)\n"
               "print(LaurentPoly)\n")
     assert mul_add_references(source) == [1, 3, 4]
+
+
+def row_list_allocations(source):
+    """Lines that build a list of empty dicts, ``[{} for _ in ...]``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ListComp)
+                  and isinstance(node.elt, ast.Dict) and not node.elt.keys)
+
+
+def test_only_linalg_allocates_a_row_list():
+    # column images become {col: entry} rows through one transposition,
+    # ``linalg._rows_of_columns``, not through a hand-written loop that
+    # fills empty rows
+    users = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as handle:
+                if row_list_allocations(handle.read()):
+                    users.append(name)
+    assert users == ["linalg.py"]
+
+
+def test_a_planted_row_list_is_reported():
+    source = ("rows = [{} for _ in basis]\ncols = [[] for _ in basis]\n"
+              "full = [{0: 1} for _ in basis]\n"
+              "for c, col in enumerate(cols):\n    out = [{} for r in col]\n")
+    assert row_list_allocations(source) == [1, 5]

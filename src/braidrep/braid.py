@@ -189,9 +189,10 @@ def relation_reports(name, params, mats):
     n = len(mats) + 1
     reports = []
     for i in range(1, n - 1):
-        lhs = mat_mul(mat_mul(mats[i], mats[i + 1]), mats[i])
-        rhs = mat_mul(mat_mul(mats[i + 1], mats[i]), mats[i + 1])
-        reports.append(matrix_report(name + "-adjacent", dict(params, i=i), lhs, rhs))
+        # a b a = b a b as P a = b P with P = a b: associativity, three products
+        pair = mat_mul(mats[i], mats[i + 1])
+        reports.append(matrix_report(name + "-adjacent", dict(params, i=i),
+                                     mat_mul(pair, mats[i]), mat_mul(mats[i + 1], pair)))
     for i in range(1, n):
         for j in range(i + 2, n):
             reports.append(matrix_report(

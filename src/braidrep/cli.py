@@ -274,7 +274,6 @@ def cmd_burau(args):
     # all n - 1 generators are printed, each with at most n^2 entries
     _require_burau_size("burau", args.n)
     mats = lkb_mod.burau_matrices(args.n, reduced=not args.unreduced)
-    size = args.n - 1 if not args.unreduced else args.n
     labels = ["u%d" % j for j in range(1, args.n)] if not args.unreduced \
         else ["d%d" % j for j in range(1, args.n + 1)]
 
@@ -284,7 +283,6 @@ def cmd_burau(args):
             blocks.append("sigma_%d:\n%s" % (i + 1, _matrix_text(mat, labels)))
         return "\n\n".join(blocks)
 
-    assert all(len(m) == size for m in mats)
     _emit(args, lambda: [{"generator": i + 1, "basis": labels,
                           "rows": [[x.to_json() for x in row] for row in mat]}
                          for i, mat in enumerate(mats)], text)

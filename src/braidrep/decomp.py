@@ -258,16 +258,16 @@ def _commutator_images(idxs):
 
     Formed from the image tables that ``act_tensor`` reads, looked up on
     ``verma`` at call time, so E F^(1) x = F^(1)(E x) + [E, F^(1)] x holds
-    exactly whatever the tables hold.
+    exactly whatever the tables hold, as long as F^(1) raises and E lowers
+    the weight by one.  Then the keys of F^(1) v_idx and of E v_idx differ,
+    and each image is one ``row_product`` over their union, E v_idx negated.
     """
     e_image, f_image = verma._e_image, verma._f_image
-    minus = {0: LaurentPoly.one(), 1: LaurentPoly.constant(-1)}
     out = {}
     for idx in idxs:
         up, down = f_image(1, idx), e_image(idx)
-        out[idx] = row_product(minus, [
-            row_product(up, {j: e_image(j) for j in up}),
-            row_product(down, {j: f_image(1, j) for j in down})])
+        out[idx] = row_product(up | {j: -x for j, x in down.items()},
+                               {j: e_image(j) for j in up} | {j: f_image(1, j) for j in down})
     return out
 
 
@@ -278,15 +278,18 @@ def ef1_eigencheck(n, l):
     commutator: E F^(1) v - lambda_k v = F^(1)(E v) + T_k v, with T_k =
     [E, F^(1)] - lambda_k applied by linearity from its pure-tensor images
     (``_commutator_images``).  ``act_tensor`` is sum_idx c_idx image(idx),
-    so the split is exact for any image tables and assumes no algebra
-    relation; a failure's ``diff`` is E F^(1) v - lambda_k v as before.  For
-    the true action [E, F^(1)] is beta_{2l} = lambda_0 on every pure tensor,
-    so T_0 is zero, E w = 0, and no vector of V_{n,l+1} is ever formed.
+    so the split is exact for any tables under which E lowers the weight by
+    one, and assumes no algebra relation.  E v and v then have disjoint
+    keys, so the sum is one ``row_product`` over both rows; a failure's
+    ``diff`` is E F^(1) v - lambda_k v as before.  For the true action
+    [E, F^(1)] is beta_{2l} = lambda_0 on every pure tensor, so T_0 is zero,
+    E w = 0, and no vector of V_{n,l+1} is ever formed.
     """
     if n < 2 or l < 0:
         raise ValueError("ef1_eigencheck needs n >= 2 and l >= 0")
     eigenvalues = [qint(k + 1) * mu(1, k, n, l) for k in range(l + 1)]
     bracket = _commutator_images(weight_basis(n, l))
+    f_image = verma._f_image
     one, zero = LaurentPoly.one(), TensorVec.zero(n)
     reports = []
     for k, expected in enumerate(eigenvalues):
@@ -294,10 +297,13 @@ def ef1_eigencheck(n, l):
         images = [act_tensor(F(k), el.vector) if k else el.vector for el in basis]
         shift = {idx: row_product({0: one, 1: -expected}, [image, {idx: one}])
                  for idx, image in bracket.items()}
+
+        def residual(v):
+            ev = act_tensor(E, v).coeffs
+            return TensorVec._of(n, row_product(
+                ev | v.coeffs, {j: f_image(1, j) for j in ev} | shift))
         reports.append(_vector_report("ef1-eigenvalue", {"n": n, "l": l, "k": k}, (
-            (k, el.label, TensorVec.combination(n, ((one, act_tensor(F(1), act_tensor(E, v))),
-                                                    (one, verma._act_images(v, shift.get)))), zero)
-            for el, v in zip(basis, images))))
+            (k, el.label, residual(v), zero) for el, v in zip(basis, images))))
     distinct = all(not (eigenvalues[a] - eigenvalues[b]).is_zero()
                    for a in range(l + 1) for b in range(a + 1, l + 1))
     reports.append(CheckReport("ef1-distinct", {"n": n, "l": l}, distinct))
@@ -403,17 +409,18 @@ def check_splitting(n, l):
 def full_twist_word(n):
     """Garside's Delta^2, the full twist that generates the centre of B_n.
 
-    Written Delta_R Delta_L, with Delta_R = sigma_{n-1} (sigma_{n-2}
-    sigma_{n-1}) ... (sigma_1 ... sigma_{n-1}) and Delta_L = sigma_1
-    (sigma_2 sigma_1) ... (sigma_{n-1} ... sigma_1): both are positive words
-    of n(n-1)/2 letters for the reversal permutation, so both are Delta
-    (Garside, Quart. J. Math. 20, 1969), and the word is the same braid as
-    (sigma_1 ... sigma_{n-1})^n, with the same n(n-1) letters.  The columns
-    that ``rho_matrix`` carries from letter to letter stay smaller: at
-    (n, l) = (6, 3) the product takes 27,762 term pairs, against 70,599 for
-    Delta_L Delta_L.
+    Written rev(Delta_R) Delta_L, with rev(Delta_R) = (sigma_{n-1} ...
+    sigma_1) (sigma_{n-1} ... sigma_2) ... (sigma_{n-1}) and Delta_L =
+    sigma_1 (sigma_2 sigma_1) ... (sigma_{n-1} ... sigma_1): both are
+    positive words of n(n-1)/2 letters for the reversal permutation, so both
+    are Delta (Garside, Quart. J. Math. 20, 1969), and the word is the same
+    braid as (sigma_1 ... sigma_{n-1})^n, with the same n(n-1) letters.  Of
+    the 16 products of the reduced words Delta_R, Delta_L and their
+    reversals, this one keeps the columns that ``rho_matrix`` carries from
+    letter to letter smallest: at (n, l) = (6, 3) it takes 19,437 term
+    pairs, against 27,762 for Delta_R Delta_L and 70,599 for Delta_L Delta_L.
     """
-    right = tuple(k for j in range(n - 1, 0, -1) for k in range(j, n))
+    right = tuple(k for j in range(1, n) for k in range(n - 1, j - 1, -1))
     left = tuple(k for j in range(1, n) for k in range(j, 0, -1))
     return BraidWord(n, right + left)
 

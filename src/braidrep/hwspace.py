@@ -289,9 +289,10 @@ def check_phi(n, l):
     rows, basis = phi_matrix(n, l)
     d = len(basis)
     one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    # (Phi - 1)^2 = Phi^2 - 2 Phi + 1, and Phi (2 - Phi) - 1 is its negation
-    res = [row_product({0: one, 1: LaurentPoly.constant(-2), 2: one}, (p2, p, {r: one}))
-           for r, (p, p2) in enumerate(zip(rows, mat_mul(rows, rows)))]
+    # (Phi - 1)^2 as N N with N = Phi - 1, and Phi (2 - Phi) - 1 is its negation
+    minus = {0: one, 1: LaurentPoly.constant(-1)}
+    nil = [row_product(minus, (row, {r: one})) for r, row in enumerate(rows)]
+    res = mat_mul(nil, nil)
     reports = [
         matrix_report("phi-nilpotent", {"n": n, "l": l}, res, [{}] * d),
         matrix_report("phi-inverse", {"n": n, "l": l},

@@ -246,12 +246,13 @@ def check_burau(n):
     """
     reports = []
     reduced = burau_matrices(n, reduced=True)
-    # hw element r corresponds to w_{n-1-r}, so rho's entry (w_a, w_b) is
-    # the cached column of w_b at row n-1-a
+    # hw element r corresponds to w_{n-1-r}, so rho's column of w_b is the
+    # cached column n-1-b, and its row n-1-a is the entry at w_a
     for i in range(1, n):
         cols = _generator_columns(n, 1, i)
-        rescaled = [{b - 1: x.shifted(0, b - a) for b in range(1, n)
-                     if (x := cols[n - 1 - b].get(n - 1 - a))} for a in range(1, n)]
+        rescaled = _rows_of_columns(
+            [{r: x.shifted(0, b + r + 1 - n) for r, x in cols[n - 1 - b].items()}
+             for b in range(1, n)], range(n - 2, -1, -1))
         reports.append(matrix_report("burau-degree-one", {"n": n, "i": i},
                                      sparse_rows(reduced[i - 1]), rescaled))
     unred = burau_matrices(n, reduced=False)

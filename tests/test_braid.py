@@ -217,6 +217,16 @@ class TestRelationChecks:
         assert ("braid-commute",
                 tuple(sorted({"n": 4, "l": 2, "i": 1, "j": 3}.items()))) in kinds
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_adjacent_relation_takes_three_products(self, monkeypatch, n):
+        # cost guard: a b a = b a b is checked as P a = b P with P = a b, so
+        # each adjacent pair costs three products and each commuting pair two
+        calls = []
+        real = braid.mat_mul
+        monkeypatch.setattr(braid, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+        assert all_passed(check_braid_relations(n, 2))
+        assert len(calls) == 3 * (n - 2) + (n - 2) * (n - 3)
+
     def test_perturbed_r_fails(self):
         reports = check_braid_relations(3, 2, perturb=True)
         assert not all_passed(reports)

@@ -565,6 +565,9 @@ class TestSubprocessEntry:
 # exits 1 on the documented wmax-eigenvalue erratum and prints its witness.
 # The last four were recorded while every letter, LKB and generator matrix
 # still had a transposition loop of its own, before ``linalg._rows_of_columns``.
+# The five after them were recorded with the twist word Delta_R Delta_L, the
+# eigen residual as a sum of two vectors, the braid relation as four products
+# and (Phi - 1)^2 as Phi^2 - 2 Phi + 1, before each suite formed fewer products.
 # Each entry names the exit code it must give: 1 for a failing check (the
 # --perturb control and that erratum), 0 otherwise.
 GOLDEN_STDOUT = [
@@ -622,6 +625,16 @@ GOLDEN_STDOUT = [
      0, "0329e32bfe4c48f8cae3f828c13e7352f4b8631b83f7d7eff013c0076bbf58c9"),
     (["irreducible", "--n", "5", "--l", "3", "--seed", "11"],
      0, "f70c4aef52e67885ff5c8305bc563c769125b6cb04a523a5a3c59736cd4eeb8a"),
+    (["check", "--suite", "eigen", "--n", "6", "--l", "3"],
+     0, "9cf4ace6106b79b24e052f1febf622ce18e7218ab41bc4e285c5f723425798e1"),
+    (["check", "--suite", "braid", "--n", "5", "--l", "3", "--perturb"],
+     1, "c36484677500c589ce6efd698fa9e56c0cf6c17f808e013536e93aeef643e3f3"),
+    (["check", "--suite", "lkb", "--n", "6", "--l", "2"],
+     0, "2f47f9d907a3731f0c4c011c4538e15635ea3838192f8d4e367030e79c088bf3"),
+    (["check", "--suite", "phi", "--n", "5", "--l", "3"],
+     0, "3824a37bb1b47345403840dbee0446a2c63ba26ce60b1da7a045e9f9fdbb8fa1"),
+    (["check", "--suite", "twist", "--n", "6", "--l", "3"],
+     0, "6b2c284187a39125d341abb28dd076be410c7e56377b23648f26ccf62b384b03"),
 ]
 
 

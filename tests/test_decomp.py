@@ -11,7 +11,7 @@ from operator import mul
 
 import pytest
 
-from braidrep import decomp, verma
+from braidrep import decomp, linalg, verma
 from braidrep.braid import BraidWord, apply_letter
 from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationError,
                              _cert_prime, _commutant_dim_modp, _krylov,
@@ -24,8 +24,8 @@ from braidrep.decomp import (_CERT_PRIME as CERT_PRIME, GuardedSpecializationErr
                              lambda_const, matrix_commutant_dimension, mu,
                              psi_map, random_specialization,
                              validate_specialization)
-from braidrep.hwspace import (hw_basis, is_highest_weight, label_str,
-                              rho_matrix)
+from braidrep.hwspace import (_generator_columns, hw_basis, is_highest_weight,
+                              label_str, rho_matrix)
 from braidrep.linalg import fraction_rank, mat_mul, modp_rank
 from braidrep.lkb import burau_matrices
 from braidrep.report import all_passed
@@ -662,6 +662,28 @@ class TestFullTwist:
                 for other in [j for j in range(1, n) if j != k] + [-k]:
                     changed = part[:pos] + (other,) + part[pos + 1:]
                     assert not is_garside_half(changed, n), (pos, other)
+
+    def test_word_takes_fewer_term_pairs_than_delta_r_delta_l(self, monkeypatch):
+        # cost guard: with the generators warm, the twist at (6, 3) takes
+        # 19,437 term pairs against 27,762 for Delta_R Delta_L, the word the
+        # package used before; the control is built here from its definition
+        n, l = 6, 3
+        right = tuple(k for j in range(n - 1, 0, -1) for k in range(j, n))
+        left = tuple(k for j in range(1, n) for k in range(j, 0, -1))
+        for k in range(1, n):
+            _generator_columns(n, l, k)
+        pairs = []
+        real = linalg.mul_add
+
+        def counting(acc, x, y):
+            pairs.append(len(x.terms) * len(y.terms))
+            return real(acc, x, y)
+
+        monkeypatch.setattr(linalg, "mul_add", counting)
+        rho_matrix(n, l, BraidWord(n, right + left))
+        control, pairs[:] = sum(pairs), []
+        assert full_twist_scalar(n, l) == mono(12, -36)
+        assert sum(pairs) < 0.75 * control, (sum(pairs), control)
 
     def test_non_scalar_matrix_raises_at_the_first_entry(self, monkeypatch):
         real = decomp.rho_matrix

@@ -188,8 +188,13 @@ class TestBurau:
         assert mats[0][0][0] == LaurentPoly.monomial(0, -2, -1)  # -t at t = s^-2
 
     def test_shapes(self):
-        assert len(burau_matrices(5, reduced=True)[0]) == 4
-        assert len(burau_matrices(5, reduced=False)[0]) == 5
+        # n - 1 generators, each (n-1) x (n-1) reduced and n x n unreduced
+        for n in (2, 3, 5):
+            for reduced, size in ((True, n - 1), (False, n)):
+                mats = burau_matrices(n, reduced=reduced)
+                assert len(mats) == n - 1
+                assert all(len(m) == size and all(len(row) == size for row in m)
+                           for m in mats), (n, reduced)
 
     def test_unreduced_quotient_invariance(self):
         # the evaluation d_j -> t^j intertwines the action with the identity
